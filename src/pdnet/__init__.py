@@ -14,8 +14,7 @@ from .engine import (
     project_orthant,
     run,
     run_centralized_unregularized,
-    step_deterministic,
-    step_stochastic,
+    step,
     stepsize,
 )
 from .graphs import (

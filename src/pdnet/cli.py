@@ -13,12 +13,9 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, config as cfgmod, engine, metrics, problems, verify
 from .config import ConfigError
@@ -133,6 +130,22 @@ def _write_xhat(path: Path, trace: engine.Trace) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _rate_fits(trace: engine.Trace, horizon: int) -> dict[str, metrics.RateFit | None]:
+    """Decay exponents of eps and violation_sq over t in [max(10, T/100), T].
+
+    A column whose fit is undefined (too few or nonpositive records) maps
+    to None.
+    """
+    fits = {}
+    for column in ("eps", "violation_sq"):
+        try:
+            fits[column] = metrics.rate_fit(trace, column,
+                                            (max(10, horizon // 100), horizon))
+        except metrics.MetricError:
+            fits[column] = None
+    return fits
+
+
 def execute_run(config: dict, out_dir: Path) -> engine.Trace:
     """Build everything from a config, run, and persist all artifacts."""
     p = cfgmod.build_problem(config)
@@ -158,15 +171,8 @@ def execute_run(config: dict, out_dir: Path) -> engine.Trace:
     _write_xhat(out_dir / "xhat.csv", trace)
     (out_dir / "reference.json").write_text(
         json.dumps(ref.to_json_dict(), sort_keys=True) + "\n")
-    horizon = int(config["run.T"])
-    fits = {}
-    for column in ("eps", "violation_sq"):
-        try:
-            fit = metrics.rate_fit(trace, column,
-                                   (max(10, horizon // 100), horizon))
-            fits[column] = {"exponent": fit.exponent, "r2": fit.r2}
-        except metrics.MetricError:
-            fits[column] = None
+    fits = {column: None if fit is None else {"exponent": fit.exponent, "r2": fit.r2}
+            for column, fit in _rate_fits(trace, int(config["run.T"])).items()}
     manifest = {
         "package_version": __version__,
         "config": config,
@@ -239,13 +245,9 @@ def _leg_summary(param: str, value: str, config: dict,
         row["eps_final"] = last.eps
         row["delta_final"] = last.delta
         row["violation_final"] = last.violation_sq
-        horizon = int(config["run.T"])
-        window = (max(10, horizon // 100), horizon)
+        fits = _rate_fits(trace, int(config["run.T"]))
         for column, key in (("eps", "eps_rate"), ("violation_sq", "viol_rate")):
-            try:
-                row[key] = metrics.rate_fit(trace, column, window).exponent
-            except metrics.MetricError:
-                row[key] = float("nan")
+            row[key] = float("nan") if fits[column] is None else fits[column].exponent
     except _CONFIG_ERRORS as exc:
         row["status"] = f"error: {exc}"
         for key in ("eps_final", "delta_final", "violation_final",

@@ -8,7 +8,6 @@ identity and any output directory can reproduce its run.
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 
 from . import engine, graphs, problems
@@ -56,10 +55,6 @@ def _coerce(key: str, raw) -> object:
     if key not in DEFAULTS:
         raise ConfigError(f"unknown configuration key {key!r}")
     default = DEFAULTS[key]
-    if key in _OPTIONAL_FLOATS:
-        if raw is None or (isinstance(raw, str) and raw.lower() in ("", "none")):
-            return None
-        return float(raw)
     if isinstance(default, bool):
         if isinstance(raw, bool):
             return raw
@@ -69,11 +64,18 @@ def _coerce(key: str, raw) -> object:
         if text in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if isinstance(default, int):
-        value = int(str(raw))
-        return value
-    if isinstance(default, float):
-        return float(raw)
+    try:
+        if key in _OPTIONAL_FLOATS:
+            if raw is None or (isinstance(raw, str) and raw.lower() in ("", "none")):
+                return None
+            return float(raw)
+        if isinstance(default, int):
+            return int(str(raw))
+        if isinstance(default, float):
+            return float(raw)
+    except ValueError:
+        kind = "an integer" if isinstance(default, int) else "a number"
+        raise ConfigError(f"{key}: expected {kind}, got {raw!r}") from None
     return str(raw)
 
 

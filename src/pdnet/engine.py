@@ -64,7 +64,6 @@ class RunConfig:
     init: str = INIT_ORIGIN
     record_every: int = 10
     monitor_bounds: bool = False
-    debug_constant_step: float | None = None
 
 
 def resolve_config(cfg: RunConfig, p: ProblemSpec) -> RunConfig:
@@ -103,8 +102,6 @@ def stepsize(t: int, cfg: RunConfig) -> float:
     """alpha(t) = step_scale / sqrt(t + 1)."""
     if t < 0:
         raise EngineError("iteration index must be nonnegative")
-    if cfg.debug_constant_step is not None:
-        return cfg.debug_constant_step
     if cfg.step_scale is None:
         raise EngineError("step_scale unresolved; call resolve_config first")
     return cfg.step_scale / math.sqrt(t + 1.0)
@@ -115,16 +112,14 @@ def stepsize(t: int, cfg: RunConfig) -> float:
 # ---------------------------------------------------------------------------
 
 def project_ball(x: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the origin-centered ball: R x / max(R, ||x||)."""
+    """Euclidean projection onto the origin-centered ball: R x / max(R, ||x||).
+
+    ``x`` is one vector or a stack of rows, each projected on its own.
+    """
     if not radius > 0.0:
         raise EngineError("ball radius must be positive")
-    norm = float(np.linalg.norm(x))
-    return x * (radius / max(radius, norm))
-
-
-def project_ball_rows(rows: np.ndarray, radius: float) -> np.ndarray:
-    norms = np.linalg.norm(rows, axis=1)
-    return rows * (radius / np.maximum(radius, norms))[:, None]
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    return x * (radius / np.maximum(radius, norms))
 
 
 def project_orthant(v: np.ndarray) -> np.ndarray:
@@ -223,14 +218,24 @@ def _deterministic_directions(p: ProblemSpec, x: np.ndarray, lam: np.ndarray,
     return grad_x, grad_lam
 
 
-def _stochastic_directions(p: ProblemSpec, x: np.ndarray, lam: np.ndarray,
-                           eta: float, uniforms: np.ndarray):
+def _directions(p: ProblemSpec, states: AgentStates, t: int, cfg: RunConfig):
+    """Primal and dual directions at the iteration-t snapshot.
+
+    The only switch on the variant. The stochastic variant replaces the
+    constraint term sum_k lam_k grad g_k of the primal direction with one
+    multiplier-sampled grad g_k scaled by ||lam||_1; the dual direction
+    g - eta lam is the same for every variant.
+    """
+    if cfg.variant != STOCHASTIC:
+        return _deterministic_directions(p, states.x, states.lam, cfg.eta)
+    x, lam = states.x, states.lam
+    uniforms = iteration_uniforms(cfg.seed, t, states.n_agents)
     _, grad_f = p.agent_objective_grads(x)
     g_vals = p.constraint_values_many(x)
     ks = sample_constraint_indices(lam, uniforms)
     rows = p.agent_constraint_rows(x, ks)
     grad_x = grad_f + lam.sum(axis=1)[:, None] * rows
-    grad_lam = g_vals - eta * lam
+    grad_lam = g_vals - cfg.eta * lam
     return grad_x, grad_lam
 
 
@@ -240,7 +245,7 @@ def _advance(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix, t: int,
     alpha = stepsize(t, cfg)
     y = states.x - alpha * grad_x
     gamma = states.lam + alpha * grad_lam
-    new_x = project_ball_rows(_mix(w.entries, y), p.radius)
+    new_x = project_ball(_mix(w.entries, y), p.radius)
     new_lam = project_orthant(_mix(w.entries, gamma))
 
     if not (np.all(np.isfinite(new_x)) and np.all(np.isfinite(new_lam))):
@@ -262,19 +267,10 @@ def _advance(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix, t: int,
     return AgentStates(x=new_x, lam=new_lam, avg_numerator=num, weight_sum=wsum)
 
 
-def step_deterministic(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix,
-                       t: int, cfg: RunConfig) -> AgentStates:
-    """One full-gradient primal-dual step from the iteration-t snapshot."""
-    grad_x, grad_lam = _deterministic_directions(p, states.x, states.lam, cfg.eta)
-    return _advance(states, p, w, t, cfg, grad_x, grad_lam)
-
-
-def step_stochastic(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix,
-                    t: int, cfg: RunConfig) -> AgentStates:
-    """One constraint-sampling step; the dual direction is unchanged."""
-    uniforms = iteration_uniforms(cfg.seed, t, states.n_agents)
-    grad_x, grad_lam = _stochastic_directions(p, states.x, states.lam,
-                                              cfg.eta, uniforms)
+def step(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix, t: int,
+         cfg: RunConfig) -> AgentStates:
+    """One synchronous step of ``cfg.variant`` from the iteration-t snapshot."""
+    grad_x, grad_lam = _directions(p, states, t, cfg)
     return _advance(states, p, w, t, cfg, grad_x, grad_lam)
 
 
@@ -342,39 +338,22 @@ def centralized_mean_problem(p: ProblemSpec) -> ProblemSpec:
     """Collapse an n-agent problem to one agent holding the mean objective."""
     if p.n_agents == 1:
         return p
-    return ProblemSpec(
-        dim=p.dim, n_constraints=p.n_constraints, n_agents=1,
-        objectives=(p.mean_objective_grad,),
-        constraints=p.constraints,
-        lipschitz=p.lipschitz, radius=p.radius, box=p.box,
-        family=p.family + "-mean", fast=_MeanOps(p),
-    )
+    return dataclasses.replace(p, n_agents=1, ops=_MeanOps(p.ops),
+                               family=p.family + "-mean")
 
 
 class _MeanOps:
-    """Batched evaluation adapter for the collapsed single-agent problem."""
+    """The collapsed problem's ops: agent 0's objective is the mean f."""
 
-    def __init__(self, p: ProblemSpec):
-        self._p = p
+    def __init__(self, ops):
+        self._ops = ops
+
+    def __getattr__(self, name):
+        return getattr(self._ops, name)
 
     def agent_objective_grads(self, x_rows):
-        val, grad = self._p.mean_objective_grad(x_rows[0])
+        val, grad = self._ops.mean_objective_grad(x_rows[0])
         return np.array([val]), grad[None, :]
-
-    def mean_objective_many(self, points):
-        return self._p.mean_objective_many(points)
-
-    def mean_objective_grad(self, x):
-        return self._p.mean_objective_grad(x)
-
-    def constraint_values_many(self, points):
-        return self._p.constraint_values_many(points)
-
-    def agent_constraint_combo(self, x_rows, lam_rows):
-        return self._p.agent_constraint_combo(x_rows, lam_rows)
-
-    def agent_constraint_rows(self, x_rows, ks):
-        return self._p.agent_constraint_rows(x_rows, ks)
 
 
 def _run_loop(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
@@ -403,13 +382,7 @@ def _run_loop(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
 
     try:
         for t in range(cfg.iterations):
-            if cfg.variant == STOCHASTIC:
-                uniforms = iteration_uniforms(cfg.seed, t, states.n_agents)
-                grad_x, grad_lam = _stochastic_directions(
-                    p, states.x, states.lam, cfg.eta, uniforms)
-            else:
-                grad_x, grad_lam = _deterministic_directions(
-                    p, states.x, states.lam, cfg.eta)
+            grad_x, grad_lam = _directions(p, states, t, cfg)
             if t % cfg.record_every == 0:
                 record_now(t, grad_x, grad_lam)
             states = _advance(states, p, w, t, cfg, grad_x, grad_lam)
@@ -421,38 +394,49 @@ def _run_loop(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
         log.error("run aborted: %s", exc)
         return trace
 
+    # no constraint is sampled at the horizon: record the full directions
     grad_x, grad_lam = _deterministic_directions(p, states.x, states.lam, cfg.eta)
     record_now(cfg.iterations, grad_x, grad_lam)
     return trace
+
+
+def bound_checks(p: ProblemSpec, cfg: RunConfig, sigma2: float,
+                 rec: IterationRecord,
+                 reference: ReferenceSolution | None) -> list[tuple[str, float, float]]:
+    """(name, value, bound) for every theory bound that applies to a record.
+
+    Empty without regularization, where the multipliers are unbounded. The
+    callers choose their own tolerance.
+    """
+    if cfg.eta <= 0.0:
+        return []
+    n = p.n_agents
+    checks = [
+        ("multiplier norm bound", rec.sum_lambda_sq,
+         metrics.lambda_norm_bound(p, cfg.eta, n)),
+        ("primal subgradient bound", rec.max_grad_x_norm,
+         metrics.grad_x_norm_bound(p, cfg.eta, n)),
+        ("dual subgradient bound", rec.max_grad_lambda_excess,
+         metrics.grad_lambda_excess_bound(p)),
+    ]
+    if rec.t >= 1:
+        checks.append(("consensus distance bound", rec.consensus_diameter,
+                       metrics.consensus_bound(p, sigma2, cfg.eta, n,
+                                               max(cfg.iterations, 2),
+                                               stepsize(rec.t, cfg))))
+    if reference is not None and not math.isnan(rec.thm2_bound):
+        checks.append(("convergence rate bound", rec.max_gap,
+                       rec.thm2_bound + reference.residual + 1e-4))
+    return checks
 
 
 def _monitor_record(trace: Trace, p: ProblemSpec, cfg: RunConfig,
                     rec: IterationRecord,
                     reference: ReferenceSolution | None) -> None:
     """Warn-only theory-bound monitors (hard assertions live in the tests)."""
-    if cfg.eta <= 0.0:
-        return
     tol = 1e-9
-    n = p.n_agents
-    checks = [
-        ("multiplier norm", rec.sum_lambda_sq,
-         metrics.lambda_norm_bound(p, cfg.eta, n)),
-        ("primal subgradient", rec.max_grad_x_norm,
-         metrics.grad_x_norm_bound(p, cfg.eta, n)),
-        ("dual subgradient excess", rec.max_grad_lambda_excess,
-         metrics.grad_lambda_excess_bound(p)),
-    ]
-    if rec.t >= 1:
-        checks.append(("consensus diameter", rec.consensus_diameter,
-                       metrics.consensus_bound(p, trace.sigma2, cfg.eta, n,
-                                               max(cfg.iterations, 2),
-                                               stepsize(rec.t, cfg))))
-    if reference is not None and not math.isnan(rec.thm2_bound):
-        budget = rec.thm2_bound + reference.residual + 1e-4
-        checks.append(("rate bound", rec.max_gap, budget))
-    for name, value, bound in checks:
+    for name, value, bound in bound_checks(p, cfg, trace.sigma2, rec, reference):
         if not math.isnan(value) and value > bound * (1.0 + tol) + tol:
-            msg = (f"t={rec.t}: {name} {value:.6g} exceeds its bound "
-                   f"{bound:.6g}")
+            msg = f"t={rec.t}: {name} exceeded, {value:.6g} > {bound:.6g}"
             trace.warnings.append(msg)
             log.warning("%s", msg)

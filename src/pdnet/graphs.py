@@ -25,7 +25,7 @@ class GraphError(ValueError):
 
 
 class ConnectivityError(GraphError):
-    """A random generator failed to produce a connected graph."""
+    """The graph is disconnected, or a random generator found no connected one."""
 
 
 class WeightMatrixError(ValueError):
@@ -57,7 +57,7 @@ class GraphTopology:
             degs[j] += 1
         object.__setattr__(self, "degrees", tuple(degs))
         if not self.is_connected():
-            raise GraphError("graph is disconnected")
+            raise ConnectivityError("graph is disconnected")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "GraphTopology":
@@ -186,18 +186,10 @@ def _retry_connected(build, seed: int, what: str) -> GraphTopology:
     """Call build(seed) until connected, bumping the seed up to the retry cap."""
     for attempt in range(MAX_CONNECTIVITY_RETRIES):
         edges, n = build(seed + attempt)
-        canon = frozenset((min(i, j), max(i, j)) for i, j in edges)
-        candidate = object.__new__(GraphTopology)
-        # bypass the connectivity check so we can retry instead of raising
-        object.__setattr__(candidate, "n", n)
-        object.__setattr__(candidate, "edges", canon)
-        degs = [0] * n
-        for i, j in canon:
-            degs[i] += 1
-            degs[j] += 1
-        object.__setattr__(candidate, "degrees", tuple(degs))
-        if candidate.is_connected():
-            return candidate
+        try:
+            return GraphTopology.from_edges(n, edges)
+        except ConnectivityError:
+            continue
     raise ConnectivityError(
         f"{what}: no connected graph after {MAX_CONNECTIVITY_RETRIES} seeds "
         f"starting at {seed}")

@@ -26,6 +26,14 @@ def validate_dual(lam: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _checked_dual(p: ProblemSpec, lam: np.ndarray) -> np.ndarray:
+    """A valid multiplier vector with one entry per constraint of p."""
+    lam = validate_dual(lam)
+    if len(lam) != p.n_constraints:
+        raise ProblemError("multiplier dimension does not match constraint count")
+    return lam
+
+
 @dataclass(frozen=True)
 class RegularizationConfig:
     """Quadratic dual-regularization strength eta > 0."""
@@ -36,21 +44,11 @@ class RegularizationConfig:
         if not self.eta > 0.0:
             raise ProblemError(f"eta must be positive, got {self.eta}")
 
-    def validate_schedule(self, alphas) -> None:
-        """Require eta * alpha(t) <= 1/2 for every scheduled stepsize."""
-        worst = max(float(a) for a in alphas)
-        if self.eta * worst > 0.5 + 1e-12:
-            raise ProblemError(
-                f"eta * alpha = {self.eta * worst:.6g} exceeds 1/2; "
-                "shrink the stepsize scale or eta")
-
 
 def lagrangian_value(p: ProblemSpec, agent: int, x: np.ndarray,
                      lam: np.ndarray, reg: RegularizationConfig) -> float:
     """f_i(x) + <lam, g(x)> - (eta/2) ||lam||^2."""
-    lam = validate_dual(lam)
-    if len(lam) != p.n_constraints:
-        raise ProblemError("multiplier dimension does not match constraint count")
+    lam = _checked_dual(p, lam)
     fval, _ = p.objective(agent, x)
     g = p.constraint_values(x)
     return float(fval + lam @ g - 0.5 * reg.eta * float(lam @ lam))
@@ -59,9 +57,7 @@ def lagrangian_value(p: ProblemSpec, agent: int, x: np.ndarray,
 def grad_x(p: ProblemSpec, agent: int, x: np.ndarray,
            lam: np.ndarray) -> np.ndarray:
     """Primal subgradient: grad f_i(x) + sum_k lam_k grad g_k(x)."""
-    lam = validate_dual(lam)
-    if len(lam) != p.n_constraints:
-        raise ProblemError("multiplier dimension does not match constraint count")
+    lam = _checked_dual(p, lam)
     _, gf = p.objective(agent, x)
     combo = p.agent_constraint_combo(x[None, :], lam[None, :])[0]
     return gf + combo
@@ -70,9 +66,7 @@ def grad_x(p: ProblemSpec, agent: int, x: np.ndarray,
 def grad_lambda(p: ProblemSpec, x: np.ndarray, lam: np.ndarray,
                 reg: RegularizationConfig) -> np.ndarray:
     """Dual gradient: g(x) - eta * lam."""
-    lam = validate_dual(lam)
-    if len(lam) != p.n_constraints:
-        raise ProblemError("multiplier dimension does not match constraint count")
+    lam = _checked_dual(p, lam)
     return p.constraint_values(x) - reg.eta * lam
 
 
@@ -82,17 +76,13 @@ def sampling_distribution(lam: np.ndarray) -> np.ndarray:
     p_k = lam_k / ||lam||_1 when the multipliers carry any mass, uniform
     otherwise (the exact-zero vector produced by orthant projection).
     """
-    lam = validate_dual(lam)
-    total = float(lam.sum())
-    if total > 0.0:
-        return lam / total
-    return np.full(len(lam), 1.0 / len(lam))
+    return _sampling_probabilities(validate_dual(lam)[None, :])[0]
 
 
 def stochastic_grad_x(p: ProblemSpec, agent: int, x: np.ndarray,
                       lam: np.ndarray, k: int) -> np.ndarray:
     """Sampled primal subgradient: grad f_i(x) + ||lam||_1 grad g_k(x)."""
-    lam = validate_dual(lam)
+    lam = _checked_dual(p, lam)
     if not 0 <= k < p.n_constraints:
         raise ProblemError(f"constraint index {k} out of range")
     _, gf = p.objective(agent, x)
@@ -114,13 +104,18 @@ def iteration_uniforms(seed: int, t: int, n: int) -> np.ndarray:
     return np.random.Generator(np.random.Philox(key=key)).random(n)
 
 
+def _sampling_probabilities(lam_rows: np.ndarray) -> np.ndarray:
+    """Each row's multipliers over their sum, or uniform where the row is 0."""
+    m = lam_rows.shape[1]
+    totals = lam_rows.sum(axis=1, keepdims=True)
+    return np.where(totals > 0.0, lam_rows / np.where(totals > 0.0, totals, 1.0),
+                    1.0 / m)
+
+
 def sample_constraint_indices(lam_rows: np.ndarray,
                               uniforms: np.ndarray) -> np.ndarray:
     """Draw one constraint index per agent from its sampling distribution."""
     m = lam_rows.shape[1]
-    totals = lam_rows.sum(axis=1, keepdims=True)
-    probs = np.where(totals > 0.0, lam_rows / np.where(totals > 0.0, totals, 1.0),
-                     1.0 / m)
-    cumulative = np.cumsum(probs, axis=1)
+    cumulative = np.cumsum(_sampling_probabilities(lam_rows), axis=1)
     ks = (cumulative <= uniforms[:, None]).sum(axis=1)
     return np.minimum(ks, m - 1)

@@ -75,6 +75,18 @@ def _require_outputs(states) -> np.ndarray:
     return states.averages()
 
 
+def _max_ratio(values: np.ndarray, normalizers: np.ndarray) -> float | None:
+    """max_i |values_i / normalizers_i|, or None if a normalizer is degenerate."""
+    if np.min(np.abs(normalizers)) < DEGENERATE_NORMALIZER:
+        return None
+    return float(np.max(np.abs(values / normalizers)))
+
+
+def _violation_sq(gvals: np.ndarray) -> float:
+    """||[mean of the rows of gvals]_+||^2."""
+    return float(np.sum(np.maximum(gvals.mean(axis=0), 0.0) ** 2))
+
+
 def epsilon_G(p: ProblemSpec, ref: ReferenceSolution, states,
               initial_states) -> float:
     """Maximum relative objective error over the network.
@@ -85,11 +97,11 @@ def epsilon_G(p: ProblemSpec, ref: ReferenceSolution, states,
     """
     outputs = _require_outputs(states)
     initial = _require_outputs(initial_states)
-    gaps = p.mean_objective_many(outputs) - ref.f_star
-    gaps0 = p.mean_objective_many(initial) - ref.f_star
-    if np.min(np.abs(gaps0)) < DEGENERATE_NORMALIZER:
+    eps = _max_ratio(p.mean_objective_many(outputs) - ref.f_star,
+                     p.mean_objective_many(initial) - ref.f_star)
+    if eps is None:
         raise MetricError("initial objective gap is degenerate")
-    return float(np.max(np.abs(gaps / gaps0)))
+    return eps
 
 
 def delta_G(p: ProblemSpec, states, initial_states) -> float:
@@ -100,46 +112,57 @@ def delta_G(p: ProblemSpec, states, initial_states) -> float:
     """
     outputs = _require_outputs(states)
     initial = _require_outputs(initial_states)
-    norms = np.linalg.norm(p.constraint_values_many(outputs), axis=1)
-    norms0 = np.linalg.norm(p.constraint_values_many(initial), axis=1)
-    if np.min(norms0) < DEGENERATE_NORMALIZER:
+    delta = _max_ratio(np.linalg.norm(p.constraint_values_many(outputs), axis=1),
+                       np.linalg.norm(p.constraint_values_many(initial), axis=1))
+    if delta is None:
         raise MetricError("initial constraint norm is zero")
-    return float(np.max(norms / norms0))
+    return delta
 
 
 def violation_functional(p: ProblemSpec, states) -> float:
     """|| [ (1/n) sum_i g(xhat_i) ]_+ ||^2, the violation bound's subject."""
-    outputs = _require_outputs(states)
-    mean_g = p.constraint_values_many(outputs).mean(axis=0)
-    return float(np.sum(np.maximum(mean_g, 0.0) ** 2))
+    return _violation_sq(p.constraint_values_many(_require_outputs(states)))
 
 
 # ---------------------------------------------------------------------------
 # theory constants and bound envelopes
 # ---------------------------------------------------------------------------
 
-def _constant_c(m: int, lip: float, radius: float, sigma2: float, eta: float,
-                horizon: int, n: int) -> float:
-    if horizon < 2:
-        raise MetricError("the rate constant is defined for horizons >= 2")
+def _log_term(sigma2: float, horizon: int, n: int) -> float:
+    """log(T sqrt(n T)) / (1 - sigma2), the mixing-time factor of the bounds."""
     if sigma2 >= 1.0:
         raise MetricError("sigma2 must be below 1 (connected mixing matrix)")
-    log_term = math.log(horizon * math.sqrt(n * horizon)) / (1.0 - sigma2)
-    amp = 1.0 + n * m ** 1.5 * lip * radius / eta
-    return (1.0 + 2.5 * m * lip ** 2 * radius ** 2
-            + 20.0 * lip ** 2 * amp ** 2 * log_term ** 1.5)
+    return math.log(horizon * math.sqrt(n * horizon)) / (1.0 - sigma2)
+
+
+def _amplification(p: ProblemSpec, eta: float, n: int) -> float:
+    """1 + n m^{3/2} L R / eta, the multiplier-driven growth factor."""
+    return 1.0 + n * p.n_constraints ** 1.5 * p.lipschitz * p.radius / eta
+
+
+def _rate(scale: float, horizon: int) -> float:
+    """scale * log(T) / (sqrt(T) - 1), the decay shared by the gap bounds."""
+    return scale * math.log(horizon) / (math.sqrt(horizon) - 1.0)
+
+
+def _constant_c(p: ProblemSpec, sigma2: float, eta: float, horizon: int,
+                n: int) -> float:
+    if horizon < 2:
+        raise MetricError("the rate constant is defined for horizons >= 2")
+    log_term = _log_term(sigma2, horizon, n)
+    lip, radius = p.lipschitz, p.radius
+    return (1.0 + 2.5 * p.n_constraints * lip ** 2 * radius ** 2
+            + 20.0 * lip ** 2 * _amplification(p, eta, n) ** 2 * log_term ** 1.5)
 
 
 def thm2_constant(p: ProblemSpec, w, eta: float, horizon: int, n: int) -> float:
     """The convergence-rate constant C of the deterministic rate bound."""
-    return _constant_c(p.n_constraints, p.lipschitz, p.radius, w.sigma2,
-                       eta, horizon, n)
+    return _constant_c(p, w.sigma2, eta, horizon, n)
 
 
 def rate_bound(p: ProblemSpec, w, eta: float, horizon: int, n: int) -> float:
     """R C log(T) / (sqrt(T) - 1), the deterministic gap bound at T >= 2."""
-    c = thm2_constant(p, w, eta, horizon, n)
-    return p.radius * c * math.log(horizon) / (math.sqrt(horizon) - 1.0)
+    return _rate(p.radius * thm2_constant(p, w, eta, horizon, n), horizon)
 
 
 def stochastic_rate_bound(p: ProblemSpec, w, eta: float, horizon: int,
@@ -148,7 +171,7 @@ def stochastic_rate_bound(p: ProblemSpec, w, eta: float, horizon: int,
     c = thm2_constant(p, w, eta, horizon, n)
     extra = 4.0 * math.sqrt(10.0) * n * p.n_constraints ** 2 \
         * p.lipschitz ** 2 * p.radius ** 3 / eta
-    return (p.radius * c + extra) * math.log(horizon) / (math.sqrt(horizon) - 1.0)
+    return _rate(p.radius * c + extra, horizon)
 
 
 def lambda_norm_bound(p: ProblemSpec, eta: float, n: int) -> float:
@@ -158,8 +181,7 @@ def lambda_norm_bound(p: ProblemSpec, eta: float, n: int) -> float:
 
 def grad_x_norm_bound(p: ProblemSpec, eta: float, n: int) -> float:
     """Envelope for the primal subgradient norm, L (1 + n m^{3/2} L R / eta)."""
-    return p.lipschitz * (1.0 + n * p.n_constraints ** 1.5
-                          * p.lipschitz * p.radius / eta)
+    return p.lipschitz * _amplification(p, eta, n)
 
 
 def grad_lambda_excess_bound(p: ProblemSpec) -> float:
@@ -170,11 +192,8 @@ def grad_lambda_excess_bound(p: ProblemSpec) -> float:
 def consensus_bound(p: ProblemSpec, sigma2: float, eta: float, n: int,
                     horizon: int, alpha_t: float) -> float:
     """Envelope for the pairwise iterate distance at stepsize alpha(t)."""
-    if sigma2 >= 1.0:
-        raise MetricError("sigma2 must be below 1")
-    log_term = math.log(horizon * math.sqrt(n * horizon)) / (1.0 - sigma2)
-    amp = 1.0 + n * p.n_constraints ** 1.5 * p.lipschitz * p.radius / eta
-    return 5.0 * p.lipschitz * amp * log_term ** 1.5 * alpha_t
+    return (5.0 * p.lipschitz * _amplification(p, eta, n)
+            * _log_term(sigma2, horizon, n) ** 1.5 * alpha_t)
 
 
 def strict_violation_bound(p: ProblemSpec, sigma2: float, eta: float, n: int,
@@ -185,15 +204,13 @@ def strict_violation_bound(p: ProblemSpec, sigma2: float, eta: float, n: int,
     bound substituted, using the exact stepsize sums of the analysis
     window. Decays like eta log(T)/sqrt(T).
     """
-    if sigma2 >= 1.0:
-        raise MetricError("sigma2 must be below 1")
+    log_term = _log_term(sigma2, horizon, n)
     ts = np.arange(horizon)
     alphas = step_scale / np.sqrt(ts + 1.0)
     s1 = float(alphas.sum())
     s2 = float((alphas ** 2).sum())
     lip, radius, m = p.lipschitz, p.radius, p.n_constraints
-    log_term = math.log(horizon * math.sqrt(n * horizon)) / (1.0 - sigma2)
-    amp = 1.0 + n * m ** 1.5 * lip * radius / eta
+    amp = _amplification(p, eta, n)
     a_const = m * lip ** 2 * radius ** 2 + 8.0 * lip ** 2 * amp ** 2 * log_term ** 1.5
     f_plus = 5.0 * lip ** 2 * amp * log_term ** 1.5 * s2 / s1
     return (2.0 * (eta + 1.0 / s1) * f_plus
@@ -291,8 +308,7 @@ def compute_record(p: ProblemSpec, states, t: int, eta: float, sigma2: float,
     diffs = outputs_diameter(states.x)
 
     gvals = p.constraint_values_many(outputs)
-    mean_g = gvals.mean(axis=0)
-    violation_sq = float(np.sum(np.maximum(mean_g, 0.0) ** 2))
+    violation_sq = _violation_sq(gvals)
     gnorms = np.linalg.norm(gvals, axis=1)
 
     eps = math.nan
@@ -301,26 +317,19 @@ def compute_record(p: ProblemSpec, states, t: int, eta: float, sigma2: float,
     if ref is not None:
         fgaps = p.mean_objective_many(outputs) - ref.f_star
         max_gap = float(np.max(fgaps))
-        if initial_fgaps is None:
-            initial_fgaps = fgaps
-        if np.min(np.abs(initial_fgaps)) < DEGENERATE_NORMALIZER:
+        eps = _max_ratio(fgaps, fgaps if initial_fgaps is None else initial_fgaps)
+        if eps is None:
             eps = float(np.max(np.abs(fgaps)))
             eps_absolute = True
-        else:
-            eps = float(np.max(np.abs(fgaps / initial_fgaps)))
 
-    if initial_gnorms is None:
-        initial_gnorms = gnorms
-    if np.min(initial_gnorms) < DEGENERATE_NORMALIZER:
+    delta = _max_ratio(gnorms, gnorms if initial_gnorms is None else initial_gnorms)
+    if delta is None:
         delta = math.nan
-    else:
-        delta = float(np.max(gnorms / initial_gnorms))
 
     thm2 = math.nan
     if t >= 2 and eta > 0.0 and sigma2 < 1.0:
-        c = _constant_c(p.n_constraints, p.lipschitz, p.radius, sigma2, eta,
-                        t, states.x.shape[0])
-        thm2 = p.radius * c * math.log(t) / (math.sqrt(t) - 1.0)
+        c = _constant_c(p, sigma2, eta, t, states.x.shape[0])
+        thm2 = _rate(p.radius * c, t)
 
     max_gx = math.nan
     if grad_x_rows is not None:

@@ -1,7 +1,8 @@
 """Constrained problem instances: objectives, shared constraints, references.
 
-A ProblemSpec bundles per-agent objective oracles, shared constraint
-oracles, and the Lipschitz/radius metadata the algorithms rely on. The two
+A ProblemSpec bundles batched evaluation of the per-agent objectives and
+the shared constraints with the Lipschitz/radius metadata the algorithms
+rely on; ``ProblemSpec.from_oracles`` wraps bare per-point oracles. The two
 built-in families are box-constrained logistic and hinge regression on
 synthetic unit-sphere data. A centralized projected-subgradient solver
 provides the reference optimum used to normalize error metrics.
@@ -92,11 +93,7 @@ def generate_dataset(n: int, d: int, seed: int = 0) -> SyntheticDataset:
 # ---------------------------------------------------------------------------
 
 class _LossBoxOps:
-    """Vectorized evaluation for data-point losses with box constraints.
-
-    Kept numerically identical to the per-agent oracles: both paths go
-    through the same elementwise formulas.
-    """
+    """Vectorized evaluation for data-point losses with box constraints."""
 
     def __init__(self, features: np.ndarray, labels: np.ndarray,
                  lower: np.ndarray, upper: np.ndarray, loss: str):
@@ -147,104 +144,43 @@ class _LossBoxOps:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class ProblemSpec:
-    """Per-agent objectives, shared constraints, and problem metadata.
+class OracleOps:
+    """Batched evaluation by looping over per-point oracles.
 
     ``objectives[i]`` and ``constraints[k]`` map a point to (value,
-    subgradient). All subgradient norms are bounded by ``lipschitz`` on the
-    origin-centered ball of the given ``radius``, which contains the
-    feasible set. ``box`` holds (lower, upper) bound vectors when the
-    constraints form a box, enabling exact feasible-set projection.
+    subgradient). This is the generic path for problems given as bare
+    callables, and the reference for the methods every ops object has.
     """
 
-    dim: int
-    n_constraints: int
-    n_agents: int
-    objectives: tuple[Oracle, ...]
-    constraints: tuple[Oracle, ...]
-    lipschitz: float
-    radius: float
-    box: tuple[np.ndarray, np.ndarray] | None = None
-    family: str = "custom"
-    fast: _LossBoxOps | None = None
-
-    def __post_init__(self):
-        if len(self.objectives) != self.n_agents:
-            raise ProblemError("objective count does not match n_agents")
-        if len(self.constraints) != self.n_constraints:
-            raise ProblemError("constraint count does not match n_constraints")
-
-    def _check_dim(self, x: np.ndarray):
-        if x.shape[-1] != self.dim:
-            raise ProblemError(f"expected dimension {self.dim}, got {x.shape[-1]}")
-
-    # -- constraint evaluation ------------------------------------------------
-
-    def constraint_values(self, x: np.ndarray) -> np.ndarray:
-        self._check_dim(x)
-        if self.fast is not None:
-            return self.fast.constraint_values_many(x[None, :])[0]
-        return np.array([g(x)[0] for g in self.constraints])
-
-    def constraint_values_many(self, points: np.ndarray) -> np.ndarray:
-        self._check_dim(points)
-        if self.fast is not None:
-            return self.fast.constraint_values_many(points)
-        return np.array([[g(x)[0] for g in self.constraints] for x in points])
-
-    def constraint_grads(self, x: np.ndarray) -> np.ndarray:
-        self._check_dim(x)
-        return np.array([g(x)[1] for g in self.constraints])
-
-    # -- objective evaluation -------------------------------------------------
-
-    def objective(self, agent: int, x: np.ndarray) -> tuple[float, np.ndarray]:
-        self._check_dim(x)
-        return self.objectives[agent](x)
-
-    def mean_objective(self, x: np.ndarray) -> float:
-        return float(self.mean_objective_many(x[None, :])[0])
-
-    def mean_objective_many(self, points: np.ndarray) -> np.ndarray:
-        """Cumulative objective f = (1/n) sum_i f_i at each row of points."""
-        self._check_dim(points)
-        if self.fast is not None:
-            return self.fast.mean_objective_many(points)
-        return np.array([
-            sum(f(x)[0] for f in self.objectives) / self.n_agents
-            for x in points
-        ])
-
-    def mean_objective_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        self._check_dim(x)
-        if self.fast is not None:
-            return self.fast.mean_objective_grad(x)
-        total, grad = 0.0, np.zeros(self.dim)
-        for f in self.objectives:
-            v, g = f(x)
-            total += v
-            grad += g
-        return total / self.n_agents, grad / self.n_agents
-
-    # -- per-agent batched evaluation (row i belongs to agent i) ---------------
+    def __init__(self, objectives, constraints):
+        self.objectives = tuple(objectives)
+        self.constraints = tuple(constraints)
 
     def agent_objective_grads(self, x_rows: np.ndarray):
-        self._check_dim(x_rows)
-        if self.fast is not None:
-            return self.fast.agent_objective_grads(x_rows)
-        vals = np.empty(self.n_agents)
+        vals = np.empty(len(self.objectives))
         grads = np.empty_like(x_rows)
         for i, f in enumerate(self.objectives):
             vals[i], grads[i] = f(x_rows[i])
         return vals, grads
 
-    def agent_constraint_combo(self, x_rows: np.ndarray,
-                               lam_rows: np.ndarray) -> np.ndarray:
-        """sum_k lam[i, k] * grad g_k(x_i), one row per agent."""
-        self._check_dim(x_rows)
-        if self.fast is not None:
-            return self.fast.agent_constraint_combo(x_rows, lam_rows)
+    def mean_objective_many(self, points: np.ndarray) -> np.ndarray:
+        n = len(self.objectives)
+        return np.array([sum(f(x)[0] for f in self.objectives) / n
+                         for x in points])
+
+    def mean_objective_grad(self, x: np.ndarray):
+        total, grad = 0.0, np.zeros(len(x))
+        for f in self.objectives:
+            v, g = f(x)
+            total += v
+            grad += g
+        n = len(self.objectives)
+        return total / n, grad / n
+
+    def constraint_values_many(self, points: np.ndarray) -> np.ndarray:
+        return np.array([[g(x)[0] for g in self.constraints] for x in points])
+
+    def agent_constraint_combo(self, x_rows: np.ndarray, lam_rows: np.ndarray):
         out = np.zeros_like(x_rows)
         for i in range(x_rows.shape[0]):
             for k, g in enumerate(self.constraints):
@@ -253,13 +189,101 @@ class ProblemSpec:
                     out[i] += lam * g(x_rows[i])[1]
         return out
 
+    def agent_constraint_rows(self, x_rows: np.ndarray, ks: np.ndarray):
+        return np.array([self.constraints[k](x)[1] for k, x in zip(ks, x_rows)])
+
+
+@dataclass(frozen=True, eq=False)
+class ProblemSpec:
+    """Batched problem oracles plus the metadata the algorithms rely on.
+
+    ``ops`` evaluates the per-agent objectives and the shared constraints
+    for many points at once, through the methods of ``OracleOps``; the
+    single-point methods are derived from them. All subgradient norms are
+    bounded by ``lipschitz`` on the origin-centered ball of the given
+    ``radius``, which contains the feasible set. ``box`` holds (lower,
+    upper) bound vectors when the constraints form a box, enabling exact
+    feasible-set projection.
+    """
+
+    dim: int
+    n_constraints: int
+    n_agents: int
+    ops: object
+    lipschitz: float
+    radius: float
+    box: tuple[np.ndarray, np.ndarray] | None = None
+    family: str = "custom"
+
+    @classmethod
+    def from_oracles(cls, objectives, constraints, *, dim: int,
+                     lipschitz: float, radius: float,
+                     box: tuple[np.ndarray, np.ndarray] | None = None,
+                     family: str = "custom") -> "ProblemSpec":
+        """A problem from per-agent objective and shared constraint oracles.
+
+        Each oracle maps a point to (value, subgradient); the agent and
+        constraint counts are the lengths of the two sequences.
+        """
+        ops = OracleOps(objectives, constraints)
+        return cls(dim=dim, n_constraints=len(ops.constraints),
+                   n_agents=len(ops.objectives), ops=ops, lipschitz=lipschitz,
+                   radius=radius, box=box, family=family)
+
+    def _check_dim(self, x: np.ndarray):
+        if x.shape[-1] != self.dim:
+            raise ProblemError(f"expected dimension {self.dim}, got {x.shape[-1]}")
+
+    # -- batched evaluation (row i of x_rows belongs to agent i) -------------
+
+    def agent_objective_grads(self, x_rows: np.ndarray):
+        """(f_i(x_i), grad f_i(x_i)) for every agent i."""
+        self._check_dim(x_rows)
+        return self.ops.agent_objective_grads(x_rows)
+
+    def agent_constraint_combo(self, x_rows: np.ndarray,
+                               lam_rows: np.ndarray) -> np.ndarray:
+        """sum_k lam[i, k] * grad g_k(x_i), one row per agent."""
+        self._check_dim(x_rows)
+        return self.ops.agent_constraint_combo(x_rows, lam_rows)
+
     def agent_constraint_rows(self, x_rows: np.ndarray,
                               ks: np.ndarray) -> np.ndarray:
         """grad g_{k_i}(x_i), one row per agent, for sampled indices k_i."""
         self._check_dim(x_rows)
-        if self.fast is not None:
-            return self.fast.agent_constraint_rows(x_rows, ks)
-        return np.array([self.constraints[k](x)[1] for k, x in zip(ks, x_rows)])
+        return self.ops.agent_constraint_rows(x_rows, ks)
+
+    def constraint_values_many(self, points: np.ndarray) -> np.ndarray:
+        """g(x) at each row of points, one column per constraint."""
+        self._check_dim(points)
+        return self.ops.constraint_values_many(points)
+
+    def mean_objective_many(self, points: np.ndarray) -> np.ndarray:
+        """Cumulative objective f = (1/n) sum_i f_i at each row of points."""
+        self._check_dim(points)
+        return self.ops.mean_objective_many(points)
+
+    def mean_objective_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        self._check_dim(x)
+        return self.ops.mean_objective_grad(x)
+
+    # -- single-point evaluation ----------------------------------------------
+
+    def objective(self, agent: int, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(f_i(x), grad f_i(x)), from one batched call with every agent at x."""
+        vals, grads = self.agent_objective_grads(np.tile(x, (self.n_agents, 1)))
+        return float(vals[agent]), grads[agent]
+
+    def constraint_values(self, x: np.ndarray) -> np.ndarray:
+        return self.constraint_values_many(x[None, :])[0]
+
+    def constraint_grads(self, x: np.ndarray) -> np.ndarray:
+        """grad g_k(x) as row k, for every constraint k."""
+        m = self.n_constraints
+        return self.agent_constraint_rows(np.tile(x, (m, 1)), np.arange(m))
+
+    def mean_objective(self, x: np.ndarray) -> float:
+        return float(self.mean_objective_many(x[None, :])[0])
 
 
 def box_constraints(lower: np.ndarray, upper: np.ndarray) -> tuple[Oracle, ...]:
@@ -291,34 +315,15 @@ def _build_loss_problem(data: SyntheticDataset, l: float, u: float,
     d = data.dim
     lower = np.full(d, -l)
     upper = np.full(d, u)
-    fast = _LossBoxOps(data.features, data.labels, lower, upper, loss)
-
-    def make_objective(i: int) -> Oracle:
-        a = data.features[i]
-        b = data.labels[i]
-
-        def oracle(x: np.ndarray):
-            z = b * float(a @ x)
-            if loss == "logistic":
-                return float(np.logaddexp(0.0, z)), b * float(expit(z)) * a
-            margin = 1.0 - z
-            if margin > 0.0:
-                return margin, -b * a
-            return 0.0, np.zeros(d)
-
-        return oracle
-
     return ProblemSpec(
         dim=d,
         n_constraints=2 * d,
         n_agents=data.n,
-        objectives=tuple(make_objective(i) for i in range(data.n)),
-        constraints=box_constraints(lower, upper),
+        ops=_LossBoxOps(data.features, data.labels, lower, upper, loss),
         lipschitz=1.0,
         radius=1.0,
         box=(lower, upper),
         family=loss,
-        fast=fast,
     )
 
 
@@ -365,14 +370,12 @@ def validate_lipschitz(p: ProblemSpec, seed: int = 0, n_points: int = 32,
     for _ in range(n_points):
         x = rng.normal(size=p.dim)
         x *= rng.random() * p.radius / max(np.linalg.norm(x), 1e-30)
-        for i, f in enumerate(p.objectives):
-            norm = float(np.linalg.norm(f(x)[1]))
-            if norm > p.lipschitz + tol:
-                failures.append(f"objective {i}: subgradient norm {norm} > L")
-        for k, g in enumerate(p.constraints):
-            norm = float(np.linalg.norm(g(x)[1]))
-            if norm > p.lipschitz + tol:
-                failures.append(f"constraint {k}: subgradient norm {norm} > L")
+        _, objective_grads = p.agent_objective_grads(np.tile(x, (p.n_agents, 1)))
+        for kind, grads in (("objective", objective_grads),
+                            ("constraint", p.constraint_grads(x))):
+            for i, norm in enumerate(np.linalg.norm(grads, axis=1)):
+                if norm > p.lipschitz + tol:
+                    failures.append(f"{kind} {i}: subgradient norm {norm} > L")
     for msg in failures:
         log.error("Lipschitz bound violated: %s", msg)
     return failures
@@ -390,7 +393,6 @@ class ReferenceSolution:
     x_star: np.ndarray
     method: str
     residual: float
-    dual_estimate: np.ndarray | None = None
 
     def to_json_dict(self) -> dict:
         return {

@@ -8,7 +8,6 @@ violation monitors on small canonical runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,35 +154,14 @@ def _canonical_run(eta=1.0, horizon=2000, margins=(0.1, 0.1), n=50,
 
 def bound_monitor_checks(p, w, ref, trace) -> list[CheckResult]:
     """Hard versions of the warn-only engine monitors, for one finished run."""
-    cfg = trace.config
-    n = p.n_agents
-    lam_bound = metrics.lambda_norm_bound(p, cfg.eta, n)
-    gx_bound = metrics.grad_x_norm_bound(p, cfg.eta, n)
-    glam_bound = metrics.grad_lambda_excess_bound(p)
-    lam_ok = all(r.sum_lambda_sq <= lam_bound + 1e-9 for r in trace.records)
-    gx_ok = all(r.max_grad_x_norm <= gx_bound + 1e-9 for r in trace.records)
-    glam_ok = all(r.max_grad_lambda_excess <= glam_bound + 1e-9
-                  for r in trace.records)
-    cons_ok = all(
-        r.consensus_diameter <= metrics.consensus_bound(
-            p, trace.sigma2, cfg.eta, n, max(cfg.iterations, 2),
-            engine.stepsize(r.t, cfg)) + 1e-9
-        for r in trace.records if r.t >= 1)
-    out = [
-        _check("multiplier norm bound", lam_ok,
-               f"bound {lam_bound:.3g}, worst "
-               f"{max(r.sum_lambda_sq for r in trace.records):.3g}"),
-        _check("primal subgradient bound", gx_ok, f"bound {gx_bound:.3g}"),
-        _check("dual subgradient bound", glam_ok, f"bound {glam_bound:.3g}"),
-        _check("consensus distance bound", cons_ok),
-    ]
-    if ref is not None:
-        budget_slack = ref.residual + 1e-4
-        rate_ok = all(
-            r.max_gap <= r.thm2_bound + budget_slack
-            for r in trace.records if r.t >= 2 and not math.isnan(r.thm2_bound))
-        out.append(_check("convergence rate bound", rate_ok))
-    return out
+    pairs: dict[str, list[tuple[float, float]]] = {}
+    for rec in trace.records:
+        for name, value, bound in engine.bound_checks(p, trace.config,
+                                                      trace.sigma2, rec, ref):
+            pairs.setdefault(name, []).append((value, bound))
+    return [_check(name, all(value <= bound + 1e-9 for value, bound in checked),
+                   f"smallest margin {min(b - v for v, b in checked):.3g}")
+            for name, checked in pairs.items()]
 
 
 def full_checks(seed: int = 0) -> list[CheckResult]:

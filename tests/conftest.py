@@ -15,11 +15,9 @@ from pdnet import graphs, problems
 def make_custom_problem(objectives, constraints, lipschitz, radius,
                         dim, box=None):
     """Assemble a ProblemSpec from bare oracles (loop evaluation paths)."""
-    return problems.ProblemSpec(
-        dim=dim, n_constraints=len(constraints), n_agents=len(objectives),
-        objectives=tuple(objectives), constraints=tuple(constraints),
-        lipschitz=lipschitz, radius=radius, box=box, family="custom",
-    )
+    return problems.ProblemSpec.from_oracles(
+        objectives, constraints, dim=dim, lipschitz=lipschitz, radius=radius,
+        box=box)
 
 
 def toy_problem():
@@ -49,6 +47,17 @@ def paper_hinge(paper_dataset):
 def paper_reference(paper_logistic):
     return problems.reference_optimum(paper_logistic, iterations=200_000,
                                       residual_tol=1e-4)
+
+
+@pytest.fixture(scope="session")
+def binding_logistic(paper_dataset):
+    """The binding instance: every box face is active at l = u = 0.001."""
+    return problems.build_logistic_problem(paper_dataset, 0.001, 0.001)
+
+
+@pytest.fixture(scope="session")
+def binding_reference(binding_logistic):
+    return problems.reference_optimum(binding_logistic, iterations=200_000)
 
 
 @pytest.fixture(scope="session")

@@ -306,10 +306,9 @@ def test_criterion_07a_strict_feasibility_rates(paper_dataset, ws_matrix):
                   f"g(x*) max {slack:.3f}, sup ratio {worst_ratio:.3g}")
 
 
-def test_criterion_07b_tradeoff_directions(paper_dataset, ws_matrix):
-    # binding instance (every box face active at the optimum at l=u=0.001)
-    p = build_logistic_problem(paper_dataset, 0.001, 0.001)
-    ref = reference_optimum(p, iterations=200_000)
+def test_criterion_07b_tradeoff_directions(binding_logistic, binding_reference,
+                                           ws_matrix):
+    p, ref = binding_logistic, binding_reference
     horizon = 10_000
     gaps, viols, viol_exps, saddle = [], [], [], []
     for r_exponent in (0.1, 0.25, 0.4):
@@ -404,9 +403,9 @@ def test_criterion_09_topology_ordering(paper_dataset):
 # bounding the multipliers is paid for in constraint violation.
 # ---------------------------------------------------------------------------
 
-def test_criterion_10_regularization_contrast(paper_dataset, ws_matrix):
-    p = build_logistic_problem(paper_dataset, 0.001, 0.001)
-    ref = reference_optimum(p, iterations=200_000)
+def test_criterion_10_regularization_contrast(binding_logistic,
+                                              binding_reference, ws_matrix):
+    p, ref = binding_logistic, binding_reference
     eta = 1.0
     cfg_d = en.RunConfig(variant="deterministic", iterations=10_000, eta=eta,
                          seed=1, init="random_feasible", record_every=10)

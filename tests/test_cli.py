@@ -1,11 +1,15 @@
 """CLI commands, config round-trips, artifacts, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdnet
 from pdnet import cli, config as cfgmod
 from pdnet.config import ConfigError
 
@@ -121,6 +125,19 @@ def test_run_mismatched_sizes_exits_2(out_root):
     code = cli.main(["run", "--set", "problem.n=10", "--set", "graph.n=12",
                      "--set", "run.T=5", "--set", "reference.iterations=100"])
     assert code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("override",
+                         ["run.T=abc", "run.T=1e4", "run.eta=x", "problem.l="])
+def test_run_unparsable_value_exits_2(override, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(pdnet.__file__).parents[1]))
+    env[cli.OUTPUT_ROOT_ENV] = str(tmp_path)
+    proc = subprocess.run([sys.executable, "-m", "pdnet.cli", "run",
+                           "--set", override], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_run_invalid_step_scale_exits_2(out_root):

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pdnet import engine as en
-from pdnet import metrics
+from pdnet import metrics, verify
 from pdnet.graphs import ConsensusMatrix, GraphTopology, lazy_metropolis
 from pdnet.problems import build_logistic_problem, generate_dataset
 
@@ -85,7 +85,7 @@ def test_hand_stepped_single_agent():
     p = toy_problem()
     cfg = en.RunConfig(eta=1.0, step_scale=1.0)
     states = en.initial_states(p, cfg)
-    out = en.step_deterministic(states, p, identity_matrix(), 0, cfg)
+    out = en.step(states, p, identity_matrix(), 0, cfg)
     assert_allclose(out.x, [[-1.0]])
     assert_allclose(out.lam, [[0.0]])
 
@@ -278,6 +278,9 @@ def test_monitor_bounds_clean_run(paper_logistic, ws_matrix, paper_reference):
                        monitor_bounds=True)
     trace = en.run(paper_logistic, ws_matrix, cfg, reference=paper_reference)
     assert trace.warnings == []
+    checks = verify.bound_monitor_checks(paper_logistic, ws_matrix,
+                                         paper_reference, trace)
+    assert len(checks) == 5 and all(c.ok for c in checks), checks
 
 
 def test_missigned_dual_update_trips_lambda_bound(monkeypatch, paper_logistic,
@@ -298,6 +301,9 @@ def test_missigned_dual_update_trips_lambda_bound(monkeypatch, paper_logistic,
     worst = max(r.sum_lambda_sq for r in trace.records)
     assert worst > bound or trace.aborted is not None
     assert trace.warnings or trace.aborted
+    checks = {c.name: c.ok for c in verify.bound_monitor_checks(
+        paper_logistic, ws_matrix, None, trace)}
+    assert checks["multiplier norm bound"] is False
 
 
 def test_relative_error_drops_on_wide_box_instance(paper_dataset, ws_matrix):

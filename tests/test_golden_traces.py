@@ -1,0 +1,114 @@
+"""Golden traces: SHA-256 hashes of ``trace.csv`` for short canonical runs.
+
+The hashes pin every number the engine and the metrics write, so a
+refactor that claims unchanged behaviour must leave all of them alone. A
+change that moves one lists it in CHANGES.md and says why. References are
+built from literal optimal values, so the hashes pin the engine and the
+metrics but not the reference solver.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from pdnet import engine as en
+from pdnet.graphs import GraphTopology, generate_barbell, lazy_metropolis
+from pdnet.problems import ReferenceSolution
+
+from conftest import make_custom_problem
+
+#: f* of the default logistic and hinge instances (l = u = 0.1, n = 100)
+LOGISTIC_F_STAR = 0.6630124544132566
+HINGE_F_STAR = 0.9370804379939088
+#: f* of ``oracle_problem``, attained at (0.3, -0.1) where g_0 and g_1 bind
+ORACLE_F_STAR = 0.4925
+
+GOLDEN = {
+    "hinge-barbell-deterministic":
+        "3c348d8818c1e4d682c95d811084345aa7fd7e7fac5ba93f51019e25def63c6d",
+    "hinge-barbell-stochastic-random-feasible":
+        "1273971cd44f1583d6a58c71d86eed63db2252fb62292ae8581422c6acfef836",
+    "logistic-centralized":
+        "3cad80a1db3b76a9f10ec45f713e30172540c13187d7b0e8d9e61dd3eba1ab67",
+    "logistic-ws-deterministic":
+        "ac83c59f24c4352d7fc2dff9d335f9fe248df6079b14d2c4e685f487c7d7dc3b",
+    "logistic-ws-monitor-bounds":
+        "4cb654a45665878f1c9f55874327d2756631d497e09ab8821e393ecd7e385c98",
+    "logistic-ws-stochastic":
+        "a30a0b196592bc4f1874b6185dfe7e5744a871b2dd70781e049c2329e25c9f69",
+    "oracle-ring-deterministic":
+        "3db319e5351e86ddb71c5c28de5c1ed15669a3a1086320aa416e6bf3cd3001c4",
+    "oracle-ring-stochastic":
+        "fec4f29262cd4b604eaa9172722b505c52f4da20022eee6be03639a870dc450f",
+}
+
+
+def literal_reference(f_star, dim):
+    return ReferenceSolution(f_star=f_star, x_star=np.zeros(dim),
+                             method="literal", residual=0.0)
+
+
+def oracle_problem():
+    """4 agents, f_i(x) = ||x - c_i||^2 / 2 on d = 2, three linear constraints.
+
+    The centers pull the mean optimum outside g_0 and g_1, so both bind;
+    g_2 stays slack. Every oracle goes through the generic loop path.
+    """
+    centers = ((1.0, 0.8), (0.9, -0.2), (0.6, 1.0), (1.2, 0.3))
+
+    def objective(c):
+        c = np.array(c)
+        return lambda x: (0.5 * float((x - c) @ (x - c)), x - c)
+
+    constraints = [
+        lambda x: (float(x[0] + x[1] - 0.2), np.array([1.0, 1.0])),
+        lambda x: (float(x[0] - 0.3), np.array([1.0, 0.0])),
+        lambda x: (float(-x[1] - 0.5), np.array([0.0, -1.0])),
+    ]
+    return make_custom_problem([objective(c) for c in centers], constraints,
+                               lipschitz=2.5, radius=1.0, dim=2)
+
+
+def run_case(name, logistic, hinge, ws_matrix):
+    def cfg(**overrides):
+        return en.RunConfig(**{"iterations": 1000, "eta": 1.0, "seed": 1,
+                               **overrides})
+
+    lref = literal_reference(LOGISTIC_F_STAR, logistic.dim)
+    href = literal_reference(HINGE_F_STAR, hinge.dim)
+    if name == "logistic-ws-deterministic":
+        return en.run(logistic, ws_matrix, cfg(), reference=lref)
+    if name == "logistic-ws-stochastic":
+        return en.run(logistic, ws_matrix, cfg(variant="stochastic"),
+                      reference=lref)
+    if name == "logistic-centralized":
+        return en.run_centralized_unregularized(
+            logistic, cfg(variant="centralized_unregularized"), reference=lref)
+    if name == "logistic-ws-monitor-bounds":
+        return en.run(logistic, ws_matrix,
+                      cfg(eta=0.5, iterations=600, record_every=20,
+                          monitor_bounds=True), reference=lref)
+    if name.startswith("hinge-barbell"):
+        barbell = lazy_metropolis(generate_barbell(100, 1))
+        if name == "hinge-barbell-deterministic":
+            return en.run(hinge, barbell, cfg(iterations=500, record_every=7),
+                          reference=href)
+        return en.run(hinge, barbell,
+                      cfg(variant="stochastic", iterations=500, seed=3,
+                          init="random_feasible"), reference=href)
+    p = oracle_problem()
+    ring = lazy_metropolis(GraphTopology.from_edges(
+        4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    variant = name.rsplit("-", 1)[1]
+    return en.run(p, ring, cfg(variant=variant, seed=2),
+                  reference=literal_reference(ORACLE_F_STAR, p.dim))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_trace(name, paper_logistic, paper_hinge, ws_matrix):
+    trace = run_case(name, paper_logistic, paper_hinge, ws_matrix)
+    assert trace.aborted is None
+    assert trace.warnings == []
+    digest = hashlib.sha256(trace.to_csv_text().encode()).hexdigest()
+    assert digest == GOLDEN[name]

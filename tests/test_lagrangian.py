@@ -97,9 +97,6 @@ def test_negative_multiplier_rejected(paper_logistic):
 def test_regularization_config_validation():
     with pytest.raises(ProblemError):
         lg.RegularizationConfig(eta=0.0)
-    REG.validate_schedule([0.5, 0.25])
-    with pytest.raises(ProblemError):
-        REG.validate_schedule([0.6])
 
 
 # -- sampling distribution ------------------------------------------------------

@@ -121,25 +121,48 @@ def test_logistic_value_stable_for_large_arguments():
     assert val_neg == pytest.approx(0.0, abs=1e-300)
 
 
-def test_fast_paths_match_oracles(paper_logistic, paper_hinge):
+def loss_oracle(family, a, b):
+    """Per-sample loss oracle written out by hand, the reference below."""
+    def oracle(x):
+        z = b * float(a @ x)
+        if family == "logistic":
+            return math.log1p(math.exp(z)), b / (1.0 + math.exp(-z)) * a
+        return max(0.0, 1.0 - z), (-b * a if z < 1.0 else np.zeros_like(a))
+    return oracle
+
+
+def test_fast_paths_match_oracles(paper_dataset, paper_logistic, paper_hinge):
     rng = np.random.default_rng(8)
-    for p in (paper_logistic, paper_hinge):
+    for family, p in (("logistic", paper_logistic), ("hinge", paper_hinge)):
+        ref = make_custom_problem(
+            [loss_oracle(family, a, b)
+             for a, b in zip(paper_dataset.features, paper_dataset.labels)],
+            box_constraints(*p.box), lipschitz=1.0, radius=1.0, dim=p.dim)
         x_rows = ball_points(rng, p.n_agents, p.dim)
-        vals, grads = p.agent_objective_grads(x_rows)
+        for got, want in zip(p.agent_objective_grads(x_rows),
+                             ref.agent_objective_grads(x_rows)):
+            assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         for i in range(0, p.n_agents, 13):
             v, g = p.objective(i, x_rows[i])
-            assert vals[i] == pytest.approx(v, rel=1e-12)
-            assert_allclose(grads[i], g, atol=1e-12)
+            v_ref, g_ref = ref.objective(i, x_rows[i])
+            assert v == pytest.approx(v_ref, rel=1e-12)
+            assert_allclose(g, g_ref, atol=1e-12)
         pts = x_rows[:7]
-        gv = p.constraint_values_many(pts)
-        for j, x in enumerate(pts):
-            assert_allclose(gv[j], [g(x)[0] for g in p.constraints], atol=1e-12)
+        assert_allclose(p.mean_objective_many(pts),
+                        ref.mean_objective_many(pts), rtol=1e-12)
+        v, g = p.mean_objective_grad(pts[0])
+        v_ref, g_ref = ref.mean_objective_grad(pts[0])
+        assert v == pytest.approx(v_ref, rel=1e-12)
+        assert_allclose(g, g_ref, atol=1e-12)
+        assert_allclose(p.constraint_values_many(pts),
+                        ref.constraint_values_many(pts), atol=1e-12)
+        assert_allclose(p.constraint_grads(pts[0]), ref.constraint_grads(pts[0]))
         lam = rng.random((p.n_agents, p.n_constraints))
-        combo = p.agent_constraint_combo(x_rows, lam)
-        i = 11
-        manual = sum(lam[i, k] * p.constraints[k](x_rows[i])[1]
-                     for k in range(p.n_constraints))
-        assert_allclose(combo[i], manual, atol=1e-12)
+        assert_allclose(p.agent_constraint_combo(x_rows, lam),
+                        ref.agent_constraint_combo(x_rows, lam), atol=1e-12)
+        ks = rng.integers(0, p.n_constraints, size=p.n_agents)
+        assert_allclose(p.agent_constraint_rows(x_rows, ks),
+                        ref.agent_constraint_rows(x_rows, ks))
 
 
 # -- hinge -------------------------------------------------------------------
@@ -187,12 +210,10 @@ def test_subgradient_validity_and_norms(family, paper_logistic, paper_hinge):
         for y in ys:
             fy, _ = p.objective(int(i), y)
             assert fy >= fx + gx @ (y - x) - 1e-10
-        for k, g in enumerate(p.constraints):
-            vx, gk = g(x)
-            assert np.linalg.norm(gk) <= p.lipschitz + 1e-12
-            for y in ys[:4]:
-                vy, _ = g(y)
-                assert vy >= vx + gk @ (y - x) - 1e-10
+        vx, gkx = p.constraint_values(x), p.constraint_grads(x)
+        assert np.all(np.linalg.norm(gkx, axis=1) <= p.lipschitz + 1e-12)
+        for y in ys[:4]:
+            assert np.all(p.constraint_values(y) >= vx + gkx @ (y - x) - 1e-10)
 
 
 def test_validate_lipschitz_clean(paper_logistic):
