@@ -2,16 +2,15 @@
 
 All commands are driven by the flat dotted-key config (file plus --set
 overrides). Every run directory receives a manifest that reproduces the
-run exactly; traces are CSV, reference optima are cached by problem hash
-under the output root. Exit codes: 0 success, 1 verification failure,
-2 configuration error, 3 runtime divergence.
+run exactly; traces are CSV. Each run solves its reference optimum
+afresh, as the exact solve takes milliseconds. Exit codes: 0 success,
+1 verification failure, 2 configuration error, 3 runtime divergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import hashlib
 import json
 import os
 import sys
@@ -103,23 +102,6 @@ def cmd_generate_graph(args) -> int:
 # run
 # ---------------------------------------------------------------------------
 
-def _reference_for(config: dict, p: problems.ProblemSpec) -> problems.ReferenceSolution:
-    key = cfgmod.reference_cache_key(config)
-    digest = hashlib.sha256(
-        json.dumps(key, sort_keys=True).encode()).hexdigest()[:24]
-    cache_dir = _output_root() / "refcache"
-    cache_file = cache_dir / f"{digest}.json"
-    if cache_file.exists():
-        return problems.ReferenceSolution.from_json_dict(
-            json.loads(cache_file.read_text()))
-    ref = problems.reference_optimum(p, iterations=int(config["reference.iterations"]),
-                                     seed=int(config["reference.seed"]))
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    payload = dict(ref.to_json_dict(), problem=key)
-    cache_file.write_text(json.dumps(payload, sort_keys=True) + "\n")
-    return ref
-
-
 def _write_xhat(path: Path, trace: engine.Trace) -> None:
     avg = trace.final_states.averages()
     dim = trace.final_states.x.shape[1]
@@ -146,10 +128,14 @@ def _rate_fits(trace: engine.Trace, horizon: int) -> dict[str, metrics.RateFit |
     return fits
 
 
-def execute_run(config: dict, out_dir: Path) -> engine.Trace:
-    """Build everything from a config, run, and persist all artifacts."""
+def execute_run(config: dict, out_dir: Path):
+    """Build everything from a config, run, and persist all artifacts.
+
+    Returns the trace and its ``_rate_fits``.
+    """
     p = cfgmod.build_problem(config)
-    ref = _reference_for(config, p)
+    ref = problems.reference_optimum(
+        p, iterations=int(config["reference.iterations"]))
     centralized = config["run.variant"] == engine.CENTRALIZED_UNREGULARIZED
     run_cfg = cfgmod.build_run_config(config)
 
@@ -171,8 +157,7 @@ def execute_run(config: dict, out_dir: Path) -> engine.Trace:
     _write_xhat(out_dir / "xhat.csv", trace)
     (out_dir / "reference.json").write_text(
         json.dumps(ref.to_json_dict(), sort_keys=True) + "\n")
-    fits = {column: None if fit is None else {"exponent": fit.exponent, "r2": fit.r2}
-            for column, fit in _rate_fits(trace, int(config["run.T"])).items()}
+    fits = _rate_fits(trace, int(config["run.T"]))
     manifest = {
         "package_version": __version__,
         "config": config,
@@ -182,20 +167,24 @@ def execute_run(config: dict, out_dir: Path) -> engine.Trace:
             "resolved_step_scale": trace.config.step_scale,
             "f_star": ref.f_star,
             "reference_residual": ref.residual,
+            "reference_method": ref.method,
             "aborted": trace.aborted,
             "warnings": trace.warnings,
-            "rate_fits": fits,
+            "rate_fits": {
+                column: None if fit is None else {"exponent": fit.exponent,
+                                                  "r2": fit.r2}
+                for column, fit in fits.items()},
         },
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return trace
+    return trace, fits
 
 
 def cmd_run(args) -> int:
     config = _load_config(args)
     out_dir = _resolve_out_dir(config)
-    trace = execute_run(config, out_dir)
+    trace, _ = execute_run(config, out_dir)
     last = trace.records[-1]
     print(f"run complete: t={last.t} eps_G={last.eps:.6g} "
           f"delta_G={last.delta:.6g} violation_sq={last.violation_sq:.6g} "
@@ -238,14 +227,13 @@ def _leg_summary(param: str, value: str, config: dict,
     row: dict[str, object] = {"param": param, "value": value,
                               "dir": out_dir.name, "status": "ok"}
     try:
-        trace = execute_run(config, out_dir)
+        trace, fits = execute_run(config, out_dir)
         if trace.aborted:
             row["status"] = f"diverged: {trace.aborted}"
         last = trace.records[-1]
         row["eps_final"] = last.eps
         row["delta_final"] = last.delta
         row["violation_final"] = last.violation_sq
-        fits = _rate_fits(trace, int(config["run.T"]))
         for column, key in (("eps", "eps_rate"), ("violation_sq", "viol_rate")):
             row[key] = float("nan") if fits[column] is None else fits[column].exponent
     except _CONFIG_ERRORS as exc:
@@ -278,13 +266,6 @@ def cmd_sweep(args) -> int:
         leg_dir = base_dir / f"leg_{args.param.replace('.', '_')}_{value}"
         leg_config["output_dir"] = str(leg_dir)
         legs.append((args.param, value, leg_config, str(leg_dir)))
-
-    # warm the reference cache sequentially so parallel legs only read it
-    for _, _, leg_config, _ in legs:
-        try:
-            _reference_for(leg_config, cfgmod.build_problem(leg_config))
-        except _CONFIG_ERRORS:
-            pass  # the leg will report the failure in its summary row
 
     if args.threads > 1:
         with concurrent.futures.ProcessPoolExecutor(args.threads) as pool:

@@ -39,8 +39,7 @@ DEFAULTS: dict[str, object] = {
     "run.init": "origin",
     "run.record_every": 10,
     "run.monitor_bounds": False,
-    "reference.iterations": 1_000_000,
-    "reference.seed": 0,
+    "reference.iterations": 10_000,
     "output_dir": "run",
 }
 
@@ -184,16 +183,3 @@ def build_run_config(config: dict) -> engine.RunConfig:
         monitor_bounds=bool(config["run.monitor_bounds"]),
     )
 
-
-def reference_cache_key(config: dict) -> dict[str, object]:
-    """The problem identity that a cached reference solution answers for."""
-    return {
-        "family": config["problem.family"],
-        "data_seed": int(config["problem.data_seed"]),
-        "n": int(config["problem.n"]),
-        "d": int(config["problem.d"]),
-        "l": float(config["problem.l"]),
-        "u": float(config["problem.u"]),
-        "iterations": int(config["reference.iterations"]),
-        "seed": int(config["reference.seed"]),
-    }

@@ -4,8 +4,9 @@ A ProblemSpec bundles batched evaluation of the per-agent objectives and
 the shared constraints with the Lipschitz/radius metadata the algorithms
 rely on; ``ProblemSpec.from_oracles`` wraps bare per-point oracles. The two
 built-in families are box-constrained logistic and hinge regression on
-synthetic unit-sphere data. A centralized projected-subgradient solver
-provides the reference optimum used to normalize error metrics.
+synthetic unit-sphere data. A centralized projected-gradient solver with
+exact projection onto box intersect ball provides the certified reference
+optimum used to normalize error metrics.
 """
 
 from __future__ import annotations
@@ -310,8 +311,9 @@ def box_constraints(lower: np.ndarray, upper: np.ndarray) -> tuple[Oracle, ...]:
 
 def _build_loss_problem(data: SyntheticDataset, l: float, u: float,
                         loss: str) -> ProblemSpec:
-    if l <= 0 or u <= 0:
-        raise ProblemError(f"box margins must be positive, got l={l}, u={u}")
+    if not (0 < l < math.inf and 0 < u < math.inf):
+        raise ProblemError(
+            f"box margins must be positive and finite, got l={l}, u={u}")
     d = data.dim
     lower = np.full(d, -l)
     upper = np.full(d, u)
@@ -408,68 +410,43 @@ class ReferenceSolution:
                    method=str(d["method"]), residual=float(d["residual"]))
 
 
-def project_box_ball(v: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                     radius: float, max_cycles: int = 200,
-                     tol: float = 1e-12) -> np.ndarray:
-    """Exact Euclidean projection onto box intersect ball.
+def _clip_in_ball(v: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                  radius: float, max_scale: float = 1.0) -> np.ndarray:
+    """clip(s v, lower, upper) for the largest s in [0, max_scale] in the ball.
 
-    When the box fits inside the ball the projection is a plain clip;
-    otherwise Dykstra's alternating-projection refinement runs until the
-    iterate stabilizes (at most ``max_cycles`` cycles).
+    The norm of clip(s v) does not decrease with s, so bisection finds the
+    scale at which it reaches ``radius``; the result is always in the ball.
+    With max_scale = 1 this is the exact Euclidean projection of v onto box
+    intersect ball, whose KKT point is clip(v / (1 + mu)) for the ball
+    multiplier mu >= 0.
     """
-    if float(np.linalg.norm(np.maximum(np.abs(lower), np.abs(upper)))) <= radius:
-        return np.clip(v, lower, upper)
-    x = np.asarray(v, dtype=float).copy()
-    p_box = np.zeros_like(x)
-    p_ball = np.zeros_like(x)
-    for _ in range(max_cycles):
-        y = np.clip(x + p_box, lower, upper)
-        p_box_new = x + p_box - y
-        z = y + p_ball
-        norm = float(np.linalg.norm(z))
-        x = z if norm <= radius else z * (radius / norm)
-        p_ball_new = z - x
-        # the iterate itself can stall for several cycles, so convergence is
-        # judged on the correction increments
-        shift = (float(np.sum((p_box_new - p_box) ** 2))
-                 + float(np.sum((p_ball_new - p_ball) ** 2)))
-        p_box, p_ball = p_box_new, p_ball_new
-        if shift <= tol * tol:
-            break
-    return x
+    def inside(s: float) -> bool:
+        return float(np.linalg.norm(np.clip(s * v, lower, upper))) <= radius
+
+    lo, hi = 0.0, max_scale
+    if inside(hi):
+        lo = hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(lo * v, lower, upper)
 
 
 def _linear_min_box_ball(c: np.ndarray, lower: np.ndarray, upper: np.ndarray,
                          radius: float) -> float:
     """min <c, y> over the box intersected with the radius ball.
 
-    Solved through the 1-D dual in the ball multiplier; used for the
-    Frank-Wolfe-style suboptimality certificate.
+    The minimizer is clip(-c / nu) for the ball multiplier nu, and the
+    objective does not increase as 1/nu grows, so it is the largest feasible
+    scale of -c up to the one that puts every coordinate with c_k != 0 on
+    its box face. Used for the Frank-Wolfe-style suboptimality certificate.
     """
-    corner = np.where(c > 0, lower, upper)
-    if float(np.linalg.norm(corner)) <= radius + 1e-12:
-        return float(c @ corner)
-
-    from scipy.optimize import brentq
-
-    def y_of(nu: float) -> np.ndarray:
-        return np.clip(-c / (2.0 * nu), lower, upper)
-
-    def radius_gap(nu: float) -> float:
-        return float(np.linalg.norm(y_of(nu))) - radius
-
-    lo = 1e-12
-    hi = max(float(np.max(np.abs(c))) / (2.0 * radius), lo) * 4.0 + 1.0
-    while radius_gap(hi) > 0.0:
-        hi *= 4.0
-        if hi > 1e18:
-            raise ReferenceError("linear subproblem dual failed to bracket")
-    if radius_gap(lo) <= 0.0:
-        y = y_of(lo)
-    else:
-        nu = brentq(radius_gap, lo, hi, xtol=1e-14, rtol=1e-14)
-        y = y_of(nu)
-    return float(c @ y)
+    nonzero = c != 0
+    reach = np.maximum(np.abs(lower), np.abs(upper))[nonzero]
+    max_scale = float(np.max(reach / np.abs(c[nonzero]), initial=0.0))
+    return float(c @ _clip_in_ball(-c, lower, upper, radius, max_scale))
 
 
 def suboptimality_certificate(p: ProblemSpec, x: np.ndarray) -> float:
@@ -486,56 +463,57 @@ def suboptimality_certificate(p: ProblemSpec, x: np.ndarray) -> float:
     return max(float(grad @ x) - best, 0.0)
 
 
-def reference_optimum(p: ProblemSpec, iterations: int = 1_000_000,
-                      seed: int = 0, step_scale: float | None = None,
+def reference_optimum(p: ProblemSpec, iterations: int = 10_000,
                       residual_tol: float | None = None) -> ReferenceSolution:
-    """Centralized projected subgradient for the reference optimum.
+    """Centralized projected gradient for the reference optimum.
 
-    Runs ``iterations`` steps of x <- Pi(x - c/sqrt(t+1) * grad f(x)) with
-    exact projection onto box intersect ball, keeps the best iterate, and
-    certifies its suboptimality via a linear-minimization gap. The
-    certified residual is stored; if it exceeds 1e-4 a warning is logged,
-    and if ``residual_tol`` is given the solver raises instead of silently
-    accepting a non-converged answer.
+    Starting from the projected origin, each iteration tries
+    y = Pi(x - s grad f(x)) with exact projection onto box intersect ball.
+    The trial is accepted when f(y) lies below the quadratic upper model
+    f(x) + <grad, y - x> + ||y - x||^2 / (2 s), after which s doubles;
+    otherwise s halves. The solve stops when an accepted step no longer
+    strictly decreases f, or after ``iterations`` trials. This is exact for
+    objectives smooth on the feasible set, which the built-in families are
+    (hinge is affine on the unit ball, as the features have unit norm).
 
-    The ``seed`` only matters for tie-breaking experiments; the default
-    start is the projected origin, so the solve is deterministic.
+    The suboptimality of the answer is certified by a linear-minimization
+    gap and stored; if it exceeds 1e-4 a warning is logged, and if
+    ``residual_tol`` is given the solver raises instead of silently
+    accepting an uncertified answer.
     """
     if p.box is None:
         raise ProblemError("reference solver requires box-structured constraints")
     if iterations < 1:
         raise ProblemError("iterations must be positive")
     lower, upper = p.box
-    c = p.radius if step_scale is None else step_scale
-    del seed  # deterministic start; kept in the signature for config plumbing
 
-    x = project_box_ball(np.zeros(p.dim), lower, upper, p.radius)
-    best_val = math.inf
-    best_x = x.copy()
-    for t in range(iterations):
-        val, grad = p.mean_objective_grad(x)
-        if val < best_val:
-            best_val = val
-            best_x = x.copy()
-        x = project_box_ball(x - (c / math.sqrt(t + 1.0)) * grad,
-                             lower, upper, p.radius)
-    val, _ = p.mean_objective_grad(x)
-    if val < best_val:
-        best_val = val
-        best_x = x.copy()
+    x = _clip_in_ball(np.zeros(p.dim), lower, upper, p.radius)
+    val, grad = p.mean_objective_grad(x)
+    step = 1.0
+    for _ in range(iterations):
+        y = _clip_in_ball(x - step * grad, lower, upper, p.radius)
+        y_val, y_grad = p.mean_objective_grad(y)
+        move = y - x
+        if not y_val <= val + grad @ move + (move @ move) / (2.0 * step):
+            step /= 2.0
+            continue
+        if not y_val < val:
+            break
+        x, val, grad = y, y_val, y_grad
+        step *= 2.0
 
-    residual = suboptimality_certificate(p, best_x)
-    if residual > 1e-4:
+    residual = suboptimality_certificate(p, x)
+    if not residual <= 1e-4:
         log.warning("reference solve residual %.3e exceeds 1e-4", residual)
-    if residual_tol is not None and residual > residual_tol:
+    if residual_tol is not None and not residual <= residual_tol:
         raise ReferenceError(
             f"reference solve residual {residual:.3e} > {residual_tol:.1e}")
 
-    violations, excess = feasibility_report(p, best_x)
-    if float(np.max(violations, initial=0.0)) > 1e-8 or excess > 1e-8:
+    violations, excess = feasibility_report(p, x)
+    if not (float(np.max(violations, initial=0.0)) <= 1e-8 and excess <= 1e-8):
         raise ReferenceError("reference point is infeasible beyond 1e-8")
-    return ReferenceSolution(f_star=float(best_val), x_star=best_x,
-                             method="projected-subgradient",
+    return ReferenceSolution(f_star=float(val), x_star=x,
+                             method="projected-gradient",
                              residual=float(residual))
 
 

@@ -145,14 +145,14 @@ def _canonical_run(eta=1.0, horizon=2000, margins=(0.1, 0.1), n=50,
     w = graphs.lazy_metropolis(g)
     ref = None
     if with_reference:
-        ref = problems.reference_optimum(p, iterations=200_000)
+        ref = problems.reference_optimum(p)
     cfg = engine.RunConfig(variant=variant, eta=eta, iterations=horizon,
                            record_every=10, seed=1)
     trace = engine.run(p, w, cfg, reference=ref)
-    return p, w, ref, trace
+    return p, ref, trace
 
 
-def bound_monitor_checks(p, w, ref, trace) -> list[CheckResult]:
+def bound_monitor_checks(p, ref, trace) -> list[CheckResult]:
     """Hard versions of the warn-only engine monitors, for one finished run."""
     pairs: dict[str, list[tuple[float, float]]] = {}
     for rec in trace.records:
@@ -166,11 +166,11 @@ def bound_monitor_checks(p, w, ref, trace) -> list[CheckResult]:
 
 def full_checks(seed: int = 0) -> list[CheckResult]:
     results = quick_checks(seed)
-    p, w, ref, trace = _canonical_run()
-    results.extend(bound_monitor_checks(p, w, ref, trace))
+    p, ref, trace = _canonical_run()
+    results.extend(bound_monitor_checks(p, ref, trace))
 
     # strictly feasible instance: violation envelope that decays with T
-    p2, w2, _, trace2 = _canonical_run(margins=(0.9, 0.9), with_reference=False)
+    p2, _, trace2 = _canonical_run(margins=(0.9, 0.9), with_reference=False)
     cfg2 = trace2.config
     viol_ok = all(
         r.violation_sq <= metrics.strict_violation_bound(

@@ -85,6 +85,7 @@ def test_run_writes_artifacts_and_manifest_roundtrip(out_root):
     manifest = json.loads((out / "manifest.json").read_text())
     assert cfgmod.parse_config(manifest["config"]) == manifest["config"]
     assert manifest["derived"]["graph"]["nodes"] == 12
+    assert manifest["derived"]["reference_method"] == "projected-gradient"
     trace = (out / "trace.csv").read_text()
     assert trace.splitlines()[1].startswith("0,1.0,1.0,")
     xhat = (out / "xhat.csv").read_text().splitlines()
@@ -112,15 +113,6 @@ def test_run_zero_iterations(out_root):
     assert len(xhat) == 1  # empty average reported as header only
 
 
-def test_run_uses_reference_cache(out_root):
-    assert cli.main(["run", "--out", "c1", *SMALL_RUN]) == 0
-    cache = list((out_root / "refcache").glob("*.json"))
-    assert len(cache) == 1
-    stamp = cache[0].stat().st_mtime_ns
-    assert cli.main(["run", "--out", "c2", *SMALL_RUN]) == 0
-    assert cache[0].stat().st_mtime_ns == stamp
-
-
 def test_run_mismatched_sizes_exits_2(out_root):
     code = cli.main(["run", "--set", "problem.n=10", "--set", "graph.n=12",
                      "--set", "run.T=5", "--set", "reference.iterations=100"])
@@ -128,7 +120,8 @@ def test_run_mismatched_sizes_exits_2(out_root):
 
 
 @pytest.mark.parametrize("override",
-                         ["run.T=abc", "run.T=1e4", "run.eta=x", "problem.l="])
+                         ["run.T=abc", "run.T=1e4", "run.eta=x", "problem.l=",
+                          "problem.l=nan", "problem.u=inf"])
 def test_run_unparsable_value_exits_2(override, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(pdnet.__file__).parents[1]))
     env[cli.OUTPUT_ROOT_ENV] = str(tmp_path)

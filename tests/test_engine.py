@@ -278,8 +278,8 @@ def test_monitor_bounds_clean_run(paper_logistic, ws_matrix, paper_reference):
                        monitor_bounds=True)
     trace = en.run(paper_logistic, ws_matrix, cfg, reference=paper_reference)
     assert trace.warnings == []
-    checks = verify.bound_monitor_checks(paper_logistic, ws_matrix,
-                                         paper_reference, trace)
+    checks = verify.bound_monitor_checks(paper_logistic, paper_reference,
+                                         trace)
     assert len(checks) == 5 and all(c.ok for c in checks), checks
 
 
@@ -302,7 +302,7 @@ def test_missigned_dual_update_trips_lambda_bound(monkeypatch, paper_logistic,
     assert worst > bound or trace.aborted is not None
     assert trace.warnings or trace.aborted
     checks = {c.name: c.ok for c in verify.bound_monitor_checks(
-        paper_logistic, ws_matrix, None, trace)}
+        paper_logistic, None, trace)}
     assert checks["multiplier norm bound"] is False
 
 

@@ -1,6 +1,10 @@
 """Datasets, loss/constraint oracles, and the reference solver."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +15,13 @@ from pdnet.problems import (
     ProblemError,
     ReferenceError,
     SyntheticDataset,
+    _clip_in_ball,
     box_constraints,
     build_hinge_problem,
     build_logistic_problem,
     feasibility_report,
     generate_dataset,
     grid_search_optimum,
-    project_box_ball,
     reference_optimum,
     validate_lipschitz,
 )
@@ -255,7 +259,7 @@ def test_feasibility_report_dimension_mismatch(paper_logistic):
 # -- projection onto box intersect ball ---------------------------------------
 
 def test_project_box_ball_variational_inequality():
-    # Dykstra output y must satisfy <v - y, z - y> <= 0 for feasible z
+    # the projection y must satisfy <v - y, z - y> <= 0 for feasible z
     rng = np.random.default_rng(4)
     lower = np.array([-0.9, -0.5, -1.4])
     upper = np.array([1.2, 0.4, 0.9])
@@ -266,7 +270,7 @@ def test_project_box_ball_variational_inequality():
             feas.append(z)
     for _ in range(40):
         v = rng.normal(size=3) * 2
-        y = project_box_ball(v, lower, upper, 1.0)
+        y = _clip_in_ball(v, lower, upper, 1.0)
         assert np.all(y >= lower - 1e-9) and np.all(y <= upper + 1e-9)
         assert np.linalg.norm(y) <= 1.0 + 1e-9
         for z in feas:
@@ -276,7 +280,7 @@ def test_project_box_ball_variational_inequality():
 def test_project_box_ball_clip_shortcut():
     lower, upper = np.full(3, -0.2), np.full(3, 0.2)
     v = np.array([5.0, -3.0, 0.1])
-    assert_allclose(project_box_ball(v, lower, upper, 1.0),
+    assert_allclose(_clip_in_ball(v, lower, upper, 1.0),
                     [0.2, -0.2, 0.1], atol=1e-15)
 
 
@@ -304,12 +308,19 @@ def test_reference_quadratic_objective_origin():
     assert ref.f_star == pytest.approx(0.0, abs=1e-6)
 
 
-def test_reference_agrees_with_grid_search_d2():
+@pytest.mark.parametrize("margin", [0.1, 1.0])
+@pytest.mark.parametrize("build", [build_logistic_problem, build_hinge_problem])
+def test_reference_agrees_with_grid_search_d2(build, margin):
+    # at margin 1.0 the box holds the unit disk, so the ball is active; the
+    # spacing scales with the margin so the grid stays at 201 x 201 points
     data = generate_dataset(50, 2, seed=1)
-    p = build_logistic_problem(data, 0.1, 0.1)
+    p = build(data, margin, margin)
     solver = reference_optimum(p, iterations=100_000)
-    grid = grid_search_optimum(p, resolution=1e-3)
-    assert abs(solver.f_star - grid.f_star) <= 1e-4
+    resolution = margin / 100
+    grid = grid_search_optimum(p, resolution=resolution)
+    # every grid point is feasible, so none may beat the exact solve
+    assert solver.f_star <= grid.f_star + 1e-12
+    assert grid.f_star - solver.f_star <= resolution / 10
     assert grid.method == "grid-search"
 
 
@@ -324,12 +335,27 @@ def test_reference_feasible_and_certified(paper_reference, paper_logistic):
                                             paper_reference.x_star)
     assert np.max(violations) <= 1e-8 and excess <= 1e-8
     assert paper_reference.residual <= 1e-4
-    assert paper_reference.method == "projected-subgradient"
+    assert paper_reference.method == "projected-gradient"
 
 
 def test_reference_residual_tol_enforced(paper_logistic):
     with pytest.raises(ReferenceError):
-        reference_optimum(paper_logistic, iterations=2, residual_tol=1e-10)
+        reference_optimum(paper_logistic, iterations=1, residual_tol=1e-10)
+
+
+def test_reference_solve_does_not_import_scipy_optimize():
+    # importing scipy.optimize raises a fresh process's peak RSS by about
+    # 23 MB, so the reference solve stays within numpy
+    code = ("import sys\n"
+            "from pdnet import problems as pr\n"
+            "data = pr.generate_dataset(100, 5, seed=1)\n"
+            "pr.reference_optimum(pr.build_logistic_problem(data, 1.0, 1.0))\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(problems.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_reference_requires_box():
