@@ -13,8 +13,12 @@ import argparse
 import concurrent.futures
 import json
 import os
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from . import __version__, config as cfgmod, engine, metrics, problems, verify
 from .config import ConfigError
@@ -23,6 +27,10 @@ from .graphs import GraphError, WeightMatrixError, spectral_gap
 from .problems import ProblemError, ReferenceError
 
 OUTPUT_ROOT_ENV = "PDNET_OUTPUT_ROOT"
+
+#: Thread-count variables recorded in the manifest's environment block.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -64,6 +72,19 @@ def _resolve_out_dir(config: dict) -> Path:
     return out if out.is_absolute() else _output_root() / out
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it
+    into place, so a failed write leaves neither a partial artifact nor
+    the temporary file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _float_csv(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
@@ -78,8 +99,8 @@ def cmd_generate_graph(args) -> int:
     w = cfgmod.build_weights(config, g)
     out_dir = _resolve_out_dir(config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "graph_edges.txt").write_text(g.to_edgelist_text())
-    (out_dir / "weight_matrix.csv").write_text(w.to_csv_text())
+    _write_atomic(out_dir / "graph_edges.txt", g.to_edgelist_text())
+    _write_atomic(out_dir / "weight_matrix.csv", w.to_csv_text())
     gap = spectral_gap(w)
     report = {
         "family": config["graph.family"],
@@ -91,8 +112,8 @@ def cmd_generate_graph(args) -> int:
         "bound_71n2": 71.0 * g.n ** 2,
         "bound_margin": 71.0 * g.n ** 2 - 1.0 / gap if gap > 0 else float("-inf"),
     }
-    (out_dir / "spectral_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_atomic(out_dir / "spectral_report.json",
+                  json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"graph written to {out_dir} (n={g.n}, edges={len(g.edges)}, "
           f"gap={gap:.6g})")
     return EXIT_OK
@@ -109,7 +130,7 @@ def _write_xhat(path: Path, trace: engine.Trace) -> None:
     lines = [header]
     if avg is not None:
         lines += [f"{i}," + _float_csv(row) for i, row in enumerate(avg)]
-    path.write_text("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _rate_fits(trace: engine.Trace, horizon: int) -> dict[str, metrics.RateFit | None]:
@@ -140,7 +161,8 @@ def execute_run(config: dict, out_dir: Path):
     run_cfg = cfgmod.build_run_config(config)
 
     if centralized:
-        graph_info = {"family": None, "nodes": 1, "edges": 0, "sigma2": 0.0}
+        graph_info = {"family": None, "nodes": 1, "edges": 0, "sigma2": 0.0,
+                      "sigma2_method": None}
         trace = engine.run_centralized_unregularized(p, run_cfg, reference=ref)
     else:
         g = cfgmod.build_graph(config)
@@ -149,18 +171,20 @@ def execute_run(config: dict, out_dir: Path):
                 f"graph has {g.n} nodes but the problem has {p.n_agents} agents")
         w = cfgmod.build_weights(config, g)
         graph_info = {"family": config["graph.family"], "nodes": g.n,
-                      "edges": len(g.edges), "sigma2": w.sigma2}
+                      "edges": len(g.edges), "sigma2": w.sigma2,
+                      "sigma2_method": w.sigma2_method}
         trace = engine.run(p, w, run_cfg, reference=ref)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "trace.csv").write_text(trace.to_csv_text())
+    _write_atomic(out_dir / "trace.csv", trace.to_csv_text())
     _write_xhat(out_dir / "xhat.csv", trace)
-    (out_dir / "reference.json").write_text(
-        json.dumps(ref.to_json_dict(), sort_keys=True) + "\n")
+    _write_atomic(out_dir / "reference.json",
+                  json.dumps(ref.to_json_dict(), sort_keys=True) + "\n")
     fits = _rate_fits(trace, int(config["run.T"]))
     manifest = {
         "package_version": __version__,
         "config": config,
+        "environment": _environment(),
         "derived": {
             "graph": graph_info,
             "resolved_eta": trace.config.eta,
@@ -176,9 +200,18 @@ def execute_run(config: dict, out_dir: Path):
                 for column, fit in fits.items()},
         },
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_atomic(out_dir / "manifest.json",
+                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return trace, fits
+
+
+def _environment() -> dict[str, str | None]:
+    """Interpreter and library versions plus the BLAS thread settings."""
+    env = {"python": platform.python_version(), "numpy": np.__version__,
+           "scipy": scipy.__version__}
+    for var in BLAS_THREAD_VARS:
+        env[var] = os.environ.get(var)
+    return env
 
 
 def cmd_run(args) -> int:
@@ -285,7 +318,7 @@ def cmd_sweep(args) -> int:
             else:
                 rendered.append(str(val).replace(",", ";"))
         lines.append(",".join(rendered))
-    (base_dir / "summary.csv").write_text("\n".join(lines) + "\n")
+    _write_atomic(base_dir / "summary.csv", "\n".join(lines) + "\n")
     print(f"sweep complete: {len(rows)} legs -> {base_dir / 'summary.csv'}")
     failed = [r for r in rows if r["status"] != "ok"]
     for row in failed:

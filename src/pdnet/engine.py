@@ -164,10 +164,10 @@ class AgentStates:
                            self.avg_numerator.copy(), self.weight_sum)
 
 
-def _mix(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # einsum keeps the reduction single-threaded and order-fixed, so results
-    # do not depend on the BLAS thread count
-    return np.einsum("ij,jd->id", w, rows)
+def _mix(csr, rows: np.ndarray) -> np.ndarray:
+    # scipy's CSR kernel sums each row's nonzeros in a fixed order without
+    # BLAS, so results do not depend on the thread count
+    return csr @ rows
 
 
 def initial_states(p: ProblemSpec, cfg: RunConfig) -> AgentStates:
@@ -245,15 +245,18 @@ def _advance(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix, t: int,
     alpha = stepsize(t, cfg)
     y = states.x - alpha * grad_x
     gamma = states.lam + alpha * grad_lam
-    new_x = project_ball(_mix(w.entries, y), p.radius)
-    new_lam = project_orthant(_mix(w.entries, gamma))
-
-    if not (np.all(np.isfinite(new_x)) and np.all(np.isfinite(new_lam))):
-        raise DivergenceError(f"non-finite iterate at t={t}")
-    max_lam = float(np.max(np.linalg.norm(new_lam, axis=1), initial=0.0))
-    if max_lam > LAMBDA_GUARD:
+    _check_finite(y, gamma, t)
+    mixed = _mix(w.csr, np.hstack((y, gamma)))
+    d = y.shape[1]
+    new_x = project_ball(mixed[:, :d], p.radius)
+    new_lam = project_orthant(mixed[:, d:])
+    lam_norms = np.linalg.norm(new_lam, axis=1)
+    over = lam_norms > LAMBDA_GUARD
+    if over.any():
+        agent = int(np.argmax(over))
         raise DivergenceError(
-            f"dual norm {max_lam:.3e} exceeded the guard at t={t}")
+            f"dual norm {lam_norms[agent]:.3e} exceeded the guard at t={t}: "
+            f"lam of agent {agent}")
 
     num = states.avg_numerator
     wsum = states.weight_sum
@@ -265,6 +268,20 @@ def _advance(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix, t: int,
     num = num + alpha_next * new_x
     wsum += alpha_next
     return AgentStates(x=new_x, lam=new_lam, avg_numerator=num, weight_sum=wsum)
+
+
+def _check_finite(x: np.ndarray, lam: np.ndarray, t: int) -> None:
+    """Raise DivergenceError naming the iteration, the first agent with a
+    non-finite row and the component (``x`` or ``lam``) it is in.
+
+    Checked before mixing, so the named agent is the one whose own update
+    blew up rather than a neighbor it spread to.
+    """
+    for name, rows in (("x", x), ("lam", lam)):
+        finite = np.isfinite(rows)
+        if not finite.all():
+            agent = int(np.argmin(finite.all(axis=1)))
+            raise DivergenceError(f"non-finite {name} at t={t}, agent {agent}")
 
 
 def step(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix, t: int,

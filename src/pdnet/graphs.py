@@ -9,12 +9,21 @@ random graphs is enforced by retrying with an incremented seed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 #: Tolerance for row/column sums of a doubly stochastic matrix.
 STOCHASTIC_TOL = 1e-12
+
+#: Largest n whose sigma_2 comes from a dense eigendecomposition; larger
+#: symmetric matrices use sparse Lanczos (eigsh). With one BLAS thread,
+#: eigsh overtakes eigvalsh between n = 250 (barbell) and 450 (WS with
+#: k = 20, lattice8) and near 900 for WS with k = 4.
+DENSE_SIGMA2_MAX_N = 500
 
 #: Maximum reseeding attempts before a random generator gives up on connectivity.
 MAX_CONNECTIVITY_RETRIES = 100
@@ -86,11 +95,18 @@ class GraphTopology:
                     stack.append(v)
         return len(seen) == self.n
 
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as rows (i, j) of an (E, 2) integer array, i < j."""
+        flat = np.fromiter(itertools.chain.from_iterable(self.edges),
+                           dtype=np.int64, count=2 * len(self.edges))
+        return flat.reshape(-1, 2)
+
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
+        i, j = self.edge_array.T
+        a[i, j] = 1.0
+        a[j, i] = 1.0
         return a
 
     def to_edgelist_text(self) -> str:
@@ -109,20 +125,29 @@ class GraphTopology:
 
 @dataclass(frozen=True, eq=False)
 class ConsensusMatrix:
-    """Dense doubly stochastic mixing matrix with its cached sigma_2.
+    """Doubly stochastic mixing matrix with its CSR form and cached sigma_2.
 
     ``sigma2`` is the second-largest singular value; 1 - sigma2 is the
-    spectral gap. Entries are validated at construction: nonnegative, row
-    and column sums within STOCHASTIC_TOL of 1, and (when a topology is
-    supplied) zero off the graph edges.
+    spectral gap. ``sigma2_method`` names how it was computed (``eigvalsh``,
+    ``eigsh`` or ``svd``). ``csr`` holds the nonzero entries for mixing.
+    Entries are validated by ``from_entries``: nonnegative, row and column
+    sums within STOCHASTIC_TOL of 1, and (when a topology is supplied) zero
+    off the graph edges.
     """
 
     n: int
     entries: np.ndarray
-    sigma2: float
+    csr: sparse.csr_array = field(init=False, repr=False)
+    sigma2: float = field(init=False)
+    sigma2_method: str = field(init=False)
 
     def __post_init__(self):
         self.entries.setflags(write=False)
+        csr = _to_csr(self.entries)
+        object.__setattr__(self, "csr", csr)
+        sigma2, method = _second_singular_value(self.entries, csr)
+        object.__setattr__(self, "sigma2", sigma2)
+        object.__setattr__(self, "sigma2_method", method)
 
     @classmethod
     def from_entries(cls, entries: np.ndarray,
@@ -131,6 +156,8 @@ class ConsensusMatrix:
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise WeightMatrixError(f"expected a square matrix, got shape {w.shape}")
         n = w.shape[0]
+        if not np.all(np.isfinite(w)):
+            raise WeightMatrixError("non-finite entries")
         if np.any(w < -STOCHASTIC_TOL):
             raise WeightMatrixError("negative entries")
         rows = w.sum(axis=1)
@@ -141,13 +168,12 @@ class ConsensusMatrix:
         if np.max(np.abs(cols - 1.0)) > STOCHASTIC_TOL:
             raise WeightMatrixError(
                 f"column sums deviate from 1 by {np.max(np.abs(cols - 1.0)):.3e}")
-        if graph is not None:
-            if graph.n != n:
-                raise WeightMatrixError("graph size does not match matrix size")
-            allowed = graph.adjacency_matrix() + np.eye(n)
-            if np.any((w != 0.0) & (allowed == 0.0)):
-                raise WeightMatrixError("nonzero entry off the graph structure")
-        return cls(n=n, entries=w.copy(), sigma2=_second_singular_value(w))
+        if graph is not None and graph.n != n:
+            raise WeightMatrixError("graph size does not match matrix size")
+        matrix = cls(n=n, entries=w.copy())
+        if graph is not None and not _pattern_on_edges(matrix.csr, graph):
+            raise WeightMatrixError("nonzero entry off the graph structure")
+        return matrix
 
     def to_csv_text(self) -> str:
         """One matrix row per line, comma separated, full precision."""
@@ -162,15 +188,73 @@ class ConsensusMatrix:
         return cls.from_entries(np.array(rows), graph=graph)
 
 
-def _second_singular_value(w: np.ndarray) -> float:
-    """sigma_2 by full symmetric eigendecomposition, or SVD when asymmetric."""
-    if w.shape == (1, 1):
-        return 0.0
-    if np.allclose(w, w.T, atol=1e-12, rtol=0.0):
-        sigmas = np.sort(np.abs(np.linalg.eigvalsh(w)))[::-1]
-    else:
-        sigmas = np.linalg.svd(w, compute_uv=False)
-    return float(sigmas[1])
+def _to_csr(w: np.ndarray) -> sparse.csr_array:
+    """CSR form of ``w`` with sorted column indices, assembled from
+    ``np.nonzero`` (cheaper on first use than scipy's dense conversion).
+
+    Indices are int32 whenever they fit: eigsh runs about 35% slower on
+    int64 indices at n = 2000.
+    """
+    rows, cols = np.nonzero(w)
+    index = np.int32 if w.size < 2 ** 31 else np.int64
+    indptr = np.zeros(w.shape[0] + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=w.shape[0]), out=indptr[1:])
+    return sparse.csr_array((w[rows, cols], cols.astype(index), indptr),
+                            shape=w.shape)
+
+
+def _entry_codes(csr: sparse.csr_array) -> tuple[np.ndarray, np.ndarray]:
+    """Codes i * n + j of the stored entries (i, j), ascending because the
+    CSR column indices are sorted, and the codes j * n + i of their mirrors."""
+    n = csr.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
+    cols = csr.indices.astype(np.int64)
+    return rows * n + cols, cols * n + rows
+
+
+def _pattern_on_edges(csr: sparse.csr_array, graph: GraphTopology) -> bool:
+    """Whether every off-diagonal stored entry lies on a graph edge."""
+    codes, mirrors = _entry_codes(csr)
+    upper = np.minimum(codes, mirrors)[codes != mirrors]
+    edges = np.sort(graph.edge_array[:, 0] * graph.n + graph.edge_array[:, 1])
+    pos = np.minimum(np.searchsorted(edges, upper), edges.size - 1)
+    return bool(np.all(edges[pos] == upper))
+
+
+def _is_symmetric(csr: sparse.csr_array) -> bool:
+    """Whether |W_ij - W_ji| <= 1e-12 for all i, j, read off the stored
+    entries: an entry whose mirror is not stored is compared with 0."""
+    codes, mirrors = _entry_codes(csr)
+    pos = np.minimum(np.searchsorted(codes, mirrors), codes.size - 1)
+    mirrored = np.where(codes[pos] == mirrors, csr.data[pos], 0.0)
+    return bool(np.all(np.abs(csr.data - mirrored) <= 1e-12))
+
+
+def _second_singular_value(w: np.ndarray, csr: sparse.csr_array) -> tuple[float, str]:
+    """sigma_2 of ``w`` and the name of the method that computed it.
+
+    Symmetric matrices use a dense eigendecomposition up to
+    DENSE_SIGMA2_MAX_N and Lanczos on the CSR form above it (falling back
+    to the dense one if Lanczos does not converge); asymmetric ones use a
+    dense SVD.
+    """
+    n = w.shape[0]
+    if n == 1:
+        return 0.0, "eigvalsh"
+    if not _is_symmetric(csr):
+        return float(np.linalg.svd(w, compute_uv=False)[1]), "svd"
+    if n > DENSE_SIGMA2_MAX_N:
+        # imported here: scipy.sparse.linalg adds about 8 MB to a process
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+        try:
+            vals = eigsh(csr, k=2, which="LM", tol=0, v0=v0,
+                         return_eigenvectors=False)
+            return float(np.sort(np.abs(vals))[0]), "eigsh"
+        except ArpackNoConvergence:
+            pass
+    sigmas = np.sort(np.abs(np.linalg.eigvalsh(w)))[::-1]
+    return float(sigmas[1]), "eigvalsh"
 
 
 def spectral_gap(w: ConsensusMatrix) -> float:
@@ -318,12 +402,12 @@ def lazy_metropolis(g: GraphTopology) -> ConsensusMatrix:
     The result is symmetric, doubly stochastic, diagonally dominant, and its
     spectral gap satisfies 1/(1 - sigma_2) <= 71 n^2.
     """
-    n = g.n
-    w = np.zeros((n, n))
-    for i, j in g.edges:
-        v = 1.0 / (2.0 * max(g.degrees[i] + 1, g.degrees[j] + 1))
-        w[i, j] = v
-        w[j, i] = v
+    i, j = g.edge_array.T
+    sizes = np.array(g.degrees, dtype=np.int64) + 1
+    v = 1.0 / (2.0 * np.maximum(sizes[i], sizes[j]))
+    w = np.zeros((g.n, g.n))
+    w[i, j] = v
+    w[j, i] = v
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return ConsensusMatrix.from_entries(w, graph=g)
 

@@ -19,6 +19,9 @@ from .problems import ProblemSpec, ReferenceSolution
 #: Normalizers smaller than this are treated as degenerate.
 DEGENERATE_NORMALIZER = 1e-14
 
+#: Rows per block of the pairwise-distance scan in ``outputs_diameter``.
+DIAMETER_BLOCK = 64
+
 
 class MetricError(ValueError):
     """Metric undefined for the supplied states (degenerate or empty)."""
@@ -351,6 +354,13 @@ def compute_record(p: ProblemSpec, states, t: int, eta: float, sigma2: float,
 
 
 def outputs_diameter(points: np.ndarray) -> float:
-    """Largest pairwise Euclidean distance among the rows of ``points``."""
-    diffs = points[:, None, :] - points[None, :, :]
-    return float(np.sqrt(np.max(np.sum(diffs ** 2, axis=2))))
+    """Largest pairwise Euclidean distance among the rows of ``points``.
+
+    Walks the upper triangle in blocks of DIAMETER_BLOCK rows, so the
+    temporary holds DIAMETER_BLOCK x n x d values instead of n x n x d.
+    """
+    block_max = [
+        np.max(np.sum((points[s:s + DIAMETER_BLOCK, None, :]
+                       - points[None, s:, :]) ** 2, axis=2))
+        for s in range(0, points.shape[0], DIAMETER_BLOCK)]
+    return float(np.sqrt(np.max(block_max)))

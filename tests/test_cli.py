@@ -86,12 +86,37 @@ def test_run_writes_artifacts_and_manifest_roundtrip(out_root):
     assert cfgmod.parse_config(manifest["config"]) == manifest["config"]
     assert manifest["derived"]["graph"]["nodes"] == 12
     assert manifest["derived"]["reference_method"] == "projected-gradient"
+    assert manifest["derived"]["graph"]["sigma2_method"] == "eigvalsh"
+    env = manifest["environment"]
+    assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert env["numpy"] == np.__version__
+    assert set(env) == {"python", "numpy", "scipy", *cli.BLAS_THREAD_VARS}
+    for var in cli.BLAS_THREAD_VARS:
+        assert env[var] == os.environ.get(var)
     trace = (out / "trace.csv").read_text()
     assert trace.splitlines()[1].startswith("0,1.0,1.0,")
     xhat = (out / "xhat.csv").read_text().splitlines()
     assert len(xhat) == 1 + 12
     ref = json.loads((out / "reference.json").read_text())
     assert "f_star" in ref and ref["residual"] >= 0
+
+
+def test_failed_artifact_write_leaves_no_partial_file(monkeypatch, out_root):
+    out = out_root / "atomic"
+    out.mkdir()
+    (out / "trace.csv").write_text("previous run\n")
+    real_replace = os.replace
+
+    def fail_on_trace(src, dst):
+        assert Path(src).exists()  # the temporary file was written
+        if Path(dst).name == "trace.csv":
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", fail_on_trace)
+    assert cli.main(["run", "--out", "atomic", *SMALL_RUN]) == cli.EXIT_CONFIG
+    assert (out / "trace.csv").read_text() == "previous run\n"
+    assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
 
 
 def test_run_is_byte_deterministic(out_root):

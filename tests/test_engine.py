@@ -9,7 +9,12 @@ from numpy.testing import assert_allclose
 
 from pdnet import engine as en
 from pdnet import metrics, verify
-from pdnet.graphs import ConsensusMatrix, GraphTopology, lazy_metropolis
+from pdnet.graphs import (
+    ConsensusMatrix,
+    GraphTopology,
+    generate_barbell,
+    lazy_metropolis,
+)
 from pdnet.problems import build_logistic_problem, generate_dataset
 
 from conftest import make_custom_problem, toy_problem
@@ -220,6 +225,36 @@ def test_divergence_guard_aborts():
     cfg = en.RunConfig(eta=1.0, iterations=100)
     trace = en.run(p, identity_matrix(), cfg)
     assert trace.aborted is not None and "guard" in trace.aborted
+    assert trace.aborted.endswith("at t=0: lam of agent 0")
+
+
+def test_non_finite_iterate_names_agent_and_component(monkeypatch,
+                                                      paper_logistic, ws_matrix):
+    original = en._deterministic_directions
+
+    def poisoned(p, x, lam, eta):
+        grad_x, grad_lam = original(p, x, lam, eta)
+        if np.any(x != 0.0):
+            grad_lam = grad_lam.copy()
+            grad_lam[37, 0] = np.nan
+        return grad_x, grad_lam
+
+    monkeypatch.setattr(en, "_deterministic_directions", poisoned)
+    trace = en.run(paper_logistic, ws_matrix,
+                   en.RunConfig(eta=1.0, iterations=20, record_every=5))
+    assert trace.aborted == "non-finite lam at t=1, agent 37"
+
+
+@pytest.mark.parametrize("which", ["ws", "barbell"])
+def test_csr_mix_matches_dense_einsum(which, ws_matrix):
+    # a dense einsum is the reference: the sparse product must give the
+    # same bits
+    w = ws_matrix if which == "ws" else lazy_metropolis(generate_barbell(100, 1))
+    rng = np.random.default_rng(11)
+    for scale in (1e-3, 1.0, 1e3):
+        z = rng.normal(size=(w.n, 7)) * scale
+        assert np.array_equal(en._mix(w.csr, z),
+                              np.einsum("ij,jd->id", w.entries, z))
 
 
 def test_random_feasible_initialization(paper_logistic):

@@ -1,5 +1,10 @@
 """Graph generators, weight matrices, and spectral utilities."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -251,6 +256,9 @@ def test_consensus_matrix_validation():
     off_structure = np.full((3, 3), 1 / 3)
     with pytest.raises(WeightMatrixError):
         ConsensusMatrix.from_entries(off_structure, graph=g)
+    # NaN compares False with every tolerance, so it is rejected first
+    with pytest.raises(WeightMatrixError, match="non-finite"):
+        ConsensusMatrix.from_entries(np.array([[np.nan, 1.0], [1.0, np.nan]]))
 
 
 def test_consensus_matrix_immutable():
@@ -275,3 +283,61 @@ def test_matrix_csv_roundtrip():
     back = ConsensusMatrix.from_csv_text(w.to_csv_text(), graph=g)
     assert np.array_equal(back.entries, w.entries)
     assert back.sigma2 == w.sigma2
+
+
+def test_sigma2_method_by_size_and_symmetry(ws_matrix):
+    assert ws_matrix.sigma2_method == "eigvalsh"
+    asym = ConsensusMatrix.from_entries(
+        np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]))
+    assert asym.sigma2_method == "svd"
+    assert_allclose(asym.sigma2, 0.5, atol=1e-12)
+    # a skew part keeps row and column sums; up to 1e-12 it counts as symmetric
+    skew = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+    for scale, method in ((1e-13, "eigvalsh"), (1e-3, "svd")):
+        w = ConsensusMatrix.from_entries(np.full((3, 3), 1 / 3) + scale * skew)
+        assert w.sigma2_method == method
+
+
+@pytest.fixture(scope="module")
+def ws_past_threshold():
+    return generate_watts_strogatz(graphs.DENSE_SIGMA2_MAX_N + 1, 20, 0.02, seed=3)
+
+
+def test_sparse_sigma2_above_threshold(ws_past_threshold):
+    w = lazy_metropolis(ws_past_threshold)
+    assert w.sigma2_method == "eigsh"
+    dense = np.sort(np.abs(np.linalg.eigvalsh(w.entries)))[-2]
+    assert abs(w.sigma2 - dense) <= 1e-12
+    again = graphs._second_singular_value(w.entries, w.csr)
+    assert again == (w.sigma2, "eigsh")
+
+
+def test_sparse_sigma2_falls_back_to_dense(monkeypatch, ws_past_threshold):
+    from scipy.sparse import linalg
+
+    def no_convergence(*args, **kwargs):
+        raise linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(linalg, "eigsh", no_convergence)
+    w = lazy_metropolis(ws_past_threshold)
+    assert w.sigma2_method == "eigvalsh"
+    dense = np.sort(np.abs(np.linalg.eigvalsh(w.entries)))[-2]
+    assert w.sigma2 == dense
+
+
+def test_canonical_run_does_not_import_sparse_linalg():
+    # scipy.sparse.linalg (eigsh) adds about 8 MB of RSS, so it is imported
+    # only for matrices above DENSE_SIGMA2_MAX_N
+    code = ("import sys\n"
+            "import pdnet\n"
+            "data = pdnet.generate_dataset(100, 5, seed=1)\n"
+            "p = pdnet.build_logistic_problem(data, 0.1, 0.1)\n"
+            "w = pdnet.lazy_metropolis(\n"
+            "    pdnet.generate_watts_strogatz(100, 20, 0.02, seed=1))\n"
+            "pdnet.run(p, w, pdnet.RunConfig(iterations=50))\n"
+            "print('scipy.sparse.linalg' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(graphs.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

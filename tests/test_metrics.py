@@ -259,3 +259,14 @@ def test_record_csv_row_is_plain_floats():
     row = me.record_csv_row(rec)
     assert row.startswith("7,0.25,0.25,")
     assert "np." not in row
+
+
+@pytest.mark.parametrize("n", [1, 2, me.DIAMETER_BLOCK - 1, me.DIAMETER_BLOCK,
+                               me.DIAMETER_BLOCK + 1, 3 * me.DIAMETER_BLOCK + 5])
+def test_outputs_diameter_matches_one_shot_formula(n):
+    # the blocked scan does the per-pair sums of the n x n x d formula in
+    # the same order, so the result is bit-equal
+    points = np.random.default_rng(n).normal(size=(n, 5)) * 3.0
+    diffs = points[:, None, :] - points[None, :, :]
+    one_shot = float(np.sqrt(np.max(np.sum(diffs ** 2, axis=2))))
+    assert me.outputs_diameter(points) == one_shot
