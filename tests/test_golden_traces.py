@@ -13,14 +13,18 @@ import numpy as np
 import pytest
 
 from pdnet import engine as en
-from pdnet.graphs import GraphTopology, generate_barbell, lazy_metropolis
-from pdnet.problems import ReferenceSolution
+from pdnet.graphs import (GraphTopology, generate_barbell,
+                          generate_watts_strogatz, lazy_metropolis)
+from pdnet.problems import (ReferenceSolution, build_logistic_problem,
+                            generate_dataset)
 
 from conftest import make_custom_problem
 
 #: f* of the default logistic and hinge instances (l = u = 0.1, n = 100)
 LOGISTIC_F_STAR = 0.6630124544132566
 HINGE_F_STAR = 0.9370804379939088
+#: f* of the logistic instance at n = 600 (dataset seed 1, l = u = 0.1)
+LOGISTIC_600_F_STAR = 0.680753392507929
 #: f* of ``oracle_problem``, attained at (0.3, -0.1) where g_0 and g_1 bind
 ORACLE_F_STAR = 0.4925
 
@@ -35,6 +39,8 @@ GOLDEN = {
         "ac83c59f24c4352d7fc2dff9d335f9fe248df6079b14d2c4e685f487c7d7dc3b",
     "logistic-ws-monitor-bounds":
         "4cb654a45665878f1c9f55874327d2756631d497e09ab8821e393ecd7e385c98",
+    "logistic-ws600-deterministic":
+        "a8b9a4e29e6d7daf2aa7a2cd5851d378461a3e866879591edf94ce393d70bd15",
     "logistic-ws-stochastic":
         "a30a0b196592bc4f1874b6185dfe7e5744a871b2dd70781e049c2329e25c9f69",
     "oracle-ring-deterministic":
@@ -89,6 +95,15 @@ def run_case(name, logistic, hinge, ws_matrix):
         return en.run(logistic, ws_matrix,
                       cfg(eta=0.5, iterations=600, record_every=20,
                           monitor_bounds=True), reference=lref)
+    if name == "logistic-ws600-deterministic":
+        # large enough for the pruned diameter scan, the Watts-Strogatz
+        # rewiring path and sigma_2 by eigsh (n > DENSE_SIGMA2_MAX_N)
+        big = build_logistic_problem(generate_dataset(600, 5, seed=1),
+                                     0.1, 0.1)
+        w = lazy_metropolis(generate_watts_strogatz(600, 20, 0.02, seed=7))
+        return en.run(big, w, cfg(iterations=20, record_every=10),
+                      reference=literal_reference(LOGISTIC_600_F_STAR,
+                                                  big.dim))
     if name.startswith("hinge-barbell"):
         barbell = lazy_metropolis(generate_barbell(100, 1))
         if name == "hinge-barbell-deterministic":
