@@ -106,7 +106,7 @@ def cmd_generate_graph(args) -> int:
         "family": config["graph.family"],
         "scheme": config["weights.scheme"],
         "n": g.n,
-        "edge_count": len(g.edges),
+        "edge_count": len(g.edge_array),
         "sigma2": w.sigma2,
         "spectral_gap": gap,
         "bound_71n2": 71.0 * g.n ** 2,
@@ -114,7 +114,7 @@ def cmd_generate_graph(args) -> int:
     }
     _write_atomic(out_dir / "spectral_report.json",
                   json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"graph written to {out_dir} (n={g.n}, edges={len(g.edges)}, "
+    print(f"graph written to {out_dir} (n={g.n}, edges={len(g.edge_array)}, "
           f"gap={gap:.6g})")
     return EXIT_OK
 
@@ -171,7 +171,7 @@ def execute_run(config: dict, out_dir: Path):
                 f"graph has {g.n} nodes but the problem has {p.n_agents} agents")
         w = cfgmod.build_weights(config, g)
         graph_info = {"family": config["graph.family"], "nodes": g.n,
-                      "edges": len(g.edges), "sigma2": w.sigma2,
+                      "edges": len(g.edge_array), "sigma2": w.sigma2,
                       "sigma2_method": w.sigma2_method}
         trace = engine.run(p, w, run_cfg, reference=ref)
 

@@ -353,14 +353,49 @@ def compute_record(p: ProblemSpec, states, t: int, eta: float, sigma2: float,
     )
 
 
+def _block_max_sq(points: np.ndarray) -> list:
+    """Per-block maxima of the per-pair squared distances among the rows
+    of ``points``, over the upper triangle in blocks of DIAMETER_BLOCK rows:
+    each temporary holds DIAMETER_BLOCK x n x d values, not n x n x d."""
+    return [np.max(np.sum((points[s:s + DIAMETER_BLOCK, None, :]
+                           - points[None, s:, :]) ** 2, axis=2))
+            for s in range(0, points.shape[0], DIAMETER_BLOCK)]
+
+
 def outputs_diameter(points: np.ndarray) -> float:
     """Largest pairwise Euclidean distance among the rows of ``points``.
 
-    Walks the upper triangle in blocks of DIAMETER_BLOCK rows, so the
-    temporary holds DIAMETER_BLOCK x n x d values instead of n x n x d.
+    Exact, and bit-equal to the one-shot n x n x d formula: every per-pair
+    value is ``np.sum((x_i - x_j) ** 2)`` over the last axis, and one sqrt
+    is taken of the largest. The scan is pruned by the triangle inequality.
+    With c the mean row and r_i = ||x_i - c||, the pairs from the row a
+    farthest from c and from the row b farthest from a give a lower bound
+    L. A pair longer than L has r_i + r_j > L, so both its rows have
+    r > L - max(r), and only those rows are scanned. Identical rows return
+    0 after O(nd) work; non-finite values fall back to the full scan.
     """
-    block_max = [
-        np.max(np.sum((points[s:s + DIAMETER_BLOCK, None, :]
-                       - points[None, s:, :]) ** 2, axis=2))
-        for s in range(0, points.shape[0], DIAMETER_BLOCK)]
-    return float(np.sqrt(np.max(block_max)))
+    center = points.mean(axis=0)
+    r = np.sqrt(np.sum((points - center) ** 2, axis=1))
+    a = int(np.argmax(r))
+    from_a = np.sum((points - points[a]) ** 2, axis=1)
+    if from_a.max() == 0.0 and not np.any(points != points[a]):
+        return 0.0
+    b = int(np.argmax(from_a))
+    lower_sq = np.max([from_a[b],
+                       np.max(np.sum((points - points[b]) ** 2, axis=1))])
+    lower, r_max = float(np.sqrt(lower_sq)), float(r[a])
+    if not math.isfinite(lower + r_max):
+        return float(np.sqrt(np.max(_block_max_sq(points))))
+    # r and each per-pair value carry at most d + 2 roundings (difference,
+    # square, d - 1 additions, sqrt), a relative error below (d + 2) eps
+    # of L + max(r), the size of the point cloud about c; the factor 4
+    # also covers the rounding of the threshold itself. A float
+    # difference is rounded relative to itself, so a common offset of the
+    # points (up to 1e8 in the tests) adds nothing. Squares that underflow
+    # add an absolute error below sqrt((d + 2) tiny).
+    finfo = np.finfo(r.dtype)
+    d = points.shape[1]
+    slack = (4.0 * (d + 2) * float(finfo.eps) * (lower + r_max)
+             + math.sqrt((d + 2) * float(finfo.tiny)))
+    survivors = points[r >= lower - r_max - slack]
+    return float(np.sqrt(np.max([lower_sq, *_block_max_sq(survivors)])))

@@ -105,29 +105,32 @@ class _LossBoxOps:
         self.loss = loss
         self.dim = features.shape[1]
 
-    def _loss_terms(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-term loss value and d(loss)/dz at z = b <a, x>."""
+    def _loss_values(self, z: np.ndarray) -> np.ndarray:
+        """Per-term loss value at z = b <a, x>."""
         if self.loss == "logistic":
-            return np.logaddexp(0.0, z), expit(z)
-        margin = 1.0 - z
-        return np.maximum(0.0, margin), np.where(margin > 0.0, -1.0, 0.0)
+            return np.logaddexp(0.0, z)
+        return np.maximum(0.0, 1.0 - z)
+
+    def _loss_slopes(self, z: np.ndarray) -> np.ndarray:
+        """Per-term d(loss)/dz at z = b <a, x>."""
+        if self.loss == "logistic":
+            return expit(z)
+        return np.where(z < 1.0, -1.0, 0.0)
 
     def agent_objective_grads(self, x_rows: np.ndarray):
         z = self.labels * np.einsum("id,id->i", self.features, x_rows)
-        vals, dz = self._loss_terms(z)
-        grads = (self.labels * dz)[:, None] * self.features
-        return vals, grads
+        grads = (self.labels * self._loss_slopes(z))[:, None] * self.features
+        return self._loss_values(z), grads
 
     def mean_objective_many(self, points: np.ndarray) -> np.ndarray:
         z = (points @ self.features.T) * self.labels[None, :]
-        vals, _ = self._loss_terms(z)
-        return vals.mean(axis=1)
+        return self._loss_values(z).mean(axis=1)
 
     def mean_objective_grad(self, x: np.ndarray):
         z = self.labels * (self.features @ x)
-        vals, dz = self._loss_terms(z)
+        dz = self._loss_slopes(z)
         grad = self.features.T @ (self.labels * dz) / len(self.labels)
-        return float(vals.mean()), grad
+        return float(self._loss_values(z).mean()), grad
 
     def constraint_values_many(self, points: np.ndarray) -> np.ndarray:
         return np.concatenate([self.lower[None, :] - points,

@@ -1,8 +1,11 @@
 """Graph generators, weight matrices, and spectral utilities."""
 
+import math
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from numpy.testing import assert_allclose
 
 from pdnet import graphs
 from pdnet.graphs import (
+    ConnectivityError,
     ConsensusMatrix,
     GraphTopology,
     GraphError,
@@ -45,6 +49,35 @@ def bfs_connected(n, edges):
     return all(seen)
 
 
+def candidate_list_watts_strogatz(n, k, theta, seed):
+    """Independent oracle: the rewiring written with an O(n) candidate list
+    per rewire, reseeded like the generator until connected."""
+    for s in range(seed, seed + graphs.MAX_CONNECTIVITY_RETRIES):
+        rng = np.random.default_rng(s)
+        adj = [set() for _ in range(n)]
+        for i in range(n):
+            for off in range(1, k // 2 + 1):
+                adj[i].add((i + off) % n)
+                adj[(i + off) % n].add(i)
+        for i in range(n):
+            for off in range(1, k // 2 + 1):
+                j = (i + off) % n
+                if rng.random() >= theta:
+                    continue
+                candidates = [v for v in range(n) if v != i and v not in adj[i]]
+                if not candidates:
+                    continue
+                new_j = candidates[rng.integers(len(candidates))]
+                adj[i].discard(j)
+                adj[j].discard(i)
+                adj[i].add(new_j)
+                adj[new_j].add(i)
+        edges = {(i, j) for i in range(n) for j in adj[i] if i < j}
+        if bfs_connected(n, edges):
+            return edges
+    raise AssertionError("oracle found no connected graph")
+
+
 def complete_edges(nodes):
     nodes = list(nodes)
     return {(min(a, b), max(a, b))
@@ -70,6 +103,19 @@ def test_watts_strogatz_preserves_edge_count():
 def test_watts_strogatz_invalid_parameters(n, k):
     with pytest.raises(GraphError):
         generate_watts_strogatz(n, k, 0.1)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.02, 0.5, 1.0])
+@pytest.mark.parametrize("n,k", [(3, 2), (5, 4), (21, 20), (12, 4), (60, 6),
+                                 (150, 20)])
+def test_watts_strogatz_matches_candidate_list_oracle(n, k, theta):
+    # same RNG calls in the same order, so the same graph for every seed
+    for seed in (0, 1, 7):
+        g = generate_watts_strogatz(n, k, theta, seed=seed)
+        edges = candidate_list_watts_strogatz(n, k, theta, seed)
+        assert set(g.edges) == edges
+        ends = np.array(sorted(edges)).ravel()
+        assert g.degrees == tuple(np.bincount(ends, minlength=n))
 
 
 def test_watts_strogatz_deterministic():
@@ -142,13 +188,63 @@ def test_barbell_invalid(n, b):
 
 
 def test_topology_rejects_disconnected():
-    with pytest.raises(GraphError):
-        GraphTopology.from_edges(4, [(0, 1), (2, 3)])
+    # the two triangles have E >= n - 1, so only the component search
+    # can tell
+    for n, edges in ((4, [(0, 1), (2, 3)]),
+                     (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])):
+        with pytest.raises(ConnectivityError, match="graph is disconnected"):
+            GraphTopology.from_edges(n, edges)
 
 
 def test_topology_rejects_self_loop():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="self-loop at node 0"):
         GraphTopology.from_edges(3, [(0, 0), (0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("edge,shown", [((1, 3), "(1, 3)"), ((3, 1), "(1, 3)"),
+                                        ((-1, 2), "(-1, 2)")])
+def test_topology_rejects_out_of_range_edge(edge, shown):
+    with pytest.raises(GraphError,
+                       match=re.escape(f"edge {shown} out of range for n=3")):
+        GraphTopology.from_edges(3, [(0, 1), (1, 2), edge])
+
+
+def test_topology_single_node_and_no_edges():
+    g = GraphTopology.from_edges(1, [])
+    assert g.degrees == (0,) and g.edges == frozenset()
+    assert g.edge_array.shape == (0, 2)
+    with pytest.raises(GraphError, match="node count must be positive"):
+        GraphTopology.from_edges(0, [])
+    with pytest.raises(ConnectivityError):
+        GraphTopology.from_edges(2, [])
+
+
+def test_topology_canonical_edge_array():
+    g = GraphTopology.from_edges(4, [(3, 2), (1, 0), (2, 1), (0, 1), (2, 3)])
+    assert g.edge_array.tolist() == [[0, 1], [1, 2], [2, 3]]
+    assert g.degrees == (1, 2, 2, 1)
+    assert g.edges == {(0, 1), (1, 2), (2, 3)}
+    with pytest.raises(ValueError):
+        g.edge_array[0, 0] = 5
+
+
+@pytest.mark.parametrize("order", ["ascending", "random"])
+def test_topology_long_path_is_connected_and_fast(order):
+    n = 100_000
+    nodes = np.arange(n)
+    if order == "random":
+        nodes = np.random.default_rng(0).permutation(n)
+    path = np.stack([nodes[:-1], nodes[1:]], axis=1)
+    start = time.perf_counter()
+    g = GraphTopology.from_edges(n, path)
+    assert time.perf_counter() - start < 2.0
+    assert len(g.edge_array) == n - 1
+    assert max(g.degrees) == 2
+    # cut in the middle, plus a chord so that E = n - 1 still
+    cut = np.delete(path, n // 2, axis=0)
+    chord = [[nodes[0], nodes[2]]]
+    with pytest.raises(ConnectivityError):
+        GraphTopology.from_edges(n, np.concatenate([cut, chord]))
 
 
 # -- weight matrices ---------------------------------------------------------
@@ -178,18 +274,25 @@ def _random_graph(family, rng):
         return generate_watts_strogatz(n, k, float(rng.random() * 0.5),
                                        seed=int(rng.integers(1 << 30)))
     if family == "er":
+        # p at or above the connectivity threshold ln(n) / n, where a draw
+        # is connected with probability about 1/e or more, so the 100
+        # reseeds cannot all fail in practice
         n = int(rng.integers(5, 120))
-        return generate_erdos_renyi(n, float(0.1 + 0.4 * rng.random()),
-                                    seed=int(rng.integers(1 << 30)))
+        p = max(0.1 + 0.4 * rng.random(), math.log(n) / n)
+        return generate_erdos_renyi(n, p, seed=int(rng.integers(1 << 30)))
     if family == "lattice":
         return generate_lattice8(int(rng.integers(2, 12)), int(rng.integers(2, 12)))
     n = 2 * int(rng.integers(2, 60))
     return generate_barbell(n, int(rng.integers(1, n // 2 + 1)))
 
 
+#: fixed per-family seeds: ``hash(str)`` changes with PYTHONHASHSEED
+FAMILY_SEEDS = {"ws": 1, "er": 2, "lattice": 3, "barbell": 4}
+
+
 @pytest.mark.parametrize("family", ["ws", "er", "lattice", "barbell"])
 def test_mixing_matrix_invariants(family):
-    rng = np.random.default_rng(hash(family) % (1 << 31))
+    rng = np.random.default_rng(FAMILY_SEEDS[family])
     for _ in range(8):
         g = _random_graph(family, rng)
         allowed = g.adjacency_matrix() + np.eye(g.n)

@@ -261,12 +261,91 @@ def test_record_csv_row_is_plain_floats():
     assert "np." not in row
 
 
+def one_shot_diameter(points):
+    diffs = points[:, None, :] - points[None, :, :]
+    return float(np.sqrt(np.max(np.sum(diffs ** 2, axis=2))))
+
+
+def scanned_rows(monkeypatch):
+    """Record the row count of every blocked scan ``outputs_diameter`` runs."""
+    sizes = []
+    scan = me._block_max_sq
+
+    def counting(points):
+        sizes.append(points.shape[0])
+        return scan(points)
+
+    monkeypatch.setattr(me, "_block_max_sq", counting)
+    return sizes
+
+
+def on_sphere(rng, pairs, d):
+    """2 * pairs antipodal points on the unit sphere, so every row is at
+    the same distance from the mean up to rounding."""
+    v = rng.normal(size=(pairs, d))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return np.concatenate([v, -v])
+
+
 @pytest.mark.parametrize("n", [1, 2, me.DIAMETER_BLOCK - 1, me.DIAMETER_BLOCK,
                                me.DIAMETER_BLOCK + 1, 3 * me.DIAMETER_BLOCK + 5])
 def test_outputs_diameter_matches_one_shot_formula(n):
-    # the blocked scan does the per-pair sums of the n x n x d formula in
-    # the same order, so the result is bit-equal
-    points = np.random.default_rng(n).normal(size=(n, 5)) * 3.0
-    diffs = points[:, None, :] - points[None, :, :]
-    one_shot = float(np.sqrt(np.max(np.sum(diffs ** 2, axis=2))))
-    assert me.outputs_diameter(points) == one_shot
+    # the pruned scan does the per-pair sums of the n x n x d formula in
+    # the same order and takes one sqrt of the largest, so it is bit-equal
+    rng = np.random.default_rng(n)
+    for d in (1, 5, 17):
+        for offset in (0.0, 1e4, -1e8, 1e8):
+            points = rng.normal(size=(n, d)) * 3.0 + offset
+            assert me.outputs_diameter(points) == one_shot_diameter(points)
+            # duplicated rows, and ties from a small integer grid
+            dup = np.repeat(points[: n // 2 + 1], 2, axis=0)[:n]
+            grid = rng.integers(-2, 3, size=(n, d)) + offset
+            for p in (dup, grid):
+                assert me.outputs_diameter(p) == one_shot_diameter(p)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 17])
+def test_outputs_diameter_on_spheres(d):
+    # many antipodal pairs tie with the lower bound up to rounding, which
+    # the prune slack must absorb; shifts up to 1e8 stress it further
+    rng = np.random.default_rng(d)
+    for _ in range(60):
+        points = on_sphere(rng, int(rng.integers(1, 40)), d)
+        points = (points * rng.uniform(0.1, 10.0)
+                  + rng.normal(size=d) * 10.0 ** rng.integers(0, 9))
+        assert me.outputs_diameter(points) == one_shot_diameter(points)
+
+
+def test_outputs_diameter_sphere_keeps_every_row(monkeypatch):
+    # the worst case of the prune: every row is as far from the mean as
+    # the farthest one, so every row is scanned
+    sizes = scanned_rows(monkeypatch)
+    points = on_sphere(np.random.default_rng(5), 40, 5)
+    assert me.outputs_diameter(points) == one_shot_diameter(points)
+    assert sizes == [80]
+
+
+def test_outputs_diameter_identical_rows_skip_the_scan(monkeypatch):
+    # the t = 0 record of a zero-initialised run: O(nd), no pairwise scan
+    sizes = scanned_rows(monkeypatch)
+    for points in (np.zeros((2000, 5)), np.full((7, 3), 0.1),
+                   np.full((1, 17), -2.5)):
+        assert me.outputs_diameter(points) == 0.0
+    assert sizes == []
+
+
+def test_outputs_diameter_prunes_a_spread_cloud(monkeypatch):
+    sizes = scanned_rows(monkeypatch)
+    points = np.random.default_rng(3).normal(size=(2000, 5))
+    assert me.outputs_diameter(points) == one_shot_diameter(points)
+    assert sum(sizes) < 200
+
+
+def test_outputs_diameter_non_finite_matches_full_scan():
+    base = np.random.default_rng(4).normal(size=(70, 3))
+    for bad in (np.nan, np.inf, 1e200):
+        points = base.copy()
+        points[5, 1] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.testing.assert_equal(me.outputs_diameter(points),
+                                    one_shot_diameter(points))
