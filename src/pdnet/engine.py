@@ -36,6 +36,10 @@ INIT_RANDOM_FEASIBLE = "random_feasible"
 #: regularization, where the multipliers are unbounded by design).
 LAMBDA_GUARD = 1e6
 
+#: The eta a regularized run accepts. The theory-bound formulas square
+#: eta and 1/eta, so a value outside this range overflows them.
+ETA_RANGE = (1e-100, 1e100)
+
 
 class EngineError(ValueError):
     """Invalid run configuration or inconsistent dimensions."""
@@ -86,6 +90,9 @@ def resolve_config(cfg: RunConfig, p: ProblemSpec) -> RunConfig:
         eta = cfg.eta
         if not eta > 0.0:
             raise EngineError("regularized variants need eta > 0")
+        if not ETA_RANGE[0] <= eta <= ETA_RANGE[1]:
+            raise EngineError(f"eta = {eta:g} is outside "
+                              f"[{ETA_RANGE[0]:g}, {ETA_RANGE[1]:g}]")
         scale = cfg.step_scale
         if scale is None:
             scale = min(p.radius, 0.5 / eta)

@@ -24,6 +24,15 @@ log = logging.getLogger(__name__)
 #: Oracle maps a point to (value, subgradient).
 Oracle = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
+#: Points per block in ``mean_objective_many``: the temporaries are this
+#: many rows by the data count, not n x n. A multiple of 48, so a block
+#: boundary falls between the column groups of the gemm kernel (12 wide
+#: in OpenBLAS's Haswell kernel; 4, 8 or 16 in others). With one BLAS
+#: thread the blocks then give the bits of the one-shot product; blocks
+#: of 256 do not (at n = 295, for one). With several BLAS threads the
+#: one-shot product's own bits depend on the thread count.
+MEAN_OBJECTIVE_BLOCK = 240
+
 
 class ProblemError(ValueError):
     """Invalid problem construction or dimension mismatch."""
@@ -80,6 +89,8 @@ def generate_dataset(n: int, d: int, seed: int = 0) -> SyntheticDataset:
     """
     if n < 1 or d < 1:
         raise ProblemError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    if seed < 0:
+        raise ProblemError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, d))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
@@ -123,8 +134,20 @@ class _LossBoxOps:
         return self._loss_values(z), grads
 
     def mean_objective_many(self, points: np.ndarray) -> np.ndarray:
-        z = (points @ self.features.T) * self.labels[None, :]
-        return self._loss_values(z).mean(axis=1)
+        """Mean loss at each point, over MEAN_OBJECTIVE_BLOCK points at a
+        time; with one BLAS thread the result has the bits of the one-shot
+        product over all points."""
+        m = len(points)
+        bounds = list(range(0, m, MEAN_OBJECTIVE_BLOCK)) + [m]
+        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+            # numpy multiplies a single row by gemv, whose bits differ
+            # from gemm's, so the last point joins the block before it
+            del bounds[-2]
+        out = np.empty(m)
+        for start, stop in zip(bounds, bounds[1:]):
+            z = (points[start:stop] @ self.features.T) * self.labels[None, :]
+            out[start:stop] = self._loss_values(z).mean(axis=1)
+        return out
 
     def mean_objective_grad(self, x: np.ndarray):
         z = self.labels * (self.features @ x)

@@ -73,6 +73,26 @@ def test_generate_graph_artifacts(out_root):
     assert (out_root / "latt2" / "graph_edges.txt").read_bytes() == first_bytes
 
 
+@pytest.mark.parametrize("sets", [
+    [],
+    ["graph.family=lattice8", "graph.rows=3", "graph.cols=4",
+     "weights.scheme=laplacian"],
+    ["graph.family=barbell", "graph.n=40", "graph.bridges=3"],
+])
+def test_weight_matrix_csv_streams_the_dense_rows(out_root, sets):
+    argv = ["generate-graph", "--out", "wm"]
+    for item in sets:
+        argv += ["--set", item]
+    assert cli.main(argv) == 0
+    config = cfgmod.apply_overrides(cfgmod.parse_config(), sets)
+    w = cfgmod.build_weights(config, cfgmod.build_graph(config))
+    # the format written from the dense matrix before it was streamed
+    dense_rows = "\n".join(",".join(repr(float(v)) for v in row)
+                           for row in w.entries) + "\n"
+    assert (out_root / "wm" / "weight_matrix.csv").read_text() == dense_rows
+    assert w.to_csv_text() == dense_rows
+
+
 def test_generate_graph_bad_family(out_root):
     code = cli.main(["generate-graph", "--set", "graph.family=mystery"])
     assert code == cli.EXIT_CONFIG

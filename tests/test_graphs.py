@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,53 @@ def complete_edges(nodes):
     nodes = list(nodes)
     return {(min(a, b), max(a, b))
             for i, a in enumerate(nodes) for b in nodes[i + 1:]}
+
+
+def dense_adjacency(g):
+    a = np.zeros((g.n, g.n))
+    i, j = g.edge_array.T
+    a[i, j] = 1.0
+    a[j, i] = 1.0
+    return a
+
+
+def allowed_mask(g):
+    """1 on the graph edges and the diagonal, 0 elsewhere."""
+    return dense_adjacency(g) + np.eye(g.n)
+
+
+def dense_lazy_metropolis(g):
+    """Independent oracle: the lazy Metropolis weights as a dense n x n
+    array, with the diagonal completed by numpy's dense row sum."""
+    i, j = g.edge_array.T
+    sizes = np.array(g.degrees, dtype=np.int64) + 1
+    v = 1.0 / (2.0 * np.maximum(sizes[i], sizes[j]))
+    w = np.zeros((g.n, g.n))
+    w[i, j] = v
+    w[j, i] = v
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return w
+
+
+def dense_laplacian_weights(g):
+    """Independent oracle: the normalized-Laplacian weights computed on
+    dense n x n arrays."""
+    n = g.n
+    a = dense_adjacency(g)
+    degrees = np.array(g.degrees, dtype=float)
+    d_inv_sqrt = 1.0 / np.sqrt(degrees)
+    lap = np.eye(n) - (d_inv_sqrt[:, None] * a * d_inv_sqrt[None, :])
+    if np.all(degrees == degrees[0]):
+        d = degrees[0]
+        w = np.eye(n) - (d / (d + 1.0)) * lap
+    else:
+        d_sqrt = np.sqrt(degrees)
+        d_max = degrees.max()
+        w = np.eye(n) - (d_sqrt[:, None] * lap * d_sqrt[None, :]) / (d_max + 1.0)
+    w = 0.5 * (w + w.T)
+    w[np.abs(w) < 1e-15] = 0.0
+    np.fill_diagonal(w, np.diag(w) + (1.0 - w.sum(axis=1)))
+    return w
 
 
 # -- generators --------------------------------------------------------------
@@ -295,7 +343,7 @@ def test_mixing_matrix_invariants(family):
     rng = np.random.default_rng(FAMILY_SEEDS[family])
     for _ in range(8):
         g = _random_graph(family, rng)
-        allowed = g.adjacency_matrix() + np.eye(g.n)
+        allowed = allowed_mask(g)
         for w in (lazy_metropolis(g), laplacian_weights(g)):
             entries = w.entries
             assert np.all(entries >= 0)
@@ -307,6 +355,68 @@ def test_mixing_matrix_invariants(family):
         diag = np.diag(wm.entries)
         assert np.all(diag >= (wm.entries.sum(axis=1) - diag) - 1e-12)
         assert 1.0 / (1.0 - wm.sigma2) <= 71.0 * g.n ** 2
+
+
+#: graphs for the dense-oracle comparison: each family on both sides of
+#: DENSE_SIGMA2_MAX_N, with regular (ring, complete, theta = 0) and
+#: irregular degrees
+ORACLE_GRAPHS = {
+    "ws100": lambda: generate_watts_strogatz(100, 20, 0.02, seed=7),
+    "ws-ring120": lambda: generate_watts_strogatz(120, 6, 0.0, seed=1),
+    "ws600": lambda: generate_watts_strogatz(600, 20, 0.02, seed=7),
+    "ws-ring600": lambda: generate_watts_strogatz(600, 4, 0.0, seed=1),
+    "er150": lambda: generate_erdos_renyi(150, 0.08, seed=2),
+    "er-complete40": lambda: generate_erdos_renyi(40, 1.0, seed=2),
+    "er700": lambda: generate_erdos_renyi(700, 0.02, seed=5),
+    "lattice10x10": lambda: generate_lattice8(10, 10),
+    "lattice24x25": lambda: generate_lattice8(24, 25),
+    "barbell100": lambda: generate_barbell(100, 1),
+    "barbell600": lambda: generate_barbell(600, 3),
+}
+
+
+@pytest.mark.parametrize("scheme", ["lazy_metropolis", "laplacian_weights"])
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_weights_match_dense_oracle_bit_for_bit(name, scheme):
+    g = ORACLE_GRAPHS[name]()
+    dense = {"lazy_metropolis": dense_lazy_metropolis,
+             "laplacian_weights": dense_laplacian_weights}[scheme](g)
+    w = getattr(graphs, scheme)(g)
+    # the CSR of the dense oracle as np.nonzero lists it: row-major order,
+    # exact zeros dropped, int32 indices
+    rows, cols = np.nonzero(dense)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=g.n))])
+    assert w.csr.indptr.dtype == w.csr.indices.dtype == np.int32
+    assert np.array_equal(w.csr.indptr, indptr)
+    assert np.array_equal(w.csr.indices, cols)
+    assert w.csr.data.tobytes() == dense[rows, cols].tobytes()
+    oracle = ConsensusMatrix.from_entries(dense, graph=g)
+    assert (w.sigma2, w.sigma2_method) == (oracle.sigma2, oracle.sigma2_method)
+    if g.n <= graphs.DENSE_SIGMA2_MAX_N:
+        assert w.sigma2 == np.sort(np.abs(np.linalg.eigvalsh(dense)))[-2]
+    assert np.array_equal(w.entries, dense)
+
+
+def test_lazy_metropolis_allocates_no_dense_matrix():
+    n = 5000
+    g = generate_watts_strogatz(n, 20, 0.02, seed=7)
+    tracemalloc.start()
+    try:
+        w = lazy_metropolis(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.sigma2_method == "eigsh"
+    assert peak < n * n * 8 / 4
+
+
+def test_entries_is_a_fresh_read_only_copy():
+    w = lazy_metropolis(generate_watts_strogatz(30, 4, 0.2, seed=3))
+    first, second = w.entries, w.entries
+    assert first is not second and np.array_equal(first, second)
+    assert np.array_equal(first, w.csr.toarray())
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
 
 
 def test_laplacian_weights_three_cycle():
@@ -411,7 +521,7 @@ def test_sparse_sigma2_above_threshold(ws_past_threshold):
     assert w.sigma2_method == "eigsh"
     dense = np.sort(np.abs(np.linalg.eigvalsh(w.entries)))[-2]
     assert abs(w.sigma2 - dense) <= 1e-12
-    again = graphs._second_singular_value(w.entries, w.csr)
+    again = graphs._second_singular_value(w.csr)
     assert again == (w.sigma2, "eigsh")
 
 

@@ -169,6 +169,36 @@ def test_fast_paths_match_oracles(paper_dataset, paper_logistic, paper_hinge):
                         ref.agent_constraint_rows(x_rows, ks))
 
 
+def test_mean_objective_many_blocks_keep_the_one_shot_bits():
+    # With several BLAS threads the one-shot product's own bits depend on
+    # the thread count, so the comparison runs with one thread. The sizes
+    # straddle the block (240) and give tails of 1 to 255 points; at 295
+    # and 619, blocks of 256 points change the result.
+    code = (
+        "import numpy as np\n"
+        "from pdnet import problems as pr\n"
+        "bad = []\n"
+        "for n, d in ((1, 5), (2, 5), (239, 5), (240, 5), (241, 5), (255, 5),\n"
+        "             (256, 5), (257, 5), (295, 2), (481, 5), (511, 17),\n"
+        "             (600, 5), (619, 5), (767, 2), (2000, 5), (2161, 5)):\n"
+        "    data = pr.generate_dataset(n, d, seed=n)\n"
+        "    pts = np.random.default_rng(n).normal(size=(n, d))\n"
+        "    for build in (pr.build_logistic_problem, pr.build_hinge_problem):\n"
+        "        ops = build(data, 0.1, 0.1).ops\n"
+        "        z = (pts @ ops.features.T) * ops.labels[None, :]\n"
+        "        one_shot = ops._loss_values(z).mean(axis=1)\n"
+        "        if one_shot.tobytes() != ops.mean_objective_many(pts).tobytes():\n"
+        "            bad.append((n, d, ops.loss))\n"
+        "print(bad)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(problems.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # -- hinge -------------------------------------------------------------------
 
 def test_hinge_at_origin(paper_dataset, paper_hinge):
