@@ -29,7 +29,6 @@ from .graphs import (
     spectral_gap,
 )
 from .lagrangian import (
-    RegularizationConfig,
     grad_lambda,
     grad_x,
     lagrangian_value,

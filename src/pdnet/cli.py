@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import platform
 import sys
@@ -42,26 +43,24 @@ _CONFIG_ERRORS = (ConfigError, GraphError, WeightMatrixError, ProblemError,
                   EngineError, ReferenceError, OSError)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, record_every: bool) -> None:
     parser.add_argument("--config", help="flat key=value configuration file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one configuration key (repeatable)")
     parser.add_argument("--out", help="output directory (overrides output_dir)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallel sweep legs (processes)")
-    parser.add_argument("--record-every", type=int, default=None,
-                        help="metric sampling stride override")
+    if record_every:
+        parser.add_argument("--record-every", help="metric sampling stride override")
 
 
 def _load_config(args) -> dict:
+    """The config file, then --set, --out and --record-every, typed alike."""
     entries = cfgmod.read_config_file(args.config) if args.config else {}
-    config = cfgmod.parse_config(entries)
-    config = cfgmod.apply_overrides(config, args.set)
+    overrides = list(args.set)
     if args.out:
-        config["output_dir"] = args.out
-    if args.record_every is not None:
-        config["run.record_every"] = int(args.record_every)
-    return config
+        overrides.append(f"output_dir={args.out}")
+    if getattr(args, "record_every", None) is not None:
+        overrides.append(f"run.record_every={args.record_every}")
+    return cfgmod.apply_overrides(cfgmod.parse_config(entries), overrides)
 
 
 def _output_root() -> Path:
@@ -235,26 +234,26 @@ def cmd_run(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-SWEEP_PARAMS = ("eta", "n", "T", "graph.family", "variant", "r")
+#: Sweep parameter -> the config keys its value sets. ``r`` is typed as
+#: run.eta is, then sets run.eta = T^-r.
+SWEEP_PARAMS = {"eta": ("run.eta",), "n": ("problem.n", "graph.n"),
+                "T": ("run.T",), "graph.family": ("graph.family",),
+                "variant": ("run.variant",), "r": ("run.eta",),
+                "run.eta": ("run.eta",), "run.T": ("run.T",),
+                "run.variant": ("run.variant",)}
 
 
 def _apply_sweep_value(config: dict, param: str, raw: str) -> dict:
-    out = dict(config)
-    if param in ("eta", "run.eta"):
-        out["run.eta"] = float(raw)
-    elif param == "n":
-        out["problem.n"] = int(raw)
-        out["graph.n"] = int(raw)
-    elif param in ("T", "run.T"):
-        out["run.T"] = int(raw)
-    elif param == "graph.family":
-        out["graph.family"] = str(raw)
-    elif param in ("variant", "run.variant"):
-        out["run.variant"] = str(raw)
-    elif param == "r":
-        out["run.eta"] = float(out["run.T"]) ** (-float(raw))
-    else:
-        raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMS}")
+    if param not in SWEEP_PARAMS:
+        raise ConfigError(f"sweep parameter must be one of "
+                          f"{', '.join(SWEEP_PARAMS)}")
+    out = cfgmod.apply_overrides(config,
+                                 [f"{key}={raw}" for key in SWEEP_PARAMS[param]])
+    if param == "r":
+        try:
+            out["run.eta"] = math.pow(out["run.T"], -out["run.eta"])
+        except (OverflowError, ValueError):
+            raise ConfigError(f"r = {raw}: T^-r is undefined or overflows") from None
     return out
 
 
@@ -287,14 +286,10 @@ def _run_leg(packed):
 
 def cmd_sweep(args) -> int:
     config = _load_config(args)
-    values = [v for v in (args.values.split(",") if args.values else []) if v]
-    if args.param not in SWEEP_PARAMS and args.param not in (
-            "run.eta", "run.T", "run.variant"):
-        raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMS}")
+    values = [v for v in args.values.split(",") if v]
     if not values:
         raise ConfigError("sweep needs a nonempty --values list")
     base_dir = _resolve_out_dir(config)
-    base_dir.mkdir(parents=True, exist_ok=True)
 
     legs = []
     for value in values:
@@ -302,9 +297,11 @@ def cmd_sweep(args) -> int:
         leg_dir = base_dir / f"leg_{args.param.replace('.', '_')}_{value}"
         leg_config["output_dir"] = str(leg_dir)
         legs.append((args.param, value, leg_config, str(leg_dir)))
+    base_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.threads) as pool:
+    workers = min(args.threads, len(legs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             rows = list(pool.map(_run_leg, legs))
     else:
         rows = [_run_leg(leg) for leg in legs]
@@ -360,23 +357,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_graph = sub.add_parser("generate-graph",
                              help="write edge list, weights, spectral report")
-    _add_common(p_graph)
+    _add_common(p_graph, record_every=False)
     p_graph.set_defaults(func=cmd_generate_graph)
 
     p_run = sub.add_parser("run", help="execute one configured run")
-    _add_common(p_run)
+    _add_common(p_run, record_every=True)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run one leg per parameter value")
-    _add_common(p_sweep)
+    _add_common(p_sweep, record_every=True)
+    p_sweep.add_argument("--threads", type=int, default=1,
+                         help="parallel sweep legs (processes)")
     p_sweep.add_argument("--param", required=True,
                          help=f"one of {', '.join(SWEEP_PARAMS)}")
     p_sweep.add_argument("--values", required=True,
-                         help="comma separated value list")
+                         help="comma separated values, typed as --set values")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run invariant/theory suites")
-    _add_common(p_verify)
     p_verify.add_argument("level", choices=("quick", "full"), nargs="?",
                           default="quick")
     p_verify.set_defaults(func=cmd_verify)

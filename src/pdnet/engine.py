@@ -18,7 +18,8 @@ import numpy as np
 
 from . import metrics
 from .graphs import ConsensusMatrix
-from .lagrangian import iteration_uniforms, sample_constraint_indices
+from .lagrangian import ETA_RANGE  # noqa: F401 (read as engine.ETA_RANGE)
+from .lagrangian import checked_eta, iteration_uniforms, sample_constraint_indices
 from .metrics import IterationRecord
 from .problems import ProblemSpec, ReferenceSolution
 
@@ -35,10 +36,6 @@ INIT_RANDOM_FEASIBLE = "random_feasible"
 #: Dual iterates beyond this norm abort the run (reachable only without
 #: regularization, where the multipliers are unbounded by design).
 LAMBDA_GUARD = 1e6
-
-#: The eta a regularized run accepts. The theory-bound formulas square
-#: eta and 1/eta, so a value outside this range overflows them.
-ETA_RANGE = (1e-100, 1e100)
 
 
 class EngineError(ValueError):
@@ -87,12 +84,7 @@ def resolve_config(cfg: RunConfig, p: ProblemSpec) -> RunConfig:
         eta = 0.0
         scale = cfg.step_scale if cfg.step_scale is not None else p.radius
     else:
-        eta = cfg.eta
-        if not eta > 0.0:
-            raise EngineError("regularized variants need eta > 0")
-        if not ETA_RANGE[0] <= eta <= ETA_RANGE[1]:
-            raise EngineError(f"eta = {eta:g} is outside "
-                              f"[{ETA_RANGE[0]:g}, {ETA_RANGE[1]:g}]")
+        eta = checked_eta(cfg.eta, EngineError)
         scale = cfg.step_scale
         if scale is None:
             scale = min(p.radius, 0.5 / eta)
@@ -304,7 +296,12 @@ def step(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix, t: int,
 
 @dataclass
 class Trace:
-    """Recorded metrics plus the initial and final agent states."""
+    """Recorded metrics plus the initial and final agent states.
+
+    ``warnings`` holds one line per theory bound that a monitored run
+    exceeded: how many records exceeded it, the first t, and the worst
+    value against its bound.
+    """
 
     records: list[IterationRecord]
     initial_states: AgentStates
@@ -313,7 +310,6 @@ class Trace:
     sigma2: float
     aborted: str | None = None
     warnings: list[str] = field(default_factory=list)
-    trajectory: list[np.ndarray] | None = None
 
     def to_csv_text(self) -> str:
         lines = [",".join(metrics.CSV_COLUMNS)]
@@ -322,8 +318,7 @@ class Trace:
 
 
 def run(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
-        reference: ReferenceSolution | None = None,
-        keep_trajectory: bool = False) -> Trace:
+        reference: ReferenceSolution | None = None) -> Trace:
     """Run the configured primal-dual variant for cfg.iterations steps.
 
     Metrics are recorded at t = 0, every ``record_every`` iterations, and
@@ -338,12 +333,11 @@ def run(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
         raise EngineError(
             f"mixing matrix is {w.n}x{w.n} but the problem has "
             f"{p.n_agents} agents")
-    return _run_loop(p, w, cfg, reference, keep_trajectory)
+    return _run_loop(p, w, cfg, reference)
 
 
 def run_centralized_unregularized(p: ProblemSpec, cfg: RunConfig,
-                                  reference: ReferenceSolution | None = None,
-                                  keep_trajectory: bool = False) -> Trace:
+                                  reference: ReferenceSolution | None = None) -> Trace:
     """Single-agent unregularized baseline on the mean objective.
 
     Equivalent to the deterministic variant with one agent holding
@@ -355,7 +349,7 @@ def run_centralized_unregularized(p: ProblemSpec, cfg: RunConfig,
     cfg = resolve_config(cfg, p)
     single = centralized_mean_problem(p)
     w1 = ConsensusMatrix.from_entries(np.array([[1.0]]))
-    return _run_loop(single, w1, cfg, reference, keep_trajectory)
+    return _run_loop(single, w1, cfg, reference)
 
 
 def centralized_mean_problem(p: ProblemSpec) -> ProblemSpec:
@@ -381,8 +375,7 @@ class _MeanOps:
 
 
 def _run_loop(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
-              reference: ReferenceSolution | None,
-              keep_trajectory: bool) -> Trace:
+              reference: ReferenceSolution | None) -> Trace:
     states = initial_states(p, cfg)
     initial = states.copy()
     outputs0 = initial.output_points()
@@ -392,8 +385,8 @@ def _run_loop(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
         initial_fgaps = p.mean_objective_many(outputs0) - reference.f_star
 
     trace = Trace(records=[], initial_states=initial, final_states=states,
-                  config=cfg, sigma2=w.sigma2,
-                  trajectory=[states.x.copy()] if keep_trajectory else None)
+                  config=cfg, sigma2=w.sigma2)
+    exceeded: dict[str, list] = {}
 
     def record_now(t: int, grad_x, grad_lam):
         rec = metrics.compute_record(
@@ -402,7 +395,7 @@ def _run_loop(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
             grad_x_rows=grad_x, grad_lambda_rows=grad_lam)
         trace.records.append(rec)
         if cfg.monitor_bounds:
-            _monitor_record(trace, p, cfg, rec, reference)
+            _monitor_record(exceeded, p, cfg, w.sigma2, rec, reference)
 
     try:
         for t in range(cfg.iterations):
@@ -411,16 +404,19 @@ def _run_loop(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
                 record_now(t, grad_x, grad_lam)
             states = _advance(states, p, w, t, cfg, grad_x, grad_lam)
             trace.final_states = states
-            if keep_trajectory:
-                trace.trajectory.append(states.x.copy())
     except DivergenceError as exc:
         trace.aborted = str(exc)
         log.error("run aborted: %s", exc)
-        return trace
-
-    # no constraint is sampled at the horizon: record the full directions
-    grad_x, grad_lam = _deterministic_directions(p, states.x, states.lam, cfg.eta)
-    record_now(cfg.iterations, grad_x, grad_lam)
+    else:
+        # no constraint is sampled at the horizon: record the full directions
+        grad_x, grad_lam = _deterministic_directions(p, states.x, states.lam,
+                                                     cfg.eta)
+        record_now(cfg.iterations, grad_x, grad_lam)
+    for name, (count, first_t, value, bound) in exceeded.items():
+        msg = (f"{name} exceeded at {count} records from t={first_t}, "
+               f"worst {value:.6g} > {bound:.6g}")
+        trace.warnings.append(msg)
+        log.warning("%s", msg)
     return trace
 
 
@@ -454,13 +450,18 @@ def bound_checks(p: ProblemSpec, cfg: RunConfig, sigma2: float,
     return checks
 
 
-def _monitor_record(trace: Trace, p: ProblemSpec, cfg: RunConfig,
-                    rec: IterationRecord,
+def _monitor_record(exceeded: dict[str, list], p: ProblemSpec, cfg: RunConfig,
+                    sigma2: float, rec: IterationRecord,
                     reference: ReferenceSolution | None) -> None:
-    """Warn-only theory-bound monitors (hard assertions live in the tests)."""
+    """Warn-only theory-bound monitors (hard assertions live in the tests).
+
+    ``exceeded`` maps each check that fired to [count, first t, worst
+    value, its bound], worst meaning the largest excess over the bound.
+    """
     tol = 1e-9
-    for name, value, bound in bound_checks(p, cfg, trace.sigma2, rec, reference):
+    for name, value, bound in bound_checks(p, cfg, sigma2, rec, reference):
         if not math.isnan(value) and value > bound * (1.0 + tol) + tol:
-            msg = f"t={rec.t}: {name} exceeded, {value:.6g} > {bound:.6g}"
-            trace.warnings.append(msg)
-            log.warning("%s", msg)
+            entry = exceeded.setdefault(name, [0, rec.t, value, bound])
+            entry[0] += 1
+            if value - bound > entry[2] - entry[3]:
+                entry[2:] = [value, bound]

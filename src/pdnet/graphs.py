@@ -17,6 +17,8 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
+from .problems import MAX_ARRAY_ENTRIES
+
 #: Tolerance for row/column sums of a doubly stochastic matrix.
 STOCHASTIC_TOL = 1e-12
 
@@ -146,7 +148,8 @@ class ConsensusMatrix:
     """Doubly stochastic mixing matrix in CSR form, with its sigma_2.
 
     ``csr`` holds the nonzero entries, column indices sorted within each
-    row; it is the only copy of the matrix. ``sigma2`` is the
+    row; it is the only copy of the matrix, and ``n`` is read off its
+    shape. ``sigma2`` is the
     second-largest singular value; 1 - sigma2 is the spectral gap.
     ``sigma2_method`` names how it was computed (``eigvalsh``, ``eigsh``
     or ``svd``). The constructors validate the entries: finite,
@@ -154,7 +157,6 @@ class ConsensusMatrix:
     (when a topology is supplied) zero off the graph edges.
     """
 
-    n: int
     csr: sparse.csr_array = field(repr=False)
     sigma2: float = field(init=False)
     sigma2_method: str = field(init=False)
@@ -163,6 +165,10 @@ class ConsensusMatrix:
         sigma2, method = _second_singular_value(self.csr)
         object.__setattr__(self, "sigma2", sigma2)
         object.__setattr__(self, "sigma2_method", method)
+
+    @property
+    def n(self) -> int:
+        return self.csr.shape[0]
 
     @property
     def entries(self) -> np.ndarray:
@@ -286,7 +292,7 @@ def _validated(csr: sparse.csr_array,
         raise WeightMatrixError("graph size does not match matrix size")
     if graph is not None and not _pattern_on_edges(csr, graph):
         raise WeightMatrixError("nonzero entry off the graph structure")
-    return ConsensusMatrix(n=n, csr=csr)
+    return ConsensusMatrix(csr=csr)
 
 
 def _entry_codes(csr: sparse.csr_array) -> tuple[np.ndarray, np.ndarray]:
@@ -352,6 +358,13 @@ def spectral_gap(w: ConsensusMatrix) -> float:
 # graph generators
 # ---------------------------------------------------------------------------
 
+def _check_size(count: int, what: str) -> None:
+    """GraphError when ``count`` entries do not fit in one numpy array."""
+    if count > MAX_ARRAY_ENTRIES:
+        raise GraphError(f"{what} = {count} exceeds the {MAX_ARRAY_ENTRIES} "
+                         "entries a numpy array can hold")
+
+
 def _retry_connected(build, seed: int, what: str) -> GraphTopology:
     """Call build(seed) until connected, bumping the seed up to the retry cap."""
     if seed < 0:
@@ -407,6 +420,7 @@ def generate_watts_strogatz(n: int, k: int, theta: float,
         raise GraphError(f"need n > k, got n={n}, k={k}")
     if not 0.0 <= theta <= 1.0:
         raise GraphError(f"rewiring probability must be in [0, 1], got {theta}")
+    _check_size(n * k, "n * k")
 
     half = k // 2
     offsets = range(1, half + 1)
@@ -454,6 +468,7 @@ def generate_erdos_renyi(n: int, p: float, seed: int = 0) -> GraphTopology:
         raise GraphError(f"edge probability must be in (0, 1], got {p}")
     if n < 1:
         raise GraphError(f"node count must be positive, got {n}")
+    _check_size(n * (n - 1) // 2, "node pair count")
 
     iu, ju = np.triu_indices(n, k=1)
 
@@ -469,6 +484,7 @@ def generate_lattice8(rows: int, cols: int) -> GraphTopology:
     """Unwrapped lattice where each cell links to its <= 8 Moore neighbors."""
     if rows < 2 or cols < 2:
         raise GraphError(f"lattice needs rows, cols >= 2, got {rows}x{cols}")
+    _check_size(rows * cols, "rows * cols")
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -488,6 +504,7 @@ def generate_barbell(n: int, bridge_count: int = 1) -> GraphTopology:
     """
     if n % 2 != 0:
         raise GraphError(f"barbell needs an even node count, got {n}")
+    _check_size(n, "node count")
     half = n // 2
     if half < 2:
         raise GraphError(f"clique size n/2 must be >= 2, got {half}")

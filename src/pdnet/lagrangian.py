@@ -9,11 +9,14 @@ multiplier-proportional sampling distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .problems import ProblemSpec, ProblemError
+
+#: The regularization strengths eta accepted anywhere. The theory-bound
+#: formulas square eta and 1/eta, so a value outside this range overflows
+#: them.
+ETA_RANGE = (1e-100, 1e100)
 
 
 def validate_dual(lam: np.ndarray) -> np.ndarray:
@@ -34,24 +37,22 @@ def _checked_dual(p: ProblemSpec, lam: np.ndarray) -> np.ndarray:
     return lam
 
 
-@dataclass(frozen=True)
-class RegularizationConfig:
-    """Quadratic dual-regularization strength eta > 0."""
-
-    eta: float
-
-    def __post_init__(self):
-        if not self.eta > 0.0:
-            raise ProblemError(f"eta must be positive, got {self.eta}")
+def checked_eta(eta: float, error: type[ValueError] = ProblemError) -> float:
+    """``eta`` if it lies in ETA_RANGE; ``error`` otherwise."""
+    if not ETA_RANGE[0] <= eta <= ETA_RANGE[1]:
+        raise error(f"eta = {eta:g} is outside "
+                    f"[{ETA_RANGE[0]:g}, {ETA_RANGE[1]:g}]")
+    return eta
 
 
 def lagrangian_value(p: ProblemSpec, agent: int, x: np.ndarray,
-                     lam: np.ndarray, reg: RegularizationConfig) -> float:
+                     lam: np.ndarray, eta: float) -> float:
     """f_i(x) + <lam, g(x)> - (eta/2) ||lam||^2."""
     lam = _checked_dual(p, lam)
+    eta = checked_eta(eta)
     fval, _ = p.objective(agent, x)
     g = p.constraint_values(x)
-    return float(fval + lam @ g - 0.5 * reg.eta * float(lam @ lam))
+    return float(fval + lam @ g - 0.5 * eta * float(lam @ lam))
 
 
 def grad_x(p: ProblemSpec, agent: int, x: np.ndarray,
@@ -64,10 +65,10 @@ def grad_x(p: ProblemSpec, agent: int, x: np.ndarray,
 
 
 def grad_lambda(p: ProblemSpec, x: np.ndarray, lam: np.ndarray,
-                reg: RegularizationConfig) -> np.ndarray:
+                eta: float) -> np.ndarray:
     """Dual gradient: g(x) - eta * lam."""
     lam = _checked_dual(p, lam)
-    return p.constraint_values(x) - reg.eta * lam
+    return p.constraint_values(x) - checked_eta(eta) * lam
 
 
 def sampling_distribution(lam: np.ndarray) -> np.ndarray:

@@ -33,6 +33,10 @@ Oracle = Callable[[np.ndarray], tuple[float, np.ndarray]]
 #: one-shot product's own bits depend on the thread count.
 MEAN_OBJECTIVE_BLOCK = 240
 
+#: The most 8-byte entries one numpy array can hold; a dataset or graph
+#: needing more cannot be allocated at all.
+MAX_ARRAY_ENTRIES = np.iinfo(np.intp).max // 8
+
 
 class ProblemError(ValueError):
     """Invalid problem construction or dimension mismatch."""
@@ -89,6 +93,9 @@ def generate_dataset(n: int, d: int, seed: int = 0) -> SyntheticDataset:
     """
     if n < 1 or d < 1:
         raise ProblemError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    if n * d > MAX_ARRAY_ENTRIES:
+        raise ProblemError(f"n * d = {n * d} exceeds the {MAX_ARRAY_ENTRIES} "
+                           "entries a numpy array can hold")
     if seed < 0:
         raise ProblemError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)

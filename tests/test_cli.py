@@ -216,6 +216,29 @@ def test_sweep_thread_count_does_not_change_bytes(out_root):
             == (out_root / "s2" / "summary.csv").read_text())
 
 
+def test_sweep_starts_no_more_processes_than_legs(monkeypatch, out_root):
+    pools = []
+
+    class SerialPool:
+        def __init__(self, workers):
+            pools.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        SerialPool)
+    assert cli.main(["sweep", "--out", "cap", *SMALL_RUN, "--param", "T",
+                     "--values", "30,60", "--threads", "64"]) == 0
+    assert pools == [2]
+
+
 def test_sweep_empty_values_exits_2(out_root):
     assert cli.main(["sweep", "--param", "eta", "--values", ""]) \
         == cli.EXIT_CONFIG
@@ -224,6 +247,50 @@ def test_sweep_empty_values_exits_2(out_root):
 def test_sweep_unknown_param_exits_2(out_root):
     assert cli.main(["sweep", "--param", "banana", "--values", "1"]) \
         == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("extra,param,values", [
+    ([], "eta", "0.5,abc"), ([], "T", "30,1.5"), ([], "n", "12,x"),
+    ([], "r", "0.25,-400"), (["--set", "run.T=0"], "r", "1"),
+    (["--set", "run.T=-4"], "r", "0.5")])
+def test_sweep_bad_value_exits_2_before_any_leg(out_root, capsys, extra,
+                                                param, values):
+    code = cli.main(["sweep", "--out", "bad", *SMALL_RUN, *extra,
+                     "--param", param, f"--values={values}"])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not (out_root / "bad").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "quick", "--set", "run.T=5"],
+    ["verify", "quick", "--config", "missing.cfg"],
+    ["run", "--threads", "2"],
+    ["generate-graph", "--record-every", "5"],
+    ["generate-graph", "--threads", "2"],
+])
+def test_subcommand_rejects_options_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "1.5"])
+def test_record_every_is_typed_as_its_config_key(out_root, capsys, value):
+    code = cli.main(["run", *SMALL_RUN, "--record-every", value])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("key", ["problem.n", "problem.d", "graph.n"])
+def test_size_no_array_can_hold_exits_2(out_root, capsys, key):
+    code = cli.main(["run", *SMALL_RUN, "--set", f"{key}={10 ** 20}"])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_sweep_continues_past_failing_leg(out_root):

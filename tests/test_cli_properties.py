@@ -3,9 +3,10 @@
 ``pdnet run`` is driven with ``--set`` overrides on every configuration
 key, with values that break naive parsing or arithmetic (nan, inf,
 negative, empty, huge, tiny, text): each key-value pair alone, then
-hypothesis-drawn combinations of up to three. Whatever the input, the
-command must end with exit code 0, 2 or 3, and an input error must be
-reported as a single ``error:`` line instead of a traceback.
+hypothesis-drawn combinations of up to three. ``pdnet sweep`` is driven
+with each of those values on every sweep parameter. Whatever the input,
+the command must end with exit code 0, 2 or 3, and an input error must
+be reported as a single ``error:`` line instead of a traceback.
 """
 
 import contextlib
@@ -53,21 +54,27 @@ def overrides(draw):
     return out
 
 
-def _run_cli(sets):
-    """Run ``pdnet run`` on the tiny config plus ``sets`` and check how it
-    ends."""
-    argv = ["run", "--out", "run"]
-    for key, value in {**TINY, **sets}.items():
-        argv += ["--set", f"{key}={value}"]
+def _set_args(sets):
+    return [arg for key, value in sets.items()
+            for arg in ("--set", f"{key}={value}")]
+
+
+def _check_cli(argv, case):
+    """Run the CLI on ``argv`` and check how it ends."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as root, \
             mock.patch.dict(os.environ, {cli.OUTPUT_ROOT_ENV: root}), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DIVERGED), sets
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DIVERGED), case
     if code == cli.EXIT_CONFIG:
         lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), (sets, lines)
+        assert len(lines) == 1 and lines[0].startswith("error: "), (case, lines)
+
+
+def _run_cli(sets):
+    """``pdnet run`` on the tiny config plus ``sets``."""
+    _check_cli(["run", "--out", "run", *_set_args({**TINY, **sets})], sets)
 
 
 def test_run_survives_each_hostile_value():
@@ -81,3 +88,11 @@ def test_run_survives_each_hostile_value():
 @given(overrides())
 def test_run_survives_hostile_config_values(sets):
     _run_cli(sets)
+
+
+def test_sweep_survives_each_hostile_value():
+    # --values=V keeps argparse from reading a value such as -inf as an option
+    for param in cli.SWEEP_PARAMS:
+        for value in SIZE_HOSTILE if param in ("T", "run.T") else HOSTILE:
+            _check_cli(["sweep", "--out", "sweep", *_set_args(TINY),
+                        "--param", param, f"--values={value}"], (param, value))

@@ -29,6 +29,17 @@ def complete_matrix(n):
     return lazy_metropolis(GraphTopology.from_edges(n, cliques))
 
 
+def trajectory(p, w, cfg):
+    """x(0), ..., x(T) of the run ``en.run(p, w, cfg)``, by ``en.step``."""
+    cfg = en.resolve_config(cfg, p)
+    states = en.initial_states(p, cfg)
+    xs = [states.x]
+    for t in range(cfg.iterations):
+        states = en.step(states, p, w, t, cfg)
+        xs.append(states.x)
+    return xs
+
+
 # -- projections ---------------------------------------------------------------
 
 def test_project_ball_scales_outside():
@@ -110,8 +121,7 @@ def test_identical_agents_stay_identical():
     g = lambda x: (float(x[0] - 0.5), np.array([1.0, 0.0]))
     p = make_custom_problem([f] * 4, [g], lipschitz=2.0, radius=1.0, dim=2)
     cfg = en.RunConfig(eta=0.5, iterations=30)
-    trace = en.run(p, complete_matrix(4), cfg, keep_trajectory=True)
-    for snap in trace.trajectory:
+    for snap in trajectory(p, complete_matrix(4), cfg):
         assert np.max(np.abs(snap - snap[0])) == 0.0
 
 
@@ -167,11 +177,11 @@ def test_running_average_matches_recomputation():
     p = build_logistic_problem(data, 0.2, 0.2)
     w = complete_matrix(6)
     cfg = en.RunConfig(eta=1.0, iterations=37, record_every=7)
-    trace = en.run(p, w, cfg, keep_trajectory=True)
+    trace = en.run(p, w, cfg)
     resolved = trace.config
-    alphas = np.array([en.stepsize(s, resolved)
-                       for s in range(len(trace.trajectory))])
-    xs = np.stack(trace.trajectory)  # (T+1, n, d)
+    xs = np.stack(trajectory(p, w, cfg))  # (T+1, n, d)
+    assert np.array_equal(xs[-1], trace.final_states.x)
+    alphas = np.array([en.stepsize(s, resolved) for s in range(len(xs))])
     manual = np.einsum("s,snd->nd", alphas, xs) / alphas.sum()
     assert np.max(np.abs(manual - trace.final_states.averages())) < 1e-10
 
@@ -200,8 +210,8 @@ def test_iterates_respect_projections():
     p = build_logistic_problem(data, 0.1, 0.1)
     w = complete_matrix(5)
     cfg = en.RunConfig(eta=1.0, iterations=60, record_every=6)
-    trace = en.run(p, w, cfg, keep_trajectory=True)
-    for snap in trace.trajectory:
+    trace = en.run(p, w, cfg)
+    for snap in trajectory(p, w, cfg):
         assert np.all(np.linalg.norm(snap, axis=1) <= 1.0 + 1e-12)
     assert np.all(trace.final_states.lam >= 0.0)
     avg = trace.final_states.averages()
@@ -308,6 +318,17 @@ def test_run_rejects_mismatched_matrix(paper_logistic):
         en.run(paper_logistic, identity_matrix(3), en.RunConfig(eta=1.0))
 
 
+def test_matrix_size_is_read_off_the_csr():
+    csr = identity_matrix(3).csr
+    with pytest.raises(TypeError):
+        ConsensusMatrix(n=5, csr=csr)
+    w = ConsensusMatrix(csr=csr)
+    assert w.n == 3
+    p = build_logistic_problem(generate_dataset(5, 2, seed=1), 0.1, 0.1)
+    with pytest.raises(en.EngineError, match="3x3"):
+        en.run(p, w, en.RunConfig(eta=1.0, iterations=2))
+
+
 def test_monitor_bounds_clean_run(paper_logistic, ws_matrix, paper_reference):
     cfg = en.RunConfig(eta=1.0, iterations=300, record_every=50,
                        monitor_bounds=True)
@@ -336,6 +357,10 @@ def test_missigned_dual_update_trips_lambda_bound(monkeypatch, paper_logistic,
     worst = max(r.sum_lambda_sq for r in trace.records)
     assert worst > bound or trace.aborted is not None
     assert trace.warnings or trace.aborted
+    # one line per check that fired, however many records exceeded it
+    names = [line.split(" exceeded")[0] for line in trace.warnings]
+    assert len(names) == len(set(names))
+    assert "multiplier norm bound" in names
     checks = {c.name: c.ok for c in verify.bound_monitor_checks(
         paper_logistic, None, trace)}
     assert checks["multiplier norm bound"] is False

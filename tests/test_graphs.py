@@ -235,6 +235,20 @@ def test_barbell_invalid(n, b):
         generate_barbell(n, b)
 
 
+# each generator checks its size before it allocates or loops: without the
+# check, barbell and lattice8 at these sizes grow or loop without end
+@pytest.mark.parametrize("make", [
+    lambda: generate_watts_strogatz(10 ** 20, 20, 0.02),
+    lambda: generate_erdos_renyi(10 ** 20, 0.5),
+    lambda: generate_erdos_renyi(2 ** 32, 0.5),
+    lambda: generate_lattice8(10 ** 10, 10 ** 10),
+    lambda: generate_barbell(10 ** 20),
+], ids=["ws", "er", "er-pairs", "lattice8", "barbell"])
+def test_generators_reject_sizes_no_array_can_hold(make):
+    with pytest.raises(GraphError, match="numpy array"):
+        make()
+
+
 def test_topology_rejects_disconnected():
     # the two triangles have E >= n - 1, so only the component search
     # can tell

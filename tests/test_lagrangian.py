@@ -1,16 +1,18 @@
 """Regularized Lagrangian values, subgradients, and constraint sampling."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdnet import lagrangian as lg
+from pdnet import engine, lagrangian as lg
 from pdnet.problems import ProblemError
 
 from conftest import make_custom_problem, toy_problem
 
 
-REG = lg.RegularizationConfig(eta=1.0)
+ETA = 1.0
 
 
 def rand_ball(rng, d):
@@ -28,12 +30,12 @@ def test_value_with_zero_multipliers(paper_logistic):
     x = np.full(5, 0.05)
     lam = np.zeros(10)
     f, _ = paper_logistic.objective(3, x)
-    assert lg.lagrangian_value(paper_logistic, 3, x, lam, REG) == pytest.approx(f)
+    assert lg.lagrangian_value(paper_logistic, 3, x, lam, ETA) == pytest.approx(f)
 
 
 def test_value_hand_arithmetic_toy():
     p = toy_problem()
-    val = lg.lagrangian_value(p, 0, np.zeros(1), np.array([2.0]), REG)
+    val = lg.lagrangian_value(p, 0, np.zeros(1), np.array([2.0]), ETA)
     # f(0) + 2 * g(0) - 0.5 * 1 * 4 = 0 - 1 - 2
     assert val == pytest.approx(-3.0)
 
@@ -43,8 +45,7 @@ def test_value_with_zero_constraints():
     g = lambda x: (0.0, np.zeros(1))
     p = make_custom_problem([f], [g], lipschitz=2.0, radius=1.0, dim=1)
     lam = np.array([3.0])
-    reg = lg.RegularizationConfig(eta=0.5)
-    val = lg.lagrangian_value(p, 0, np.array([0.2]), lam, reg)
+    val = lg.lagrangian_value(p, 0, np.array([0.2]), lam, 0.5)
     assert val == pytest.approx(0.04 - 0.25 * 9.0)
 
 
@@ -77,15 +78,14 @@ def test_grad_x_norm_bound(paper_logistic):
 def test_grad_lambda_cases(paper_logistic):
     x = np.full(5, 0.02)
     g = paper_logistic.constraint_values(x)
-    assert_allclose(lg.grad_lambda(paper_logistic, x, np.zeros(10), REG), g)
+    assert_allclose(lg.grad_lambda(paper_logistic, x, np.zeros(10), ETA), g)
     lam = np.maximum(g, 0.0) + 0.5
-    reg = lg.RegularizationConfig(eta=2.0)
-    assert_allclose(lg.grad_lambda(paper_logistic, x, lam, reg), g - 2.0 * lam)
+    assert_allclose(lg.grad_lambda(paper_logistic, x, lam, 2.0), g - 2.0 * lam)
 
 
 def test_grad_lambda_toy_hand_value():
     p = toy_problem()
-    out = lg.grad_lambda(p, np.zeros(1), np.zeros(1), REG)
+    out = lg.grad_lambda(p, np.zeros(1), np.zeros(1), ETA)
     assert_allclose(out, [-0.5])
 
 
@@ -96,7 +96,17 @@ def test_negative_multiplier_rejected(paper_logistic):
 
 def test_regularization_config_validation():
     with pytest.raises(ProblemError):
-        lg.RegularizationConfig(eta=0.0)
+        lg.lagrangian_value(toy_problem(), 0, np.zeros(1), np.zeros(1), eta=0.0)
+
+
+@pytest.mark.parametrize("eta", [-1.0, 1e-300, 1e300, math.inf, math.nan])
+def test_eta_outside_the_engine_range_rejected(eta):
+    assert engine.ETA_RANGE is lg.ETA_RANGE
+    p = toy_problem()
+    with pytest.raises(ProblemError, match="outside"):
+        lg.lagrangian_value(p, 0, np.zeros(1), np.zeros(1), eta)
+    with pytest.raises(ProblemError, match="outside"):
+        lg.grad_lambda(p, np.zeros(1), np.zeros(1), eta)
 
 
 # -- sampling distribution ------------------------------------------------------
@@ -162,9 +172,9 @@ def test_concave_in_lambda(paper_logistic):
         lam1, lam2 = rand_dual(rng, 10), rand_dual(rng, 10)
         th = rng.random()
         mid = lg.lagrangian_value(paper_logistic, 2, x,
-                                  th * lam1 + (1 - th) * lam2, REG)
-        ends = (th * lg.lagrangian_value(paper_logistic, 2, x, lam1, REG)
-                + (1 - th) * lg.lagrangian_value(paper_logistic, 2, x, lam2, REG))
+                                  th * lam1 + (1 - th) * lam2, ETA)
+        ends = (th * lg.lagrangian_value(paper_logistic, 2, x, lam1, ETA)
+                + (1 - th) * lg.lagrangian_value(paper_logistic, 2, x, lam2, ETA))
         assert mid >= ends - 1e-10
 
 
@@ -175,9 +185,9 @@ def test_convex_in_x(paper_logistic):
         lam = rand_dual(rng, 10)
         th = rng.random()
         mid = lg.lagrangian_value(paper_logistic, 5, th * x1 + (1 - th) * x2,
-                                  lam, REG)
-        ends = (th * lg.lagrangian_value(paper_logistic, 5, x1, lam, REG)
-                + (1 - th) * lg.lagrangian_value(paper_logistic, 5, x2, lam, REG))
+                                  lam, ETA)
+        ends = (th * lg.lagrangian_value(paper_logistic, 5, x1, lam, ETA)
+                + (1 - th) * lg.lagrangian_value(paper_logistic, 5, x2, lam, ETA))
         assert mid <= ends + 1e-10
 
 
@@ -187,12 +197,12 @@ def test_grad_lambda_matches_finite_differences(paper_logistic):
     for _ in range(20):
         x = rand_ball(rng, 5)
         lam = rand_dual(rng, 10) + 0.1
-        grad = lg.grad_lambda(paper_logistic, x, lam, REG)
+        grad = lg.grad_lambda(paper_logistic, x, lam, ETA)
         for k in range(10):
             e = np.zeros(10)
             e[k] = h
-            num = (lg.lagrangian_value(paper_logistic, 0, x, lam + e, REG)
-                   - lg.lagrangian_value(paper_logistic, 0, x, lam - e, REG)) / (2 * h)
+            num = (lg.lagrangian_value(paper_logistic, 0, x, lam + e, ETA)
+                   - lg.lagrangian_value(paper_logistic, 0, x, lam - e, ETA)) / (2 * h)
             assert num == pytest.approx(grad[k], abs=1e-6)
 
 

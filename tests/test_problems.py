@@ -83,6 +83,13 @@ def test_dataset_invalid_sizes():
         generate_dataset(0, 3)
 
 
+@pytest.mark.parametrize("n,d", [(10 ** 20, 5), (5, 10 ** 20),
+                                 (2 ** 31, 2 ** 31)])
+def test_dataset_rejects_sizes_no_array_can_hold(n, d):
+    with pytest.raises(ProblemError, match="numpy array"):
+        generate_dataset(n, d)
+
+
 # -- logistic ----------------------------------------------------------------
 
 def test_logistic_gradient_at_origin(paper_dataset, paper_logistic):
