@@ -4,7 +4,8 @@ All commands are driven by the flat dotted-key config (file plus --set
 overrides). Every run directory receives a manifest that reproduces the
 run exactly; traces are CSV. Each run solves its reference optimum
 afresh, as the exact solve takes milliseconds. Exit codes: 0 success,
-1 verification failure, 2 configuration error, 3 runtime divergence.
+1 verification failure, 2 configuration error (or an allocation that
+fails), 3 runtime divergence.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import os
 import platform
 import sys
+import time
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -39,8 +41,15 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
+#: Errors reported as one ``error:`` line with exit 2. MemoryError is
+#: among them: a size below what a numpy array can hold may still be more
+#: than the host can allocate.
 _CONFIG_ERRORS = (ConfigError, GraphError, WeightMatrixError, ProblemError,
-                  EngineError, ReferenceError, OSError)
+                  EngineError, ReferenceError, OSError, MemoryError)
+
+
+def _error_text(exc: BaseException) -> str:
+    return str(exc) or type(exc).__name__
 
 
 def _add_common(parser: argparse.ArgumentParser, record_every: bool) -> None:
@@ -154,19 +163,27 @@ def _rate_fits(trace: engine.Trace, horizon: int) -> dict[str, metrics.RateFit |
 def execute_run(config: dict, out_dir: Path):
     """Build everything from a config, run, and persist all artifacts.
 
-    Returns the trace and its ``_rate_fits``.
+    Returns the trace and its ``_rate_fits``. The manifest's
+    ``derived.timings`` holds the wall seconds of the reference solve,
+    of building the graph and weights, of the run, and of the run's
+    records, so it differs between reruns while the other artifacts do
+    not.
     """
     p = cfgmod.build_problem(config)
+    start = time.perf_counter()
     ref = problems.reference_optimum(
         p, iterations=int(config["reference.iterations"]))
+    timings = {"reference_s": time.perf_counter() - start, "build_s": 0.0}
     centralized = config["run.variant"] == engine.CENTRALIZED_UNREGULARIZED
     run_cfg = cfgmod.build_run_config(config)
 
     if centralized:
         graph_info = {"family": None, "nodes": 1, "edges": 0, "sigma2": 0.0,
                       "sigma2_method": None}
+        start = time.perf_counter()
         trace = engine.run_centralized_unregularized(p, run_cfg, reference=ref)
     else:
+        start = time.perf_counter()
         g = cfgmod.build_graph(config)
         if g.n != p.n_agents:
             raise ConfigError(
@@ -175,7 +192,11 @@ def execute_run(config: dict, out_dir: Path):
         graph_info = {"family": config["graph.family"], "nodes": g.n,
                       "edges": len(g.edge_array), "sigma2": w.sigma2,
                       "sigma2_method": w.sigma2_method}
+        timings["build_s"] = time.perf_counter() - start
+        start = time.perf_counter()
         trace = engine.run(p, w, run_cfg, reference=ref)
+    timings["run_s"] = time.perf_counter() - start
+    timings["records_s"] = trace.records_s
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(out_dir / "trace.csv", trace.to_csv_text())
@@ -196,6 +217,7 @@ def execute_run(config: dict, out_dir: Path):
             "reference_method": ref.method,
             "aborted": trace.aborted,
             "warnings": trace.warnings,
+            "timings": timings,
             "rate_fits": {
                 column: None if fit is None else {"exponent": fit.exponent,
                                                   "r2": fit.r2}
@@ -272,7 +294,7 @@ def _leg_summary(param: str, value: str, config: dict,
         for column, key in (("eps", "eps_rate"), ("violation_sq", "viol_rate")):
             row[key] = float("nan") if fits[column] is None else fits[column].exponent
     except _CONFIG_ERRORS as exc:
-        row["status"] = f"error: {exc}"
+        row["status"] = f"error: {_error_text(exc)}"
         for key in ("eps_final", "delta_final", "violation_final",
                     "eps_rate", "viol_rate"):
             row[key] = float("nan")
@@ -387,7 +409,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return EXIT_CONFIG
 
 

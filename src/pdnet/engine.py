@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,8 @@ import numpy as np
 from . import metrics
 from .graphs import ConsensusMatrix
 from .lagrangian import ETA_RANGE  # noqa: F401 (read as engine.ETA_RANGE)
-from .lagrangian import checked_eta, iteration_uniforms, sample_constraint_indices
+from .lagrangian import (checked_eta, iteration_uniforms,
+                         sample_constraint_indices, uniform_stream)
 from .metrics import IterationRecord
 from .problems import ProblemSpec, ReferenceSolution
 
@@ -117,8 +119,11 @@ def project_ball(x: np.ndarray, radius: float) -> np.ndarray:
     """
     if not radius > 0.0:
         raise EngineError("ball radius must be positive")
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    return x * (radius / np.maximum(radius, norms))
+    if np.abs(x).max(initial=0.0) * math.sqrt(x.shape[-1]) <= 0.5 * radius:
+        # every norm is at most sqrt(d) max |x_ij|, so even with rounding
+        # each computed norm is inside the ball and each scale is exactly 1
+        return x.copy()
+    return x * (radius / np.maximum(radius, metrics.row_norms(x)))[..., None]
 
 
 def project_orthant(v: np.ndarray) -> np.ndarray:
@@ -217,18 +222,20 @@ def _deterministic_directions(p: ProblemSpec, x: np.ndarray, lam: np.ndarray,
     return grad_x, grad_lam
 
 
-def _directions(p: ProblemSpec, states: AgentStates, t: int, cfg: RunConfig):
+def _directions(p: ProblemSpec, states: AgentStates, t: int, cfg: RunConfig,
+                stream: np.random.Generator | None = None):
     """Primal and dual directions at the iteration-t snapshot.
 
     The only switch on the variant. The stochastic variant replaces the
     constraint term sum_k lam_k grad g_k of the primal direction with one
     multiplier-sampled grad g_k scaled by ||lam||_1; the dual direction
-    g - eta lam is the same for every variant.
+    g - eta lam is the same for every variant. ``stream`` is the run's
+    ``uniform_stream``, re-keyed for each iteration.
     """
     if cfg.variant != STOCHASTIC:
         return _deterministic_directions(p, states.x, states.lam, cfg.eta)
     x, lam = states.x, states.lam
-    uniforms = iteration_uniforms(cfg.seed, t, states.n_agents)
+    uniforms = iteration_uniforms(cfg.seed, t, states.n_agents, stream)
     _, grad_f = p.agent_objective_grads(x)
     g_vals = p.constraint_values_many(x)
     ks = sample_constraint_indices(lam, uniforms)
@@ -242,20 +249,20 @@ def _advance(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix, t: int,
              cfg: RunConfig, grad_x: np.ndarray,
              grad_lam: np.ndarray) -> AgentStates:
     alpha = stepsize(t, cfg)
-    y = states.x - alpha * grad_x
-    gamma = states.lam + alpha * grad_lam
-    _check_finite(y, gamma, t)
-    mixed = _mix(w.csr, np.hstack((y, gamma)))
-    d = y.shape[1]
+    alpha_next = stepsize(t + 1, cfg)
+    n, d = grad_x.shape
+    z = np.empty((n, d + grad_lam.shape[1]))
+    y, gamma = z[:, :d], z[:, d:]
+    np.multiply(grad_x, alpha, out=y)
+    np.subtract(states.x, y, out=y)
+    np.multiply(grad_lam, alpha, out=gamma)
+    np.add(states.lam, gamma, out=gamma)
+    if not np.isfinite(z).all():
+        _check_finite(y, gamma, t)
+    mixed = _mix(w.csr, z)
     new_x = project_ball(mixed[:, :d], p.radius)
     new_lam = project_orthant(mixed[:, d:])
-    lam_norms = np.linalg.norm(new_lam, axis=1)
-    over = lam_norms > LAMBDA_GUARD
-    if over.any():
-        agent = int(np.argmax(over))
-        raise DivergenceError(
-            f"dual norm {lam_norms[agent]:.3e} exceeded the guard at t={t}: "
-            f"lam of agent {agent}")
+    _check_dual_guard(new_lam, t)
 
     num = states.avg_numerator
     wsum = states.weight_sum
@@ -263,10 +270,26 @@ def _advance(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix, t: int,
         # seed the window with the starting point at weight alpha(t)
         num = num + alpha * states.x
         wsum += alpha
-    alpha_next = stepsize(t + 1, cfg)
     num = num + alpha_next * new_x
     wsum += alpha_next
     return AgentStates(x=new_x, lam=new_lam, avg_numerator=num, weight_sum=wsum)
+
+
+def _check_dual_guard(lam: np.ndarray, t: int) -> None:
+    """Raise DivergenceError if a row norm of ``lam`` (>= 0) exceeds
+    LAMBDA_GUARD, naming the first such agent."""
+    # a row norm is at most sqrt(m) times the largest entry, so the norms
+    # are needed only when that bound comes near the guard; with the guard
+    # at 1e6 every step of a converging run returns here
+    if lam.max(initial=0.0) * math.sqrt(lam.shape[1]) <= 0.5 * LAMBDA_GUARD:
+        return
+    norms = metrics.row_norms(lam)
+    over = norms > LAMBDA_GUARD
+    if over.any():
+        agent = int(np.argmax(over))
+        raise DivergenceError(
+            f"dual norm {norms[agent]:.3e} exceeded the guard at t={t}: "
+            f"lam of agent {agent}")
 
 
 def _check_finite(x: np.ndarray, lam: np.ndarray, t: int) -> None:
@@ -300,7 +323,8 @@ class Trace:
 
     ``warnings`` holds one line per theory bound that a monitored run
     exceeded: how many records exceeded it, the first t, and the worst
-    value against its bound.
+    value against its bound. ``records_s`` is the wall time spent in
+    ``metrics.compute_record``.
     """
 
     records: list[IterationRecord]
@@ -310,6 +334,7 @@ class Trace:
     sigma2: float
     aborted: str | None = None
     warnings: list[str] = field(default_factory=list)
+    records_s: float = 0.0
 
     def to_csv_text(self) -> str:
         lines = [",".join(metrics.CSV_COLUMNS)]
@@ -384,26 +409,30 @@ def _run_loop(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
     if reference is not None:
         initial_fgaps = p.mean_objective_many(outputs0) - reference.f_star
 
-    trace = Trace(records=[], initial_states=initial, final_states=states,
+    # final_states is set once the loop ends; until then it names the copy
+    # kept anyway, so the t = 0 arrays are not held for the whole run
+    trace = Trace(records=[], initial_states=initial, final_states=initial,
                   config=cfg, sigma2=w.sigma2)
     exceeded: dict[str, list] = {}
 
     def record_now(t: int, grad_x, grad_lam):
+        start = time.perf_counter()
         rec = metrics.compute_record(
             p, states, t, cfg.eta, w.sigma2, ref=reference,
             initial_fgaps=initial_fgaps, initial_gnorms=initial_gnorms,
             grad_x_rows=grad_x, grad_lambda_rows=grad_lam)
+        trace.records_s += time.perf_counter() - start
         trace.records.append(rec)
         if cfg.monitor_bounds:
             _monitor_record(exceeded, p, cfg, w.sigma2, rec, reference)
 
+    stream = uniform_stream() if cfg.variant == STOCHASTIC else None
     try:
         for t in range(cfg.iterations):
-            grad_x, grad_lam = _directions(p, states, t, cfg)
+            grad_x, grad_lam = _directions(p, states, t, cfg, stream)
             if t % cfg.record_every == 0:
                 record_now(t, grad_x, grad_lam)
             states = _advance(states, p, w, t, cfg, grad_x, grad_lam)
-            trace.final_states = states
     except DivergenceError as exc:
         trace.aborted = str(exc)
         log.error("run aborted: %s", exc)
@@ -412,6 +441,7 @@ def _run_loop(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
         grad_x, grad_lam = _deterministic_directions(p, states.x, states.lam,
                                                      cfg.eta)
         record_now(cfg.iterations, grad_x, grad_lam)
+    trace.final_states = states
     for name, (count, first_t, value, bound) in exceeded.items():
         msg = (f"{name} exceeded at {count} records from t={first_t}, "
                f"worst {value:.6g} > {bound:.6g}")

@@ -95,28 +95,50 @@ def stochastic_grad_x(p: ProblemSpec, agent: int, x: np.ndarray,
 # counter-based sampling streams
 # ---------------------------------------------------------------------------
 
-def iteration_uniforms(seed: int, t: int, n: int) -> np.ndarray:
+def uniform_stream() -> np.random.Generator:
+    """A Philox generator for ``iteration_uniforms`` to re-key.
+
+    Make one per run, or per thread: re-keying changes its state in place.
+    """
+    return np.random.Generator(np.random.Philox(key=0))
+
+
+def iteration_uniforms(seed: int, t: int, n: int,
+                       stream: np.random.Generator | None = None) -> np.ndarray:
     """One uniform per agent for iteration t, from a counter-based stream.
 
     Keyed by (run seed, iteration); agent i consumes entry i. Independent
-    of scheduling and parallelism, so runs replay bit-identically.
+    of scheduling and parallelism, so runs replay bit-identically. The
+    bits are those of ``Generator(Philox(key=[seed, t])).random(n)``:
+    ``stream`` (from ``uniform_stream``, a fresh one when None) is set to
+    that key with a zero counter and an empty buffer, which is the state
+    such a generator starts in, without building one.
     """
-    key = np.array([np.uint64(seed), np.uint64(t)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).random(n)
+    if stream is None:
+        stream = uniform_stream()
+    stream.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, t)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return stream.random(n)
 
 
 def _sampling_probabilities(lam_rows: np.ndarray) -> np.ndarray:
     """Each row's multipliers over their sum, or uniform where the row is 0."""
-    m = lam_rows.shape[1]
     totals = lam_rows.sum(axis=1, keepdims=True)
-    return np.where(totals > 0.0, lam_rows / np.where(totals > 0.0, totals, 1.0),
-                    1.0 / m)
+    if totals.min() > 0.0:
+        return lam_rows / totals
+    positive = totals > 0.0
+    return np.where(positive, lam_rows / np.where(positive, totals, 1.0),
+                    1.0 / lam_rows.shape[1])
 
 
 def sample_constraint_indices(lam_rows: np.ndarray,
                               uniforms: np.ndarray) -> np.ndarray:
     """Draw one constraint index per agent from its sampling distribution."""
     m = lam_rows.shape[1]
-    cumulative = np.cumsum(_sampling_probabilities(lam_rows), axis=1)
+    # np.add.accumulate is what np.cumsum calls, without its wrapper
+    cumulative = np.add.accumulate(_sampling_probabilities(lam_rows), axis=1)
     ks = (cumulative <= uniforms[:, None]).sum(axis=1)
     return np.minimum(ks, m - 1)

@@ -78,6 +78,12 @@ def _require_outputs(states) -> np.ndarray:
     return states.averages()
 
 
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """The bits of np.linalg.norm(rows, axis=-1), without its argument
+    handling: the norm of each row, or of the one vector."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=-1))
+
+
 def _max_ratio(values: np.ndarray, normalizers: np.ndarray) -> float | None:
     """max_i |values_i / normalizers_i|, or None if a normalizer is degenerate."""
     if np.min(np.abs(normalizers)) < DEGENERATE_NORMALIZER:
@@ -307,12 +313,12 @@ def compute_record(p: ProblemSpec, states, t: int, eta: float, sigma2: float,
     ``initial_gnorms`` are the per-agent normalizers captured at t = 0.
     """
     outputs = states.output_points()
-    lam_norms = np.linalg.norm(states.lam, axis=1)
+    lam_norms = row_norms(states.lam)
     diffs = outputs_diameter(states.x)
 
     gvals = p.constraint_values_many(outputs)
     violation_sq = _violation_sq(gvals)
-    gnorms = np.linalg.norm(gvals, axis=1)
+    gnorms = row_norms(gvals)
 
     eps = math.nan
     max_gap = math.nan
@@ -336,7 +342,7 @@ def compute_record(p: ProblemSpec, states, t: int, eta: float, sigma2: float,
 
     max_gx = math.nan
     if grad_x_rows is not None:
-        max_gx = float(np.max(np.linalg.norm(grad_x_rows, axis=1)))
+        max_gx = float(np.max(row_norms(grad_x_rows)))
     max_glam_excess = math.nan
     if grad_lambda_rows is not None:
         glam_sq = np.sum(grad_lambda_rows ** 2, axis=1)

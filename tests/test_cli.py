@@ -119,6 +119,17 @@ def test_run_writes_artifacts_and_manifest_roundtrip(out_root):
     assert len(xhat) == 1 + 12
     ref = json.loads((out / "reference.json").read_text())
     assert "f_star" in ref and ref["residual"] >= 0
+    timings = manifest["derived"]["timings"]
+    assert set(timings) == {"reference_s", "build_s", "run_s", "records_s"}
+    assert all(value > 0.0 for value in timings.values())
+    assert timings["records_s"] < timings["run_s"]
+
+
+def test_centralized_manifest_times_no_graph(out_root):
+    assert cli.main(["run", "--out", "c", *SMALL_RUN,
+                     "--set", "run.variant=centralized_unregularized"]) == 0
+    manifest = json.loads((out_root / "c" / "manifest.json").read_text())
+    assert manifest["derived"]["timings"]["build_s"] == 0.0
 
 
 def test_failed_artifact_write_leaves_no_partial_file(monkeypatch, out_root):
@@ -291,6 +302,20 @@ def test_size_no_array_can_hold_exits_2(out_root, capsys, key):
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_allocation_failure_exits_2(monkeypatch, out_root, capsys):
+    # a size numpy accepts but the host cannot allocate; the generator is
+    # stubbed so that no large allocation is attempted
+    def unallocatable(n, d, seed=0):
+        raise MemoryError(f"Unable to allocate {n * d * 8} bytes")
+
+    monkeypatch.setattr(pdnet.problems, "generate_dataset", unallocatable)
+    code = cli.main(["run", *SMALL_RUN, "--set", "problem.n=1000000000000",
+                     "--set", "graph.n=1000000000000"])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: Unable to allocate 40000000000000 bytes"]
 
 
 def test_sweep_continues_past_failing_leg(out_root):

@@ -53,6 +53,41 @@ def test_project_ball_identity_inside():
     assert np.array_equal(en.project_ball(z, 2.0), z)
 
 
+def _norm_formula_projection(x, radius):
+    """The ball projection as first written, through np.linalg.norm."""
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    return x * (radius / np.maximum(radius, norms))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 0.1, 0.2236, 0.2237, 0.5, 1.0, 3.0])
+def test_project_ball_matches_the_norm_formula(scale):
+    # rows of every size about the threshold sqrt(d) max|x_ij| = radius / 2
+    # where the projection stops computing norms
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1.0, 1.0, size=(300, 5)) * scale
+    x[0] = 0.0
+    x[1] = -0.0
+    for radius in (0.5, 1.0):
+        for rows in (x, x[7], np.hstack((x, x))[:, 2:7]):
+            got = en.project_ball(rows, radius)
+            want = _norm_formula_projection(rows, radius)
+            assert got.tobytes() == want.tobytes()
+            assert got is not rows and not np.shares_memory(got, rows)
+
+
+@pytest.mark.parametrize("norm", [0.999e6, 1.001e6])
+def test_dual_guard_on_rows_near_the_guard(norm):
+    lam = np.zeros((6, 4))
+    lam[:, 0] = 1.0
+    lam[2] = lam[4] = norm / 2.0  # the norm is 2 * entry
+    if norm < en.LAMBDA_GUARD:
+        en._check_dual_guard(lam, 5)
+    else:
+        with pytest.raises(en.DivergenceError,
+                           match=r"dual norm 1\.001e\+06 .* t=5: lam of agent 2"):
+            en._check_dual_guard(lam, 5)
+
+
 def test_project_orthant():
     assert_allclose(en.project_orthant(np.array([-1.0, 2.0, 0.0])), [0, 2, 0])
     assert_allclose(en.project_orthant(np.array([-3.0, -1.0])), [0, 0])
@@ -68,6 +103,21 @@ def test_stepsize_schedule():
     assert en.stepsize(3, cfg) == 0.5
     cfg_r = en.RunConfig(step_scale=0.7)
     assert en.stepsize(99, cfg_r) == pytest.approx(0.07)
+
+
+@pytest.mark.parametrize("variant", ["deterministic", "stochastic"])
+def test_step_checks_its_stepsize(variant, paper_logistic, ws_matrix):
+    # step takes alpha from stepsize, so an unresolved scale or a negative
+    # t is an EngineError, not an arithmetic error
+    resolved = en.resolve_config(en.RunConfig(variant=variant, eta=1.0),
+                                 paper_logistic)
+    states = en.initial_states(paper_logistic, resolved)
+    with pytest.raises(en.EngineError, match="step_scale unresolved"):
+        en.step(states, paper_logistic, ws_matrix, 0,
+                en.RunConfig(variant=variant, eta=1.0))
+    if variant == "deterministic":  # the stochastic key rejects t < 0 first
+        with pytest.raises(en.EngineError, match="nonnegative"):
+            en.step(states, paper_logistic, ws_matrix, -1, resolved)
 
 
 def test_resolve_config_caps_step_scale(paper_logistic):
@@ -385,3 +435,54 @@ def test_trace_csv_layout(paper_logistic, ws_matrix, paper_reference):
     assert lines[0].startswith(
         "t,eps_G,delta_G,max_lambda_norm,consensus_diameter,bound_margin_thm2")
     assert len(lines) == 1 + len(trace.records)
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("variant,init", [
+    ("deterministic", "origin"), ("stochastic", "random_feasible"),
+    ("centralized_unregularized", "origin")])
+def test_run_is_a_loop_of_steps(variant, init, record_every, paper_logistic,
+                                ws_matrix, paper_reference):
+    # the loop in run and the public step share one kernel: stepping by
+    # hand and recording with compute_record gives the run's bits
+    cfg = en.RunConfig(variant=variant, init=init, eta=1.0, iterations=30,
+                       seed=4, record_every=record_every)
+    if variant == en.CENTRALIZED_UNREGULARIZED:
+        trace = en.run_centralized_unregularized(paper_logistic, cfg,
+                                                 reference=paper_reference)
+        p, w = en.centralized_mean_problem(paper_logistic), identity_matrix()
+    else:
+        trace = en.run(paper_logistic, ws_matrix, cfg, reference=paper_reference)
+        p, w = paper_logistic, ws_matrix
+    cfg = trace.config
+    states = en.initial_states(p, cfg)
+    outputs0 = states.output_points()
+    normalizers = dict(
+        ref=paper_reference,
+        initial_fgaps=p.mean_objective_many(outputs0) - paper_reference.f_star,
+        initial_gnorms=np.linalg.norm(p.constraint_values_many(outputs0), axis=1))
+
+    def record(t, grad_x, grad_lam):
+        return metrics.compute_record(p, states, t, cfg.eta, w.sigma2,
+                                      grad_x_rows=grad_x,
+                                      grad_lambda_rows=grad_lam, **normalizers)
+
+    records = []
+    for t in range(cfg.iterations):
+        if t % record_every == 0:
+            records.append(record(t, *en._directions(p, states, t, cfg)))
+        before = states.copy()
+        after = en.step(states, p, w, t, cfg)
+        for name in ("x", "lam", "avg_numerator"):
+            assert np.array_equal(getattr(states, name), getattr(before, name))
+        assert states.weight_sum == before.weight_sum
+        states = after
+    records.append(record(cfg.iterations, *en._deterministic_directions(
+        p, states.x, states.lam, cfg.eta)))
+
+    assert ([metrics.record_csv_row(r) for r in trace.records]
+            == [metrics.record_csv_row(r) for r in records])
+    final = trace.final_states
+    for name in ("x", "lam", "avg_numerator"):
+        assert np.array_equal(getattr(final, name), getattr(states, name))
+    assert final.weight_sum == states.weight_sum

@@ -216,6 +216,53 @@ def test_iteration_uniforms_deterministic():
     assert not np.array_equal(a, lg.iteration_uniforms(10, 100, 16))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 5, 2 ** 40, 2 ** 63])
+def test_iteration_uniforms_are_numpy_philox(seed):
+    # re-keying one stream must give the bits of a fresh numpy Philox
+    # generator, whatever the stream drew before
+    stream = lg.uniform_stream()
+    for t in (0, 1, 2, 99, 2 ** 33, 2 ** 62):
+        for n in (1, 3, 4, 5, 100, 2001):
+            expected = np.random.Generator(np.random.Philox(key=[seed, t])).random(n)
+            assert np.array_equal(lg.iteration_uniforms(seed, t, n, stream),
+                                  expected)
+            assert np.array_equal(lg.iteration_uniforms(seed, t, n), expected)
+            # calls for other keys, and raw draws, in between
+            lg.iteration_uniforms(seed + 1, t, 7, stream)
+            stream.random(3)
+            stream.bit_generator.random_raw(5)
+
+
+def _where_sample(lam_rows, uniforms):
+    """The sampler as first written: probabilities through two np.where."""
+    m = lam_rows.shape[1]
+    totals = lam_rows.sum(axis=1, keepdims=True)
+    probs = np.where(totals > 0.0, lam_rows / np.where(totals > 0.0, totals, 1.0),
+                     1.0 / m)
+    ks = (np.cumsum(probs, axis=1) <= uniforms[:, None]).sum(axis=1)
+    return np.minimum(ks, m - 1)
+
+
+@pytest.mark.parametrize("rows", ["zero", "positive", "mixed"])
+def test_sample_constraint_indices_match_the_where_formula(rows):
+    rng = np.random.default_rng(3)
+    lam = rng.random((200, 6)) * (rng.random((200, 6)) > 0.3)
+    lam[:, 0] += 0.125
+    if rows == "zero":
+        lam[:] = 0.0
+    elif rows == "mixed":
+        lam[::3] = 0.0
+    totals = lam.sum(axis=1)
+    cumulative = np.cumsum(lam / np.where(totals > 0.0, totals, 1.0)[:, None],
+                           axis=1)
+    below_one = np.nextafter(1.0, 0.0)
+    for u in (rng.random(200), np.zeros(200), np.full(200, below_one),
+              cumulative[np.arange(200), rng.integers(0, 6, 200)],
+              np.full(200, 1.0 / 6.0), np.full(200, 0.5)):
+        assert np.array_equal(lg.sample_constraint_indices(lam, u),
+                              _where_sample(lam, u))
+
+
 def test_sample_constraint_indices_rows():
     lam = np.array([[0.0, 0.0, 0.0],
                     [2.0, 0.0, 0.0],
