@@ -215,7 +215,7 @@ def _random_feasible_point(p: ProblemSpec, seed: int, agent: int) -> np.ndarray:
 
 def _deterministic_directions(p: ProblemSpec, x: np.ndarray, lam: np.ndarray,
                               eta: float):
-    _, grad_f = p.agent_objective_grads(x)
+    grad_f = p.agent_objective_grads(x)
     g_vals = p.constraint_values_many(x)
     grad_x = grad_f + p.agent_constraint_combo(x, lam)
     grad_lam = g_vals - eta * lam
@@ -236,7 +236,7 @@ def _directions(p: ProblemSpec, states: AgentStates, t: int, cfg: RunConfig,
         return _deterministic_directions(p, states.x, states.lam, cfg.eta)
     x, lam = states.x, states.lam
     uniforms = iteration_uniforms(cfg.seed, t, states.n_agents, stream)
-    _, grad_f = p.agent_objective_grads(x)
+    grad_f = p.agent_objective_grads(x)
     g_vals = p.constraint_values_many(x)
     ks = sample_constraint_indices(lam, uniforms)
     rows = p.agent_constraint_rows(x, ks)
@@ -321,20 +321,25 @@ def step(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix, t: int,
 class Trace:
     """Recorded metrics plus the initial and final agent states.
 
-    ``warnings`` holds one line per theory bound that a monitored run
-    exceeded: how many records exceeded it, the first t, and the worst
-    value against its bound. ``records_s`` is the wall time spent in
-    ``metrics.compute_record``.
+    ``weights`` is the run's mixing matrix. ``warnings`` holds one line
+    per theory bound that a monitored run exceeded: how many records
+    exceeded it, the first t, and the worst value against its bound.
+    ``records_s`` is the wall time spent in ``metrics.compute_record``.
     """
 
     records: list[IterationRecord]
     initial_states: AgentStates
     final_states: AgentStates
     config: RunConfig
-    sigma2: float
+    weights: ConsensusMatrix = field(repr=False)
     aborted: str | None = None
     warnings: list[str] = field(default_factory=list)
     records_s: float = 0.0
+
+    @property
+    def sigma2(self) -> float:
+        """sigma_2 of the run's mixing matrix, computed on first read."""
+        return self.weights.sigma2
 
     def to_csv_text(self) -> str:
         lines = [",".join(metrics.CSV_COLUMNS)]
@@ -395,8 +400,10 @@ class _MeanOps:
         return getattr(self._ops, name)
 
     def agent_objective_grads(self, x_rows):
-        val, grad = self._ops.mean_objective_grad(x_rows[0])
-        return np.array([val]), grad[None, :]
+        return self._ops.mean_objective_grad(x_rows[0])[1][None, :]
+
+    def agent_objective_values(self, x_rows):
+        return np.array([self._ops.mean_objective_grad(x_rows[0])[0]])
 
 
 def _run_loop(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
@@ -412,19 +419,21 @@ def _run_loop(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
     # final_states is set once the loop ends; until then it names the copy
     # kept anyway, so the t = 0 arrays are not held for the whole run
     trace = Trace(records=[], initial_states=initial, final_states=initial,
-                  config=cfg, sigma2=w.sigma2)
+                  config=cfg, weights=w)
     exceeded: dict[str, list] = {}
+    # only the rate bound, which needs the reference, reads sigma2
+    sigma2 = math.nan if reference is None else w.sigma2
 
     def record_now(t: int, grad_x, grad_lam):
         start = time.perf_counter()
         rec = metrics.compute_record(
-            p, states, t, cfg.eta, w.sigma2, ref=reference,
+            p, states, t, cfg.eta, sigma2, ref=reference,
             initial_fgaps=initial_fgaps, initial_gnorms=initial_gnorms,
             grad_x_rows=grad_x, grad_lambda_rows=grad_lam)
         trace.records_s += time.perf_counter() - start
         trace.records.append(rec)
         if cfg.monitor_bounds:
-            _monitor_record(exceeded, p, cfg, w.sigma2, rec, reference)
+            _monitor_record(exceeded, p, cfg, w, rec, reference)
 
     stream = uniform_stream() if cfg.variant == STOCHASTIC else None
     try:
@@ -481,7 +490,7 @@ def bound_checks(p: ProblemSpec, cfg: RunConfig, sigma2: float,
 
 
 def _monitor_record(exceeded: dict[str, list], p: ProblemSpec, cfg: RunConfig,
-                    sigma2: float, rec: IterationRecord,
+                    w: ConsensusMatrix, rec: IterationRecord,
                     reference: ReferenceSolution | None) -> None:
     """Warn-only theory-bound monitors (hard assertions live in the tests).
 
@@ -489,7 +498,7 @@ def _monitor_record(exceeded: dict[str, list], p: ProblemSpec, cfg: RunConfig,
     value, its bound], worst meaning the largest excess over the bound.
     """
     tol = 1e-9
-    for name, value, bound in bound_checks(p, cfg, sigma2, rec, reference):
+    for name, value, bound in bound_checks(p, cfg, w.sigma2, rec, reference):
         if not math.isnan(value) and value > bound * (1.0 + tol) + tol:
             entry = exceeded.setdefault(name, [0, rec.t, value, bound])
             entry[0] += 1

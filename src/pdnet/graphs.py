@@ -149,22 +149,29 @@ class ConsensusMatrix:
 
     ``csr`` holds the nonzero entries, column indices sorted within each
     row; it is the only copy of the matrix, and ``n`` is read off its
-    shape. ``sigma2`` is the
-    second-largest singular value; 1 - sigma2 is the spectral gap.
-    ``sigma2_method`` names how it was computed (``eigvalsh``, ``eigsh``
-    or ``svd``). The constructors validate the entries: finite,
-    nonnegative, row and column sums within STOCHASTIC_TOL of 1, and
-    (when a topology is supplied) zero off the graph edges.
+    shape. ``sigma2`` is the second-largest singular value; 1 - sigma2 is
+    the spectral gap. ``sigma2_method`` names how it was computed
+    (``eigvalsh``, ``eigsh`` or ``svd``). Both are computed together the
+    first time either is read, and kept: only the theory bounds need
+    them, so a run that checks none never pays for the eigensolve. The
+    constructors validate the entries: finite, nonnegative, row and
+    column sums within STOCHASTIC_TOL of 1, and (when a topology is
+    supplied) zero off the graph edges.
     """
 
     csr: sparse.csr_array = field(repr=False)
-    sigma2: float = field(init=False)
-    sigma2_method: str = field(init=False)
 
-    def __post_init__(self):
-        sigma2, method = _second_singular_value(self.csr)
-        object.__setattr__(self, "sigma2", sigma2)
-        object.__setattr__(self, "sigma2_method", method)
+    @cached_property
+    def _spectrum(self) -> tuple[float, str]:
+        return _second_singular_value(self.csr)
+
+    @property
+    def sigma2(self) -> float:
+        return self._spectrum[0]
+
+    @property
+    def sigma2_method(self) -> str:
+        return self._spectrum[1]
 
     @property
     def n(self) -> int:

@@ -37,6 +37,9 @@ class IterationRecord:
     ``violation_sq`` is the squared positive part of the network-average
     constraint vector. ``eps_absolute`` flags records where a degenerate
     normalizer forced the absolute gap to be reported instead.
+    ``thm2_bound`` is the deterministic rate bound at horizon t, compared
+    with ``max_gap``; like ``eps`` and ``max_gap`` it needs a reference
+    optimum and is ``nan`` without one.
     """
 
     t: int
@@ -311,6 +314,8 @@ def compute_record(p: ProblemSpec, states, t: int, eta: float, sigma2: float,
     At t = 0 (empty averages) the current iterates stand in for the
     averages, which pins eps and delta to exactly 1. ``initial_fgaps`` and
     ``initial_gnorms`` are the per-agent normalizers captured at t = 0.
+    ``sigma2`` enters only the rate bound, which is evaluated only with
+    ``ref``; without one any value may be passed.
     """
     outputs = states.output_points()
     lam_norms = row_norms(states.lam)
@@ -336,7 +341,7 @@ def compute_record(p: ProblemSpec, states, t: int, eta: float, sigma2: float,
         delta = math.nan
 
     thm2 = math.nan
-    if t >= 2 and eta > 0.0 and sigma2 < 1.0:
+    if ref is not None and t >= 2 and eta > 0.0 and sigma2 < 1.0:
         c = _constant_c(p, sigma2, eta, t, states.x.shape[0])
         thm2 = _rate(p.radius * c, t)
 

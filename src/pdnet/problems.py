@@ -139,10 +139,16 @@ class _LossBoxOps:
             return expit(z)
         return np.where(z < 1.0, -1.0, 0.0)
 
-    def agent_objective_grads(self, x_rows: np.ndarray):
-        z = self.labels * np.einsum("id,id->i", self.features, x_rows)
-        grads = (self.labels * self._loss_slopes(z))[:, None] * self.features
-        return self._loss_values(z), grads
+    def _agent_margins(self, x_rows: np.ndarray) -> np.ndarray:
+        """z_i = b_i <a_i, x_i>, one per agent."""
+        return self.labels * np.einsum("id,id->i", self.features, x_rows)
+
+    def agent_objective_grads(self, x_rows: np.ndarray) -> np.ndarray:
+        z = self._agent_margins(x_rows)
+        return (self.labels * self._loss_slopes(z))[:, None] * self.features
+
+    def agent_objective_values(self, x_rows: np.ndarray) -> np.ndarray:
+        return self._loss_values(self._agent_margins(x_rows))
 
     def mean_objective_many(self, points: np.ndarray) -> np.ndarray:
         """Mean loss at each point, over MEAN_OBJECTIVE_BLOCK points at a
@@ -195,12 +201,15 @@ class OracleOps:
         self.objectives = tuple(objectives)
         self.constraints = tuple(constraints)
 
-    def agent_objective_grads(self, x_rows: np.ndarray):
-        vals = np.empty(len(self.objectives))
+    def agent_objective_grads(self, x_rows: np.ndarray) -> np.ndarray:
         grads = np.empty_like(x_rows)
         for i, f in enumerate(self.objectives):
-            vals[i], grads[i] = f(x_rows[i])
-        return vals, grads
+            grads[i] = f(x_rows[i])[1]
+        return grads
+
+    def agent_objective_values(self, x_rows: np.ndarray) -> np.ndarray:
+        return np.array([f(x)[0] for f, x in zip(self.objectives, x_rows)],
+                        dtype=float)
 
     def mean_objective_many(self, points: np.ndarray) -> np.ndarray:
         n = len(self.objectives)
@@ -275,10 +284,15 @@ class ProblemSpec:
 
     # -- batched evaluation (row i of x_rows belongs to agent i) -------------
 
-    def agent_objective_grads(self, x_rows: np.ndarray):
-        """(f_i(x_i), grad f_i(x_i)) for every agent i."""
+    def agent_objective_grads(self, x_rows: np.ndarray) -> np.ndarray:
+        """grad f_i(x_i), one row per agent: all that a step needs."""
         self._check_dim(x_rows)
         return self.ops.agent_objective_grads(x_rows)
+
+    def agent_objective_values(self, x_rows: np.ndarray) -> np.ndarray:
+        """f_i(x_i) for every agent i."""
+        self._check_dim(x_rows)
+        return self.ops.agent_objective_values(x_rows)
 
     def agent_constraint_combo(self, x_rows: np.ndarray,
                                lam_rows: np.ndarray) -> np.ndarray:
@@ -309,9 +323,10 @@ class ProblemSpec:
     # -- single-point evaluation ----------------------------------------------
 
     def objective(self, agent: int, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """(f_i(x), grad f_i(x)), from one batched call with every agent at x."""
-        vals, grads = self.agent_objective_grads(np.tile(x, (self.n_agents, 1)))
-        return float(vals[agent]), grads[agent]
+        """(f_i(x), grad f_i(x)), from batched calls with every agent at x."""
+        x_rows = np.tile(x, (self.n_agents, 1))
+        return (float(self.agent_objective_values(x_rows)[agent]),
+                self.agent_objective_grads(x_rows)[agent])
 
     def constraint_values(self, x: np.ndarray) -> np.ndarray:
         return self.constraint_values_many(x[None, :])[0]
@@ -352,7 +367,14 @@ def _build_loss_problem(data: SyntheticDataset, l: float, u: float,
     if not (0 < l < math.inf and 0 < u < math.inf):
         raise ProblemError(
             f"box margins must be positive and finite, got l={l}, u={u}")
-    d = data.dim
+    d, radius = data.dim, 1.0
+    # on the ball each of the 2d constraint values is at most max(l, u) + R
+    # in size, so the norms that the solve and the records take stay finite
+    # while this bound's square does
+    reach = math.sqrt(2 * d) * (max(l, u) + radius)
+    if not math.isfinite(reach * reach):
+        raise ProblemError(
+            f"box margins l={l}, u={u} overflow the constraint norms in d={d}")
     lower = np.full(d, -l)
     upper = np.full(d, u)
     return ProblemSpec(
@@ -361,7 +383,7 @@ def _build_loss_problem(data: SyntheticDataset, l: float, u: float,
         n_agents=data.n,
         ops=_LossBoxOps(data.features, data.labels, lower, upper, loss),
         lipschitz=1.0,
-        radius=1.0,
+        radius=radius,
         box=(lower, upper),
         family=loss,
     )
@@ -410,7 +432,7 @@ def validate_lipschitz(p: ProblemSpec, seed: int = 0, n_points: int = 32,
     for _ in range(n_points):
         x = rng.normal(size=p.dim)
         x *= rng.random() * p.radius / max(np.linalg.norm(x), 1e-30)
-        _, objective_grads = p.agent_objective_grads(np.tile(x, (p.n_agents, 1)))
+        objective_grads = p.agent_objective_grads(np.tile(x, (p.n_agents, 1)))
         for kind, grads in (("objective", objective_grads),
                             ("constraint", p.constraint_grads(x))):
             for i, norm in enumerate(np.linalg.norm(grads, axis=1)):

@@ -68,3 +68,18 @@ def ws_graph():
 @pytest.fixture(scope="session")
 def ws_matrix(ws_graph):
     return graphs.lazy_metropolis(ws_graph)
+
+
+@pytest.fixture()
+def sigma2_solves(monkeypatch):
+    """The sizes of the matrices whose sigma_2 is solved while the test
+    runs: ``graphs._second_singular_value`` is wrapped to count its calls."""
+    sizes = []
+    solve = graphs._second_singular_value
+
+    def counted(csr):
+        sizes.append(csr.shape[0])
+        return solve(csr)
+
+    monkeypatch.setattr(graphs, "_second_singular_value", counted)
+    return sizes

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,23 @@ SMALL_RUN = [
 def out_root(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
     return tmp_path
+
+
+def test_overflowing_box_margins_exit_2(out_root, capsys):
+    # the square of the constraint-norm bound overflows: rejected while the
+    # problem is built, before numpy could warn about an overflow
+    argv = ["run", "--out", "big", "--set", "problem.l=1e300",
+            "--set", "problem.n=6", "--set", "graph.n=6", "--set", "graph.k=2",
+            "--set", "run.T=20"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(argv)
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "overflow" in lines[0]
+    assert captured.out == ""
 
 
 def test_config_file_and_overrides(tmp_path):

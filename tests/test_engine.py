@@ -213,7 +213,7 @@ def test_enumerated_stochastic_mean_matches_deterministic(paper_logistic):
     for k in range(10):
         ks = np.full(paper_logistic.n_agents, k)
         rows = paper_logistic.agent_constraint_rows(x, ks)
-        stoch = (paper_logistic.agent_objective_grads(x)[1]
+        stoch = (paper_logistic.agent_objective_grads(x)
                  + lam.sum(axis=1)[:, None] * rows)
         probs = np.array([sampling_distribution(l)[k] for l in lam])
         mean_gx += probs[:, None] * stoch
@@ -387,6 +387,55 @@ def test_monitor_bounds_clean_run(paper_logistic, ws_matrix, paper_reference):
     checks = verify.bound_monitor_checks(paper_logistic, paper_reference,
                                          trace)
     assert len(checks) == 5 and all(c.ok for c in checks), checks
+
+
+@pytest.fixture(scope="module")
+def small_instance():
+    """A 20-agent logistic problem, its WS(20, 4, 0.2) graph and reference."""
+    from pdnet.graphs import generate_watts_strogatz
+    from pdnet.problems import reference_optimum
+    p = build_logistic_problem(generate_dataset(20, 3, seed=2), 0.1, 0.1)
+    return (p, generate_watts_strogatz(20, 4, 0.2, seed=3),
+            reference_optimum(p, iterations=2000))
+
+
+def test_reference_free_run_solves_no_sigma2(sigma2_solves, small_instance):
+    from pdnet.graphs import lazy_metropolis
+    p, g, _ = small_instance
+    w = lazy_metropolis(g)
+    trace = en.run(p, w, en.RunConfig(eta=1.0, iterations=30, record_every=5))
+    assert sigma2_solves == []
+    assert all(math.isnan(r.thm2_bound) for r in trace.records)
+    assert trace.sigma2 == w.sigma2
+    assert sigma2_solves == [20]
+
+
+def test_run_with_reference_solves_sigma2_once(sigma2_solves, small_instance):
+    from pdnet.graphs import lazy_metropolis
+    p, g, ref = small_instance
+    w = lazy_metropolis(g)
+    cfg = en.RunConfig(eta=1.0, iterations=30, record_every=5)
+    trace = en.run(p, w, cfg, reference=ref)
+    en.run(p, w, cfg, reference=ref)
+    assert sigma2_solves == [20]
+    assert trace.sigma2 == w.sigma2
+    assert not math.isnan(trace.records[-1].thm2_bound)
+
+
+def test_monitored_reference_free_run_solves_sigma2(sigma2_solves,
+                                                    small_instance):
+    from pdnet.graphs import lazy_metropolis
+    p, g, _ = small_instance
+    cfg = en.RunConfig(eta=1.0, iterations=30, record_every=5,
+                       monitor_bounds=True)
+    en.run(p, lazy_metropolis(g), cfg)
+    assert sigma2_solves == [20]
+
+
+def test_centralized_trace_sigma2_is_zero(small_instance):
+    p, _, ref = small_instance
+    cfg = en.RunConfig(variant=en.CENTRALIZED_UNREGULARIZED, iterations=10)
+    assert en.run_centralized_unregularized(p, cfg, reference=ref).sigma2 == 0.0
 
 
 def test_missigned_dual_update_trips_lambda_bound(monkeypatch, paper_logistic,

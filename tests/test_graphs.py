@@ -417,10 +417,10 @@ def test_lazy_metropolis_allocates_no_dense_matrix():
     tracemalloc.start()
     try:
         w = lazy_metropolis(g)
+        assert w.sigma2_method == "eigsh"
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert w.sigma2_method == "eigsh"
     assert peak < n * n * 8 / 4
 
 
@@ -539,6 +539,16 @@ def test_sparse_sigma2_above_threshold(ws_past_threshold):
     assert again == (w.sigma2, "eigsh")
 
 
+def test_sigma2_is_solved_once_on_first_read(sigma2_solves, ws_graph):
+    w = lazy_metropolis(ws_graph)
+    assert sigma2_solves == []
+    first = (w.sigma2, w.sigma2_method)
+    assert (w.sigma2, w.sigma2_method) == first
+    assert sigma2_solves == [ws_graph.n]
+    with pytest.raises(AttributeError):
+        w.sigma2 = 0.5
+
+
 def test_sparse_sigma2_falls_back_to_dense(monkeypatch, ws_past_threshold):
     from scipy.sparse import linalg
 
@@ -562,6 +572,25 @@ def test_canonical_run_does_not_import_sparse_linalg():
             "w = pdnet.lazy_metropolis(\n"
             "    pdnet.generate_watts_strogatz(100, 20, 0.02, seed=1))\n"
             "pdnet.run(p, w, pdnet.RunConfig(iterations=50))\n"
+            "print('scipy.sparse.linalg' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(graphs.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_reference_free_large_run_does_not_import_sparse_linalg():
+    # past DENSE_SIGMA2_MAX_N only sigma2 needs eigsh, and a run without a
+    # reference never reads sigma2
+    code = ("import sys\n"
+            "import pdnet\n"
+            "data = pdnet.generate_dataset(600, 5, seed=1)\n"
+            "p = pdnet.build_logistic_problem(data, 0.1, 0.1)\n"
+            "w = pdnet.lazy_metropolis(\n"
+            "    pdnet.generate_watts_strogatz(600, 20, 0.02, seed=7))\n"
+            "trace = pdnet.run(p, w, pdnet.RunConfig(iterations=5))\n"
+            "assert trace.records[-1].t == 5 and trace.aborted is None\n"
             "print('scipy.sparse.linalg' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(graphs.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -254,6 +254,17 @@ def test_compute_record_degenerate_normalizer_reports_absolute():
     assert rec.eps == pytest.approx(0.2)
 
 
+def test_compute_record_rate_bound_needs_a_reference():
+    p = linear_problem()
+    ref = ReferenceSolution(f_star=0.0, x_star=np.zeros(1),
+                            method="grid-search", residual=0.0)
+    states = states_at([[0.2]])
+    with_ref = me.compute_record(p, states, t=5, eta=1.0, sigma2=0.5, ref=ref)
+    without = me.compute_record(p, states, t=5, eta=1.0, sigma2=0.5)
+    assert math.isfinite(with_ref.thm2_bound)
+    assert math.isnan(without.thm2_bound) and math.isnan(without.max_gap)
+
+
 def test_record_csv_row_is_plain_floats():
     rec = fake_records([7], [0.25])[0]
     row = me.record_csv_row(rec)

@@ -90,6 +90,16 @@ def test_dataset_rejects_sizes_no_array_can_hold(n, d):
         generate_dataset(n, d)
 
 
+@pytest.mark.parametrize("build", [build_logistic_problem, build_hinge_problem])
+def test_box_margins_whose_norm_bound_overflows_are_rejected(build):
+    # d = 5: sqrt(10) (1e153 + 1) squares to 1e307, sqrt(10) (1e154 + 1) to inf
+    data = generate_dataset(4, 5, seed=1)
+    assert build(data, 1e153, 0.1).box[0][0] == -1e153
+    for l, u in ((1e154, 0.1), (0.1, 1e300)):
+        with pytest.raises(ProblemError, match="overflow"):
+            build(data, l, u)
+
+
 # -- logistic ----------------------------------------------------------------
 
 def test_logistic_gradient_at_origin(paper_dataset, paper_logistic):
@@ -150,9 +160,10 @@ def test_fast_paths_match_oracles(paper_dataset, paper_logistic, paper_hinge):
              for a, b in zip(paper_dataset.features, paper_dataset.labels)],
             box_constraints(*p.box), lipschitz=1.0, radius=1.0, dim=p.dim)
         x_rows = ball_points(rng, p.n_agents, p.dim)
-        for got, want in zip(p.agent_objective_grads(x_rows),
-                             ref.agent_objective_grads(x_rows)):
-            assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert_allclose(p.agent_objective_values(x_rows),
+                        ref.agent_objective_values(x_rows), rtol=1e-12, atol=1e-12)
+        assert_allclose(p.agent_objective_grads(x_rows),
+                        ref.agent_objective_grads(x_rows), rtol=1e-12, atol=1e-12)
         for i in range(0, p.n_agents, 13):
             v, g = p.objective(i, x_rows[i])
             v_ref, g_ref = ref.objective(i, x_rows[i])
