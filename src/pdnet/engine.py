@@ -19,7 +19,6 @@ import numpy as np
 
 from . import metrics
 from .graphs import ConsensusMatrix
-from .lagrangian import ETA_RANGE  # noqa: F401 (read as engine.ETA_RANGE)
 from .lagrangian import (checked_eta, iteration_uniforms,
                          sample_constraint_indices, uniform_stream)
 from .metrics import IterationRecord
@@ -391,19 +390,38 @@ def centralized_mean_problem(p: ProblemSpec) -> ProblemSpec:
 
 
 class _MeanOps:
-    """The collapsed problem's ops: agent 0's objective is the mean f."""
+    """The collapsed problem's ops: agent 0's objective is the mean f, and
+    the shared constraints are the n-agent problem's."""
 
     def __init__(self, ops):
         self._ops = ops
 
-    def __getattr__(self, name):
-        return getattr(self._ops, name)
-
     def agent_objective_grads(self, x_rows):
-        return self._ops.mean_objective_grad(x_rows[0])[1][None, :]
+        return self._ops.mean_objective_grad_only(x_rows[0])[None, :]
 
     def agent_objective_values(self, x_rows):
-        return np.array([self._ops.mean_objective_grad(x_rows[0])[0]])
+        return self._ops.mean_objective_many(x_rows)
+
+    def mean_objective_many(self, points):
+        return self._ops.mean_objective_many(points)
+
+    def mean_objective_grad(self, x):
+        return self._ops.mean_objective_grad(x)
+
+    def mean_objective_grad_only(self, x):
+        return self._ops.mean_objective_grad_only(x)
+
+    def mean_objective_bracket(self, points):
+        return self._ops.mean_objective_bracket(points)
+
+    def constraint_values_many(self, points):
+        return self._ops.constraint_values_many(points)
+
+    def agent_constraint_combo(self, x_rows, lam_rows):
+        return self._ops.agent_constraint_combo(x_rows, lam_rows)
+
+    def agent_constraint_rows(self, x_rows, ks):
+        return self._ops.agent_constraint_rows(x_rows, ks)
 
 
 def _run_loop(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
@@ -414,7 +432,7 @@ def _run_loop(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
     initial_gnorms = np.linalg.norm(p.constraint_values_many(outputs0), axis=1)
     initial_fgaps = None
     if reference is not None:
-        initial_fgaps = p.mean_objective_many(outputs0) - reference.f_star
+        initial_fgaps = metrics.objective_values(p, outputs0) - reference.f_star
 
     # final_states is set once the loop ends; until then it names the copy
     # kept anyway, so the t = 0 arrays are not held for the whole run

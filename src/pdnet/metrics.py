@@ -94,6 +94,49 @@ def _max_ratio(values: np.ndarray, normalizers: np.ndarray) -> float | None:
     return float(np.max(np.abs(values / normalizers)))
 
 
+def objective_values(p: ProblemSpec, points: np.ndarray) -> np.ndarray:
+    """f at each row of ``points``, with the bits of
+    ``p.mean_objective_many``. Rows that are all equal, such as every row
+    at t = 0 from the origin, are evaluated once."""
+    if len(points) > 1 and not (points != points[0]).any():
+        return np.full(len(points), p.mean_objective_many(points[:1])[0])
+    return p.mean_objective_many(points)
+
+
+def _objective_maxima(p: ProblemSpec, points: np.ndarray, f_star: float,
+                      normalizers: np.ndarray | None) -> tuple[float, float]:
+    """(max_gap, eps): max_i (f_i - f*) and max_i |(f_i - f*) / normalizers_i|
+    over the rows of ``points``, or max_i |f_i - f*| when ``normalizers``
+    is None. Bit-equal to evaluating f at every row.
+
+    ``p.mean_objective_bracket`` bounds every f_i in O(nd). Rounding is
+    monotone, so the bounds carry through f - f*, its absolute value and
+    the division as bounds on the computed values, and a row whose upper
+    bound falls below another row's lower bound cannot attain a maximum.
+    f is evaluated exactly only at the rows left. The absolute value makes
+    eps's bracket differ from max_gap's: a regularized run's outputs can
+    sit below f*, as its saddle point is infeasible.
+    """
+    bracket = p.mean_objective_bracket(points) if len(points) > 1 else None
+    if bracket is not None:
+        lower, upper = bracket
+        # |f - f*| lies between max(lower - f*, f* - upper), which is
+        # negative when the bracket holds f*, and max(f* - lower, upper - f*)
+        abs_lo = np.maximum(lower - f_star, f_star - upper)
+        abs_hi = np.maximum(f_star - lower, upper - f_star)
+        if normalizers is not None:
+            size = np.abs(normalizers)
+            abs_lo /= size
+            abs_hi /= size
+        keep = (upper >= lower.max()) | (abs_hi >= abs_lo.max())
+        points = points[keep]
+        if normalizers is not None:
+            normalizers = normalizers[keep]
+    gaps = objective_values(p, points) - f_star
+    ratios = gaps if normalizers is None else gaps / normalizers
+    return float(gaps.max()), float(np.abs(ratios).max())
+
+
 def _violation_sq(gvals: np.ndarray) -> float:
     """||[mean of the rows of gvals]_+||^2."""
     return float(np.sum(np.maximum(gvals.mean(axis=0), 0.0) ** 2))
@@ -108,12 +151,11 @@ def epsilon_G(p: ProblemSpec, ref: ReferenceSolution, states,
     initial gap falls below the degenerate-normalizer threshold.
     """
     outputs = _require_outputs(states)
-    initial = _require_outputs(initial_states)
-    eps = _max_ratio(p.mean_objective_many(outputs) - ref.f_star,
-                     p.mean_objective_many(initial) - ref.f_star)
-    if eps is None:
+    normalizers = (objective_values(p, _require_outputs(initial_states))
+                   - ref.f_star)
+    if np.min(np.abs(normalizers)) < DEGENERATE_NORMALIZER:
         raise MetricError("initial objective gap is degenerate")
-    return eps
+    return _objective_maxima(p, outputs, ref.f_star, normalizers)[1]
 
 
 def delta_G(p: ProblemSpec, states, initial_states) -> float:
@@ -329,12 +371,11 @@ def compute_record(p: ProblemSpec, states, t: int, eta: float, sigma2: float,
     max_gap = math.nan
     eps_absolute = False
     if ref is not None:
-        fgaps = p.mean_objective_many(outputs) - ref.f_star
-        max_gap = float(np.max(fgaps))
-        eps = _max_ratio(fgaps, fgaps if initial_fgaps is None else initial_fgaps)
-        if eps is None:
-            eps = float(np.max(np.abs(fgaps)))
-            eps_absolute = True
+        normalizers = (objective_values(p, outputs) - ref.f_star
+                       if initial_fgaps is None else initial_fgaps)
+        eps_absolute = bool(np.min(np.abs(normalizers)) < DEGENERATE_NORMALIZER)
+        max_gap, eps = _objective_maxima(
+            p, outputs, ref.f_star, None if eps_absolute else normalizers)
 
     delta = _max_ratio(gnorms, gnorms if initial_gnorms is None else initial_gnorms)
     if delta is None:

@@ -11,6 +11,7 @@ optimum used to normalize error metrics.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -24,14 +25,9 @@ log = logging.getLogger(__name__)
 #: Oracle maps a point to (value, subgradient).
 Oracle = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
-#: Points per block in ``mean_objective_many``: the temporaries are this
-#: many rows by the data count, not n x n. A multiple of 48, so a block
-#: boundary falls between the column groups of the gemm kernel (12 wide
-#: in OpenBLAS's Haswell kernel; 4, 8 or 16 in others). With one BLAS
-#: thread the blocks then give the bits of the one-shot product; blocks
-#: of 256 do not (at n = 295, for one). With several BLAS threads the
-#: one-shot product's own bits depend on the thread count.
-MEAN_OBJECTIVE_BLOCK = 240
+#: Entries per temporary in ``mean_objective_many``: each block holds as
+#: many points as fit this many point x data-point values.
+MEAN_OBJECTIVE_BLOCK = 1 << 16
 
 #: The most 8-byte entries one numpy array can hold; a dataset or graph
 #: needing more cannot be allocated at all.
@@ -127,6 +123,37 @@ class _LossBoxOps:
         self._constraint_grads[np.arange(2 * d), np.tile(np.arange(d), 2)] = (
             np.repeat([-1.0, 1.0], d))
 
+    # built on first use, so a run without a reference never builds them
+
+    @functools.cached_property
+    def _columns(self) -> np.ndarray:
+        """Column k of the features, contiguous, for the objective kernel."""
+        return np.ascontiguousarray(self.features.T)
+
+    @functools.cached_property
+    def _reach(self) -> float:
+        """A >= max ||b_j a_j||: the norm rounded up past its own rounding."""
+        f = self.features
+        norms = np.abs(self.labels) * np.sqrt(np.add.reduce(f * f, axis=1))
+        eps = float(np.finfo(f.dtype).eps)
+        return float(norms.max()) * (1.0 + 4 * (self.dim + 2) * eps)
+
+    @functools.cached_property
+    def _curvature(self) -> float:
+        """beta >= the largest eigenvalue of the mean logistic loss's
+        Hessian, (1/n) sum_j l''(z_j) b_j^2 a_j a_j^T with l'' <= 1/4: a
+        quarter of the top eigenvalue of M = (1/n) sum_j b_j^2 a_j a_j^T,
+        at most A^2 / 4. It is taken from the smaller of M and the n x n
+        Gram matrix, which share their nonzero eigenvalues, and rounded up
+        past the error of both products and of the eigensolve, each below
+        (n + d) eps A^2."""
+        a = self.labels[:, None] * self.features
+        n, d = a.shape
+        gram = a.T @ a if d <= n else a @ a.T
+        top = float(np.linalg.eigvalsh(gram)[-1]) / n
+        eps = float(np.finfo(a.dtype).eps)
+        return (top + 4 * (n + d + 8) * eps * self._reach * self._reach) / 4
+
     def _loss_values(self, z: np.ndarray) -> np.ndarray:
         """Per-term loss value at z = b <a, x>."""
         if self.loss == "logistic":
@@ -151,28 +178,92 @@ class _LossBoxOps:
         return self._loss_values(self._agent_margins(x_rows))
 
     def mean_objective_many(self, points: np.ndarray) -> np.ndarray:
-        """Mean loss at each point, over MEAN_OBJECTIVE_BLOCK points at a
-        time; with one BLAS thread the result has the bits of the one-shot
-        product over all points."""
-        m = len(points)
-        bounds = list(range(0, m, MEAN_OBJECTIVE_BLOCK)) + [m]
-        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-            # numpy multiplies a single row by gemv, whose bits differ
-            # from gemm's, so the last point joins the block before it
-            del bounds[-2]
-        out = np.empty(m)
-        for start, stop in zip(bounds, bounds[1:]):
-            z = (points[start:stop] @ self.features.T) * self.labels[None, :]
-            out[start:stop] = self._loss_values(z).mean(axis=1)
+        """Mean loss at each point, by a fixed-order kernel without BLAS.
+
+        z = b * sum_k p[:, k, None] * a[None, :, k] is accumulated for
+        k = 0..d-1 by elementwise products and sums, then the loss and its
+        mean over the data points are taken row by row. A row's bits so
+        depend only on that row: not on the other points, the block size
+        or the BLAS thread count.
+        """
+        rows = max(1, MEAN_OBJECTIVE_BLOCK // len(self.labels))
+        out = np.empty(len(points))
+        for start in range(0, len(points), rows):
+            out[start:start + rows] = self._mean_losses(points[start:start + rows])
         return out
+
+    def _mean_losses(self, block: np.ndarray) -> np.ndarray:
+        z = block[:, 0, None] * self._columns[0]
+        for k in range(1, self.dim):
+            z += block[:, k, None] * self._columns[k]
+        z *= self.labels
+        # np.mean's bits: the sum, then one division by the count
+        return np.add.reduce(self._loss_values(z), axis=1) / z.shape[1]
+
+    def _mean_gradient(self, z: np.ndarray) -> np.ndarray:
+        return self.features.T @ (self.labels * self._loss_slopes(z)) / len(z)
 
     def mean_objective_grad(self, x: np.ndarray):
         z = self.labels * (self.features @ x)
-        dz = self._loss_slopes(z)
-        grad = self.features.T @ (self.labels * dz) / len(self.labels)
         # np.mean's bits (the sum, then one division) without its wrapper:
-        # this runs on every step of a centralized run
-        return float(np.add.reduce(self._loss_values(z)) / len(z)), grad
+        # the reference solve calls this on every trial step
+        return float(np.add.reduce(self._loss_values(z)) / len(z)), \
+            self._mean_gradient(z)
+
+    def mean_objective_grad_only(self, x: np.ndarray) -> np.ndarray:
+        return self._mean_gradient(self.labels * (self.features @ x))
+
+    def mean_objective_bracket(self, points: np.ndarray):
+        """(lower, upper) around ``mean_objective_many(points)``, in O(nd).
+
+        With c the mean point and (f(c), g) from one ``mean_objective_grad``
+        call, f(y) >= f(c) + <g, y - c> by convexity. Above, the logistic
+        loss adds beta/2 ||y - c||^2 with beta from ``_curvature``, at most
+        A^2 / 4 for A >= max ||b_j a_j||. The hinge is affine where
+        every margin b_j <a_j, y> is at most 1, so it adds only
+        max(0, A ||y|| - 1), which is 0 on the unit ball when A <= 1. Its
+        g is the affine gradient only when every margin at c is below 1,
+        so a center too close to the sphere gives None, as do non-finite
+        bounds.
+
+        Both bounds then widen by a rounding slack. Each sum in the kernel
+        and in the gradient carries at most n + d + 2 roundings, with n the
+        data count: the d products and sums of a margin, the label, the
+        loss (a few ulps, with slope at most 1), an n-term sum in any order
+        (so BLAS may compute the gradient) and its division; the bracket
+        adds its own d-term products and sums. Each is a relative error of
+        the magnitudes involved: the value, the linear and quadratic terms
+        and the margins, at most A (||c|| + max r) (1 + A max r). The factor
+        4 covers the sum of these terms and their own rounding; products
+        that underflow add an absolute error below (n + d + 8) tiny.
+        """
+        n, d = len(self.labels), self.dim
+        finfo = np.finfo(points.dtype)
+        center = np.add.reduce(points, axis=0) / len(points)
+        c_norm = math.sqrt(float(center @ center))
+        logistic = self.loss == "logistic"
+        if not logistic and not self._reach * c_norm < 1.0 - 4 * (d + 2) * finfo.eps:
+            return None
+        value, grad = self.mean_objective_grad(center)
+        diff = points - center
+        r_sq = np.einsum("ij,ij->i", diff, diff)
+        r_max = math.sqrt(float(r_sq.max()))
+        y_max = c_norm + r_max
+        beta = self._curvature if logistic else 0.0
+        scale = (abs(value) + math.sqrt(float(grad @ grad)) * r_max
+                 + beta * r_max * r_max
+                 + self._reach * y_max * (1.0 + self._reach * r_max))
+        if not math.isfinite(scale * (n + d + 8)):
+            return None
+        slack = (4.0 * (n + d + 8) * float(finfo.eps) * scale
+                 + (n + d + 8) * float(finfo.tiny))
+        linear = diff @ grad
+        linear += value
+        if logistic:
+            curvature = 0.5 * beta * r_sq
+        else:
+            curvature = max(0.0, self._reach * y_max - 1.0)
+        return linear - slack, linear + curvature + slack
 
     def constraint_values_many(self, points: np.ndarray) -> np.ndarray:
         d = self.dim
@@ -224,6 +315,13 @@ class OracleOps:
             grad += g
         n = len(self.objectives)
         return total / n, grad / n
+
+    def mean_objective_grad_only(self, x: np.ndarray) -> np.ndarray:
+        return self.mean_objective_grad(x)[1]
+
+    def mean_objective_bracket(self, points: np.ndarray) -> None:
+        """No bracket: bare oracles come with no curvature bound."""
+        return None
 
     def constraint_values_many(self, points: np.ndarray) -> np.ndarray:
         return np.array([[g(x)[0] for g in self.constraints] for x in points])
@@ -317,8 +415,21 @@ class ProblemSpec:
         return self.ops.mean_objective_many(points)
 
     def mean_objective_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(f(x), grad f(x)) for the cumulative objective f."""
         self._check_dim(x)
         return self.ops.mean_objective_grad(x)
+
+    def mean_objective_grad_only(self, x: np.ndarray) -> np.ndarray:
+        """grad f(x) alone, for callers that do not read the value."""
+        self._check_dim(x)
+        return self.ops.mean_objective_grad_only(x)
+
+    def mean_objective_bracket(self, points: np.ndarray):
+        """(lower, upper) arrays bracketing ``mean_objective_many(points)``
+        bit for bit, rounding included, in O(nd); None when the problem
+        has no bracket for these points."""
+        self._check_dim(points)
+        return self.ops.mean_objective_bracket(points)
 
     # -- single-point evaluation ----------------------------------------------
 
@@ -518,7 +629,7 @@ def suboptimality_certificate(p: ProblemSpec, x: np.ndarray) -> float:
     """
     if p.box is None:
         raise ProblemError("certificate requires box-structured constraints")
-    _, grad = p.mean_objective_grad(x)
+    grad = p.mean_objective_grad_only(x)
     best = _linear_min_box_ball(grad, p.box[0], p.box[1], p.radius)
     return max(float(grad @ x) - best, 0.0)
 

@@ -8,6 +8,10 @@ metrics but not the reference solver.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,19 +34,19 @@ ORACLE_F_STAR = 0.4925
 
 GOLDEN = {
     "hinge-barbell-deterministic":
-        "3c348d8818c1e4d682c95d811084345aa7fd7e7fac5ba93f51019e25def63c6d",
+        "c87b06392574091a09d034a55fcc6569fb5a566359c9b24a1f6584ad0f1015bd",
     "hinge-barbell-stochastic-random-feasible":
-        "1273971cd44f1583d6a58c71d86eed63db2252fb62292ae8581422c6acfef836",
+        "bbf72fc4612660d3f4a2c5e775a9a49d4d5024634f2bea61515d92b3b9e98067",
     "logistic-centralized":
-        "3cad80a1db3b76a9f10ec45f713e30172540c13187d7b0e8d9e61dd3eba1ab67",
+        "9a0fd86a140f58fdf4e8dbec66df338494c7856629596c3fc4c26d911de9b986",
     "logistic-ws-deterministic":
-        "ac83c59f24c4352d7fc2dff9d335f9fe248df6079b14d2c4e685f487c7d7dc3b",
+        "f4a17b43e963a725b7f338b6fc6d5b775f0bab432bee66cc4acf78b7ac56ebfd",
     "logistic-ws-monitor-bounds":
-        "4cb654a45665878f1c9f55874327d2756631d497e09ab8821e393ecd7e385c98",
+        "cec9d02bec9470a2f1c9d67615b8e36e97dbf38b6c14d1b18f785a60397f1a82",
     "logistic-ws600-deterministic":
         "a8b9a4e29e6d7daf2aa7a2cd5851d378461a3e866879591edf94ce393d70bd15",
     "logistic-ws-stochastic":
-        "a30a0b196592bc4f1874b6185dfe7e5744a871b2dd70781e049c2329e25c9f69",
+        "5cd54bf676c0305f1463596100a39129d55e18fc4179ea375b27aad546d84a6d",
     "oracle-ring-deterministic":
         "3db319e5351e86ddb71c5c28de5c1ed15669a3a1086320aa416e6bf3cd3001c4",
     "oracle-ring-stochastic":
@@ -127,3 +131,29 @@ def test_golden_trace(name, paper_logistic, paper_hinge, ws_matrix):
     assert trace.warnings == []
     digest = hashlib.sha256(trace.to_csv_text().encode()).hexdigest()
     assert digest == GOLDEN[name]
+
+
+def test_golden_traces_under_two_blas_threads():
+    # the same hashes when BLAS may split its products over two threads
+    tests = Path(__file__).resolve().parent
+    code = (
+        "import hashlib\n"
+        "from pdnet import graphs, problems\n"
+        "import test_golden_traces as g\n"
+        "data = problems.generate_dataset(100, 5, seed=1)\n"
+        "logistic = problems.build_logistic_problem(data, 0.1, 0.1)\n"
+        "hinge = problems.build_hinge_problem(data, 0.1, 0.1)\n"
+        "ws = graphs.lazy_metropolis(\n"
+        "    graphs.generate_watts_strogatz(100, 20, 0.02, seed=7))\n"
+        "for name in sorted(g.GOLDEN):\n"
+        "    trace = g.run_case(name, logistic, hinge, ws)\n"
+        "    text = trace.to_csv_text().encode()\n"
+        "    print(name, hashlib.sha256(text).hexdigest())\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               MKL_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"),
+                                           str(tests)]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert dict(line.split() for line in proc.stdout.splitlines()) == GOLDEN

@@ -8,7 +8,9 @@ from numpy.testing import assert_allclose
 
 from pdnet import metrics as me
 from pdnet.engine import AgentStates
-from pdnet.problems import ReferenceSolution, box_constraints
+from pdnet.problems import (ProblemSpec, ReferenceSolution, box_constraints,
+                            build_hinge_problem, build_logistic_problem,
+                            generate_dataset)
 
 from conftest import make_custom_problem
 
@@ -263,6 +265,107 @@ def test_compute_record_rate_bound_needs_a_reference():
     without = me.compute_record(p, states, t=5, eta=1.0, sigma2=0.5)
     assert math.isfinite(with_ref.thm2_bound)
     assert math.isnan(without.thm2_bound) and math.isnan(without.max_gap)
+
+
+def full_objective_maxima(p, points, f_star, normalizers):
+    """(eps, max_gap, eps_absolute) from f at every row, as the record
+    took them before rows were pruned."""
+    fgaps = p.ops.mean_objective_many(points) - f_star
+    if np.min(np.abs(normalizers)) < me.DEGENERATE_NORMALIZER:
+        return float(np.max(np.abs(fgaps))), float(np.max(fgaps)), True
+    return (float(np.max(np.abs(fgaps / normalizers))), float(np.max(fgaps)),
+            False)
+
+
+def output_cloud(rng, d):
+    """Outputs for the prune property test: a spread cloud, a cloud of
+    exact and one-ulp ties, or identical rows (t = 0 from the origin)."""
+    n = int(rng.integers(2, 80))
+    kind = rng.integers(3)
+    if kind == 2:
+        return np.tile(rng.normal(size=d) * rng.uniform(0.0, 0.2), (n, 1))
+    center = rng.normal(size=d)
+    center *= rng.uniform(0.0, 0.8) / np.linalg.norm(center)
+    spread = 10.0 ** rng.uniform(-17, -0.5)
+    cloud = center + spread * rng.normal(size=(n, d))
+    if kind == 1:
+        cloud = cloud[rng.integers(0, max(1, n // 4), size=n)]
+        bumped = rng.random(cloud.shape) < 0.3
+        cloud[bumped] = np.nextafter(cloud[bumped],
+                                     np.where(rng.random(bumped.sum()) < 0.5,
+                                              -np.inf, np.inf))
+    return cloud
+
+
+@pytest.mark.parametrize("family", ["logistic", "hinge"])
+def test_pruned_objective_record_equals_the_full_record(family, monkeypatch):
+    evaluated = []
+    evaluate = ProblemSpec.mean_objective_many
+
+    def counted(self, points):
+        evaluated.append(len(points))
+        return evaluate(self, points)
+
+    monkeypatch.setattr(ProblemSpec, "mean_objective_many", counted)
+    rng = np.random.default_rng(23 if family == "logistic" else 29)
+    build = build_logistic_problem if family == "logistic" else build_hinge_problem
+    rows = 0
+    for trial in range(400):
+        d = int(rng.integers(1, 8))
+        p = build(generate_dataset(int(rng.integers(1, 60)), d, seed=trial),
+                  0.1, 0.1)
+        outputs = output_cloud(rng, d)
+        values = p.ops.mean_objective_many(outputs)
+        # f* below, among or above the outputs' values: a regularized run's
+        # outputs can sit below f*
+        f_star = float(rng.choice([values.min() - rng.uniform(0.0, 0.1),
+                                   np.median(values),
+                                   values.max() + rng.uniform(0.0, 0.1)]))
+        # init=origin gives every agent one normalizer, random_feasible one
+        # each; some are degenerate, and some are negative
+        if trial % 2:
+            normalizers = np.full(len(outputs), rng.normal())
+        else:
+            normalizers = rng.normal(size=len(outputs)) * 10.0 ** rng.uniform(-3, 1)
+        if trial % 7 == 3:
+            normalizers[rng.integers(len(outputs))] = rng.choice([0.0, 1e-16])
+        ref = ReferenceSolution(f_star=f_star, x_star=np.zeros(d),
+                                method="literal", residual=0.0)
+        expected = full_objective_maxima(p, outputs, f_star, normalizers)
+        evaluated.clear()
+        rec = me.compute_record(p, states_at(outputs), t=5, eta=1.0,
+                                sigma2=0.5, ref=ref, initial_fgaps=normalizers,
+                                initial_gnorms=np.ones(len(outputs)))
+        rows += sum(evaluated)
+        got = (rec.eps, rec.max_gap, rec.eps_absolute)
+        assert repr(got) == repr(expected), (trial, got, expected)
+        initial = states_at(outputs + 0.5) if trial % 2 else states_at(
+            np.zeros_like(outputs))
+        init_gaps = p.ops.mean_objective_many(initial.averages()) - f_star
+        if np.min(np.abs(init_gaps)) < me.DEGENERATE_NORMALIZER:
+            continue
+        eps = me.epsilon_G(p, ref, states_at(outputs), initial)
+        assert repr(eps) == repr(full_objective_maxima(
+            p, outputs, f_star, init_gaps)[0]), trial
+    # the bracket leaves most rows unevaluated
+    assert rows < 0.5 * 400 * 40
+
+
+def test_objective_values_evaluate_equal_rows_once(paper_logistic, monkeypatch):
+    evaluated = []
+    evaluate = ProblemSpec.mean_objective_many
+    monkeypatch.setattr(ProblemSpec, "mean_objective_many",
+                        lambda self, pts: evaluated.append(len(pts))
+                        or evaluate(self, pts))
+    zeros = np.zeros((100, 5))
+    values = me.objective_values(paper_logistic, zeros)
+    assert evaluated == [1]
+    assert values.tobytes() == evaluate(paper_logistic, zeros).tobytes()
+    # signed zeros compare equal and give the same bits
+    mixed = zeros.copy()
+    mixed[::3, 1] = -0.0
+    assert (me.objective_values(paper_logistic, mixed).tobytes()
+            == evaluate(paper_logistic, mixed).tobytes())
 
 
 def test_record_csv_row_is_plain_floats():

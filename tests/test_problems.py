@@ -187,34 +187,112 @@ def test_fast_paths_match_oracles(paper_dataset, paper_logistic, paper_hinge):
                         ref.agent_constraint_rows(x_rows, ks))
 
 
-def test_mean_objective_many_blocks_keep_the_one_shot_bits():
-    # With several BLAS threads the one-shot product's own bits depend on
-    # the thread count, so the comparison runs with one thread. The sizes
-    # straddle the block (240) and give tails of 1 to 255 points; at 295
-    # and 619, blocks of 256 points change the result.
+def test_mean_objective_rows_keep_their_bits_alone_and_in_any_block(monkeypatch):
+    # a row's value may depend only on that row: the same bits alone, in any
+    # subset of the points and at any block size; and it is the mean loss
+    rng = np.random.default_rng(4)
+    for n, d in ((1, 5), (2, 5), (7, 1), (100, 5), (241, 17), (600, 2)):
+        data = generate_dataset(n, d, seed=n)
+        pts = rng.normal(size=(n + 3, d))
+        for build in (build_logistic_problem, build_hinge_problem):
+            p = build(data, 0.1, 0.1)
+            full = p.mean_objective_many(pts)
+            z = (pts @ data.features.T) * data.labels
+            assert_allclose(full, p.ops._loss_values(z).mean(axis=1),
+                            rtol=1e-13)
+            for i in (0, len(pts) // 2, len(pts) - 1):
+                assert p.mean_objective_many(pts[i:i + 1])[0] == full[i]
+            subset = rng.permutation(len(pts))[:max(1, len(pts) // 3)]
+            assert (p.mean_objective_many(pts[subset]).tobytes()
+                    == full[subset].tobytes())
+            for block in (1, n, 3 * n + 1, 1 << 30):
+                monkeypatch.setattr(problems, "MEAN_OBJECTIVE_BLOCK", block)
+                assert p.mean_objective_many(pts).tobytes() == full.tobytes()
+            monkeypatch.undo()
+            assert p.mean_objective_many(pts[:0]).shape == (0,)
+
+
+#: The (d, n) cases whose one-shot gemm bits differed between one and two
+#: OpenBLAS threads in a sweep of n from 235 to 797 in steps of 3, plus
+#: 2000 and 4999, for d in {2, 5, 17}.
+THREAD_SENSITIVE_CASES = tuple((17, n) for n in (262, 271, 277, 307, 343, 358,
+                                                  388, 541, 655))
+
+
+def test_mean_objective_bits_do_not_depend_on_blas_threads():
     code = (
+        "import hashlib\n"
         "import numpy as np\n"
         "from pdnet import problems as pr\n"
-        "bad = []\n"
-        "for n, d in ((1, 5), (2, 5), (239, 5), (240, 5), (241, 5), (255, 5),\n"
-        "             (256, 5), (257, 5), (295, 2), (481, 5), (511, 17),\n"
-        "             (600, 5), (619, 5), (767, 2), (2000, 5), (2161, 5)):\n"
+        f"for d, n in {THREAD_SENSITIVE_CASES!r}:\n"
         "    data = pr.generate_dataset(n, d, seed=n)\n"
         "    pts = np.random.default_rng(n).normal(size=(n, d))\n"
+        "    pts /= 2 * np.linalg.norm(pts, axis=1, keepdims=True)\n"
         "    for build in (pr.build_logistic_problem, pr.build_hinge_problem):\n"
-        "        ops = build(data, 0.1, 0.1).ops\n"
-        "        z = (pts @ ops.features.T) * ops.labels[None, :]\n"
-        "        one_shot = ops._loss_values(z).mean(axis=1)\n"
-        "        if one_shot.tobytes() != ops.mean_objective_many(pts).tobytes():\n"
-        "            bad.append((n, d, ops.loss))\n"
-        "print(bad)\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(problems.__file__).parents[1]),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+        "        values = build(data, 0.1, 0.1).mean_objective_many(pts)\n"
+        "        print(d, n, hashlib.sha256(values.tobytes()).hexdigest())\n")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(problems.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    assert len(outputs[0]) == 2 * len(THREAD_SENSITIVE_CASES)
+    assert outputs[0] == outputs[1]
+
+
+def test_mean_objective_bracket_holds_the_kernel_values():
+    # random clouds about random centers, features of unit and of larger
+    # norm, labels of any size: every value lies inside its bracket
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        n, d = int(rng.integers(2, 60)), int(rng.integers(1, 8))
+        data = generate_dataset(n, d, seed=trial)
+        if trial % 3 == 2:
+            data = SyntheticDataset(features=data.features * rng.uniform(0.2, 3.0),
+                                    labels=data.labels * rng.uniform(0.5, 2.0))
+        center = ball_points(rng, 1, d, radius=0.9)[0]
+        spread = 10.0 ** rng.uniform(-12, 0)
+        pts = center + spread * rng.normal(size=(int(rng.integers(2, 40)), d))
+        for build in (build_logistic_problem, build_hinge_problem):
+            p = build(data, 0.1, 0.1)
+            bracket = p.mean_objective_bracket(pts)
+            if bracket is None:
+                assert p.family == "hinge"
+                continue
+            values = p.mean_objective_many(pts)
+            assert np.all(bracket[0] <= values) and np.all(values <= bracket[1])
+
+
+def test_hinge_bracket_needs_a_center_inside_the_ball(paper_hinge):
+    # the hinge's gradient at c is its affine gradient only while every
+    # margin at c is below 1; the logistic bracket has no such condition
+    inside = np.array([[0.6, 0.0, 0.0, 0.0, 0.0], [0.0, 0.6, 0.0, 0.0, 0.0]])
+    assert paper_hinge.mean_objective_bracket(inside) is not None
+    on_sphere = np.array([[1.0, 1e-3, 0.0, 0.0, 0.0], [1.0, -1e-3, 0.0, 0.0, 0.0]])
+    assert paper_hinge.mean_objective_bracket(on_sphere) is None
+    paper_logistic = build_logistic_problem(generate_dataset(100, 5, seed=1),
+                                            0.1, 0.1)
+    assert paper_logistic.mean_objective_bracket(on_sphere) is not None
+
+
+def test_mean_objective_grad_only_is_the_gradient_of_mean_objective_grad(
+        paper_dataset, paper_logistic, paper_hinge):
+    rng = np.random.default_rng(3)
+    oracle = make_custom_problem(
+        [loss_oracle("logistic", a, b)
+         for a, b in zip(paper_dataset.features, paper_dataset.labels)],
+        box_constraints(*paper_logistic.box), lipschitz=1.0, radius=1.0,
+        dim=5)
+    for p in (paper_logistic, paper_hinge, oracle):
+        for x in ball_points(rng, 5, 5):
+            assert (p.mean_objective_grad_only(x).tobytes()
+                    == p.mean_objective_grad(x)[1].tobytes())
+    assert oracle.mean_objective_bracket(np.zeros((3, 5))) is None
 
 
 # -- hinge -------------------------------------------------------------------
