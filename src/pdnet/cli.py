@@ -185,9 +185,6 @@ def execute_run(config: dict, out_dir: Path):
     else:
         start = time.perf_counter()
         g = cfgmod.build_graph(config)
-        if g.n != p.n_agents:
-            raise ConfigError(
-                f"graph has {g.n} nodes but the problem has {p.n_agents} agents")
         w = cfgmod.build_weights(config, g)
         graph_info = {"family": config["graph.family"], "nodes": g.n,
                       "edges": len(g.edge_array), "sigma2": w.sigma2,

@@ -111,15 +111,6 @@ def apply_overrides(config: dict[str, object],
     return out
 
 
-def config_lines(config: dict[str, object]) -> str:
-    """Render a config back to the flat file format."""
-    lines = []
-    for key in DEFAULTS:
-        value = config[key]
-        lines.append(f"{key} = {'none' if value is None else value}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------

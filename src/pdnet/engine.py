@@ -176,36 +176,34 @@ def _mix(csr, rows: np.ndarray) -> np.ndarray:
 def initial_states(p: ProblemSpec, cfg: RunConfig) -> AgentStates:
     """x_i(0) at the origin or a random feasible point; lam_i(0) = 0."""
     n, d = p.n_agents, p.dim
-    if cfg.init == INIT_ORIGIN:
-        x0 = np.zeros((n, d))
-    else:
-        x0 = np.vstack([_random_feasible_point(p, cfg.seed, i) for i in range(n)])
+    x0 = (np.zeros((n, d)) if cfg.init == INIT_ORIGIN
+          else _random_feasible_points(p, cfg.seed))
     return AgentStates(x=x0, lam=np.zeros((n, p.n_constraints)),
                        avg_numerator=np.zeros((n, d)), weight_sum=0.0)
 
 
-def _random_feasible_point(p: ProblemSpec, seed: int, agent: int) -> np.ndarray:
-    """Sphere sample scaled into the feasible set by bisection to the origin."""
+def _random_feasible_points(p: ProblemSpec, seed: int) -> np.ndarray:
+    """One sphere sample per agent, each scaled into the feasible set by
+    bisection towards the origin; all agents bisect together."""
     if np.any(p.constraint_values(np.zeros(p.dim)) > 0.0):
         raise EngineError("random_feasible init needs a feasible origin")
-    key = np.array([np.uint64(seed), np.uint64(2 ** 63 + agent)], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    v = rng.normal(size=p.dim)
-    v *= p.radius / max(float(np.linalg.norm(v)), 1e-300)
+    n = p.n_agents
+    v = np.empty((n, p.dim))
+    for agent in range(n):
+        key = np.array([np.uint64(seed), np.uint64(2 ** 63 + agent)], dtype=np.uint64)
+        v[agent] = np.random.Generator(np.random.Philox(key=key)).normal(size=p.dim)
+        v[agent] *= p.radius / max(float(np.linalg.norm(v[agent])), 1e-300)
 
-    def feasible(c: float) -> bool:
-        return bool(np.all(p.constraint_values(c * v) <= 0.0))
+    def feasible(c: np.ndarray) -> np.ndarray:
+        return np.all(p.constraint_values_many(c[:, None] * v) <= 0.0, axis=1)
 
-    if feasible(1.0):
-        return v
-    lo, hi = 0.0, 1.0
+    lo, hi = np.zeros(n), np.ones(n)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo * v
+        inside = feasible(mid)
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return np.where(feasible(np.ones(n))[:, None], v, lo[:, None] * v)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +383,7 @@ def centralized_mean_problem(p: ProblemSpec) -> ProblemSpec:
     """Collapse an n-agent problem to one agent holding the mean objective."""
     if p.n_agents == 1:
         return p
-    return dataclasses.replace(p, n_agents=1, ops=_MeanOps(p.ops),
-                               family=p.family + "-mean")
+    return dataclasses.replace(p, n_agents=1, ops=_MeanOps(p.ops))
 
 
 class _MeanOps:
@@ -487,18 +484,17 @@ def bound_checks(p: ProblemSpec, cfg: RunConfig, sigma2: float,
     """
     if cfg.eta <= 0.0:
         return []
-    n = p.n_agents
     checks = [
         ("multiplier norm bound", rec.sum_lambda_sq,
-         metrics.lambda_norm_bound(p, cfg.eta, n)),
+         metrics.lambda_norm_bound(p, cfg.eta)),
         ("primal subgradient bound", rec.max_grad_x_norm,
-         metrics.grad_x_norm_bound(p, cfg.eta, n)),
+         metrics.grad_x_norm_bound(p, cfg.eta)),
         ("dual subgradient bound", rec.max_grad_lambda_excess,
          metrics.grad_lambda_excess_bound(p)),
     ]
     if rec.t >= 1:
         checks.append(("consensus distance bound", rec.consensus_diameter,
-                       metrics.consensus_bound(p, sigma2, cfg.eta, n,
+                       metrics.consensus_bound(p, sigma2, cfg.eta,
                                                max(cfg.iterations, 2),
                                                stepsize(rec.t, cfg))))
     if reference is not None and not math.isnan(rec.thm2_bound):

@@ -107,13 +107,6 @@ class GraphTopology:
         lines += [f"{i} {j}" for i, j in self.edge_array.tolist()]
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_edgelist_text(cls, text: str) -> "GraphTopology":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        n = int(lines[0])
-        edges = [tuple(int(tok) for tok in ln.split()) for ln in lines[1:]]
-        return cls.from_edges(n, edges)
-
 
 def _is_connected(n: int, edges: np.ndarray) -> bool:
     """Whether the (E, 2) edge rows join all n nodes into one component.
@@ -204,16 +197,6 @@ class ConsensusMatrix:
             row[csr.indices[lo:hi]] = csr.data[lo:hi]
             yield ",".join(map(repr, row.tolist())) + "\n"
             row[csr.indices[lo:hi]] = 0.0
-
-    def to_csv_text(self) -> str:
-        return "".join(self.csv_lines())
-
-    @classmethod
-    def from_csv_text(cls, text: str,
-                      graph: GraphTopology | None = None) -> "ConsensusMatrix":
-        rows = [[float(tok) for tok in ln.split(",")]
-                for ln in text.splitlines() if ln.strip()]
-        return cls.from_entries(np.array(rows), graph=graph)
 
 
 def _assemble_csr(n: int, rows: np.ndarray, cols: np.ndarray,
@@ -532,18 +515,11 @@ def generate_barbell(n: int, bridge_count: int = 1) -> GraphTopology:
 # weight matrices
 # ---------------------------------------------------------------------------
 
-def lazy_metropolis(g: GraphTopology) -> ConsensusMatrix:
-    """Lazy Metropolis weights.
-
-    Off-diagonal: W_ij = 1 / (2 max(d(i)+1, d(j)+1)) on edges, 0 elsewhere.
-    Diagonal: W_ii = 1 - sum_{j != i} W_ij, the row-stochastic completion.
-    The result is symmetric, doubly stochastic, diagonally dominant, and its
-    spectral gap satisfies 1/(1 - sigma_2) <= 71 n^2.
-    """
+def _edge_weighted(g: GraphTopology, v: np.ndarray) -> ConsensusMatrix:
+    """The symmetric matrix with weight v[e] on both entries of edge e and
+    the diagonal that completes each row sum to 1."""
     n = g.n
     i, j = g.edge_array.T
-    sizes = np.array(g.degrees, dtype=np.int64) + 1
-    v = 1.0 / (2.0 * np.maximum(sizes[i], sizes[j]))
     nodes = np.arange(n)
     # the diagonal is stored as 0 while the off-diagonal row sums are taken
     csr, slots = _assemble_csr(n, np.concatenate([i, j, nodes]),
@@ -553,46 +529,28 @@ def lazy_metropolis(g: GraphTopology) -> ConsensusMatrix:
     return _validated(csr, g)
 
 
+def lazy_metropolis(g: GraphTopology) -> ConsensusMatrix:
+    """Lazy Metropolis weights.
+
+    Off-diagonal: W_ij = 1 / (2 max(d(i)+1, d(j)+1)) on edges, 0 elsewhere.
+    Diagonal: W_ii = 1 - sum_{j != i} W_ij, the row-stochastic completion.
+    The result is symmetric, doubly stochastic, diagonally dominant, and its
+    spectral gap satisfies 1/(1 - sigma_2) <= 71 n^2.
+    """
+    i, j = g.edge_array.T
+    sizes = np.array(g.degrees, dtype=np.int64) + 1
+    return _edge_weighted(g, 1.0 / (2.0 * np.maximum(sizes[i], sizes[j])))
+
+
 def laplacian_weights(g: GraphTopology) -> ConsensusMatrix:
     """Normalized-graph-Laplacian weights.
 
-    For a degree-regular graph of degree d: W = I - d/(d+1) * Lap, with
-    Lap = I - D^{-1/2} A D^{-1/2}. Otherwise W = I - D^{1/2} Lap D^{1/2}
-    / (d_max + 1). Double stochasticity is validated post hoc.
-
-    Every entry is computed on the edges and the diagonal alone, with the
-    same operations, in the same order, as the dense formula, so the
-    result has its bits.
+    W = I - D^{1/2} Lap D^{1/2} / (d_max + 1) with Lap = I - D^{-1/2} A
+    D^{-1/2}, which is I - (D - A) / (d_max + 1): weight 1/(d_max + 1) on
+    every edge and the diagonal that completes each row. For a regular
+    graph of degree d this is I - d/(d+1) Lap.
     """
-    n = g.n
-    degrees = np.array(g.degrees, dtype=float)
-    if np.any(degrees == 0):
+    if min(g.degrees) == 0:
         raise GraphError("isolated node: Laplacian weights undefined")
-    i, j = g.edge_array.T
-    e, nodes = len(i), np.arange(n)
-    rows = np.concatenate([i, j, nodes])
-    cols = np.concatenate([j, i, nodes])
-    # entry k's mirror (cols[k], rows[k])
-    mirror = np.concatenate([np.arange(e, 2 * e), np.arange(e),
-                             np.arange(2 * e, 2 * e + n)])
-    eye = np.concatenate([np.zeros(2 * e), np.ones(n)])
-    adjacency = 1.0 - eye
-    d_inv_sqrt = 1.0 / np.sqrt(degrees)
-    lap = eye - (d_inv_sqrt[rows] * adjacency * d_inv_sqrt[cols])
-    if np.all(degrees == degrees[0]):
-        d = degrees[0]
-        w = eye - (d / (d + 1.0)) * lap
-    else:
-        d_sqrt = np.sqrt(degrees)
-        d_max = degrees.max()
-        w = eye - (d_sqrt[rows] * lap * d_sqrt[cols]) / (d_max + 1.0)
-    sums = (np.bincount(rows, weights=w, minlength=n),
-            np.bincount(cols, weights=w, minlength=n))
-    if max(np.max(np.abs(s - 1.0)) for s in sums) > 1e-10:
-        raise WeightMatrixError("Laplacian weights failed the stochasticity check")
-    # symmetrize away representation noise before the 1e-12 gate
-    w = 0.5 * (w + w[mirror])
-    w[np.abs(w) < 1e-15] = 0.0
-    csr, slots = _assemble_csr(n, rows, cols, w)
-    csr.data[slots[2 * e:]] += 1.0 - _dense_row_sums(csr)
-    return _validated(csr, g)
+    v = 1.0 / (max(g.degrees) + 1)
+    return _edge_weighted(g, np.full(len(g.edge_array), v))

@@ -182,16 +182,16 @@ def violation_functional(p: ProblemSpec, states) -> float:
 # theory constants and bound envelopes
 # ---------------------------------------------------------------------------
 
-def _log_term(sigma2: float, horizon: int, n: int) -> float:
+def _log_term(p: ProblemSpec, sigma2: float, horizon: int) -> float:
     """log(T sqrt(n T)) / (1 - sigma2), the mixing-time factor of the bounds."""
     if sigma2 >= 1.0:
         raise MetricError("sigma2 must be below 1 (connected mixing matrix)")
-    return math.log(horizon * math.sqrt(n * horizon)) / (1.0 - sigma2)
+    return math.log(horizon * math.sqrt(p.n_agents * horizon)) / (1.0 - sigma2)
 
 
-def _amplification(p: ProblemSpec, eta: float, n: int) -> float:
+def _amplification(p: ProblemSpec, eta: float) -> float:
     """1 + n m^{3/2} L R / eta, the multiplier-driven growth factor."""
-    return 1.0 + n * p.n_constraints ** 1.5 * p.lipschitz * p.radius / eta
+    return 1.0 + p.n_agents * p.n_constraints ** 1.5 * p.lipschitz * p.radius / eta
 
 
 def _rate(scale: float, horizon: int) -> float:
@@ -199,43 +199,40 @@ def _rate(scale: float, horizon: int) -> float:
     return scale * math.log(horizon) / (math.sqrt(horizon) - 1.0)
 
 
-def _constant_c(p: ProblemSpec, sigma2: float, eta: float, horizon: int,
-                n: int) -> float:
+def thm2_constant(p: ProblemSpec, sigma2: float, eta: float,
+                  horizon: int) -> float:
+    """The convergence-rate constant C of the deterministic rate bound."""
     if horizon < 2:
         raise MetricError("the rate constant is defined for horizons >= 2")
-    log_term = _log_term(sigma2, horizon, n)
+    log_term = _log_term(p, sigma2, horizon)
     lip, radius = p.lipschitz, p.radius
     return (1.0 + 2.5 * p.n_constraints * lip ** 2 * radius ** 2
-            + 20.0 * lip ** 2 * _amplification(p, eta, n) ** 2 * log_term ** 1.5)
+            + 20.0 * lip ** 2 * _amplification(p, eta) ** 2 * log_term ** 1.5)
 
 
-def thm2_constant(p: ProblemSpec, w, eta: float, horizon: int, n: int) -> float:
-    """The convergence-rate constant C of the deterministic rate bound."""
-    return _constant_c(p, w.sigma2, eta, horizon, n)
-
-
-def rate_bound(p: ProblemSpec, w, eta: float, horizon: int, n: int) -> float:
+def rate_bound(p: ProblemSpec, sigma2: float, eta: float, horizon: int) -> float:
     """R C log(T) / (sqrt(T) - 1), the deterministic gap bound at T >= 2."""
-    return _rate(p.radius * thm2_constant(p, w, eta, horizon, n), horizon)
+    return _rate(p.radius * thm2_constant(p, sigma2, eta, horizon), horizon)
 
 
-def stochastic_rate_bound(p: ProblemSpec, w, eta: float, horizon: int,
-                             n: int) -> float:
+def stochastic_rate_bound(p: ProblemSpec, sigma2: float, eta: float,
+                          horizon: int) -> float:
     """Single-seed stochastic gap bound holding with probability 1 - 1/T."""
-    c = thm2_constant(p, w, eta, horizon, n)
-    extra = 4.0 * math.sqrt(10.0) * n * p.n_constraints ** 2 \
+    c = thm2_constant(p, sigma2, eta, horizon)
+    extra = 4.0 * math.sqrt(10.0) * p.n_agents * p.n_constraints ** 2 \
         * p.lipschitz ** 2 * p.radius ** 3 / eta
     return _rate(p.radius * c + extra, horizon)
 
 
-def lambda_norm_bound(p: ProblemSpec, eta: float, n: int) -> float:
+def lambda_norm_bound(p: ProblemSpec, eta: float) -> float:
     """Envelope for sum_i ||lam_i(t)||^2 under eta * alpha(t) <= 1."""
-    return n * p.n_constraints * p.lipschitz ** 2 * p.radius ** 2 / eta ** 2
+    return (p.n_agents * p.n_constraints * p.lipschitz ** 2 * p.radius ** 2
+            / eta ** 2)
 
 
-def grad_x_norm_bound(p: ProblemSpec, eta: float, n: int) -> float:
+def grad_x_norm_bound(p: ProblemSpec, eta: float) -> float:
     """Envelope for the primal subgradient norm, L (1 + n m^{3/2} L R / eta)."""
-    return p.lipschitz * _amplification(p, eta, n)
+    return p.lipschitz * _amplification(p, eta)
 
 
 def grad_lambda_excess_bound(p: ProblemSpec) -> float:
@@ -243,14 +240,14 @@ def grad_lambda_excess_bound(p: ProblemSpec) -> float:
     return 2.0 * p.n_constraints * p.lipschitz ** 2 * p.radius ** 2
 
 
-def consensus_bound(p: ProblemSpec, sigma2: float, eta: float, n: int,
-                    horizon: int, alpha_t: float) -> float:
+def consensus_bound(p: ProblemSpec, sigma2: float, eta: float, horizon: int,
+                    alpha_t: float) -> float:
     """Envelope for the pairwise iterate distance at stepsize alpha(t)."""
-    return (5.0 * p.lipschitz * _amplification(p, eta, n)
-            * _log_term(sigma2, horizon, n) ** 1.5 * alpha_t)
+    return (5.0 * p.lipschitz * _amplification(p, eta)
+            * _log_term(p, sigma2, horizon) ** 1.5 * alpha_t)
 
 
-def strict_violation_bound(p: ProblemSpec, sigma2: float, eta: float, n: int,
+def strict_violation_bound(p: ProblemSpec, sigma2: float, eta: float,
                            horizon: int, step_scale: float) -> float:
     """Explicit finite-horizon violation envelope for strictly feasible optima.
 
@@ -258,13 +255,13 @@ def strict_violation_bound(p: ProblemSpec, sigma2: float, eta: float, n: int,
     bound substituted, using the exact stepsize sums of the analysis
     window. Decays like eta log(T)/sqrt(T).
     """
-    log_term = _log_term(sigma2, horizon, n)
+    log_term = _log_term(p, sigma2, horizon)
     ts = np.arange(horizon)
     alphas = step_scale / np.sqrt(ts + 1.0)
     s1 = float(alphas.sum())
     s2 = float((alphas ** 2).sum())
     lip, radius, m = p.lipschitz, p.radius, p.n_constraints
-    amp = _amplification(p, eta, n)
+    amp = _amplification(p, eta)
     a_const = m * lip ** 2 * radius ** 2 + 8.0 * lip ** 2 * amp ** 2 * log_term ** 1.5
     f_plus = 5.0 * lip ** 2 * amp * log_term ** 1.5 * s2 / s1
     return (2.0 * (eta + 1.0 / s1) * f_plus
@@ -383,8 +380,7 @@ def compute_record(p: ProblemSpec, states, t: int, eta: float, sigma2: float,
 
     thm2 = math.nan
     if ref is not None and t >= 2 and eta > 0.0 and sigma2 < 1.0:
-        c = _constant_c(p, sigma2, eta, t, states.x.shape[0])
-        thm2 = _rate(p.radius * c, t)
+        thm2 = rate_bound(p, sigma2, eta, t)
 
     max_gx = math.nan
     if grad_x_rows is not None:

@@ -47,7 +47,7 @@ class SyntheticDataset:
     """Unit-sphere features with labels in {-1, +1}.
 
     ``ground_truth_w`` is the Gaussian vector that generated the labels; it
-    is None for datasets loaded from CSV (the format does not carry it).
+    is None for datasets built from given arrays.
     """
 
     features: np.ndarray          # (n, d), rows have unit norm
@@ -61,23 +61,6 @@ class SyntheticDataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    def to_csv_text(self) -> str:
-        """First line ``d,n``, then one ``b, a_1..a_d`` row per sample."""
-        lines = [f"{self.dim},{self.n}"]
-        for b, a in zip(self.labels, self.features):
-            lines.append(",".join([repr(float(b))] + [repr(float(v)) for v in a]))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv_text(cls, text: str) -> "SyntheticDataset":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        d, n = (int(tok) for tok in lines[0].split(","))
-        rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
-        if len(rows) != n or any(len(r) != d + 1 for r in rows):
-            raise ProblemError("dataset CSV does not match its header")
-        arr = np.array(rows)
-        return cls(features=arr[:, 1:], labels=arr[:, 0])
 
 
 def generate_dataset(n: int, d: int, seed: int = 0) -> SyntheticDataset:
@@ -359,13 +342,12 @@ class ProblemSpec:
     lipschitz: float
     radius: float
     box: tuple[np.ndarray, np.ndarray] | None = None
-    family: str = "custom"
 
     @classmethod
     def from_oracles(cls, objectives, constraints, *, dim: int,
                      lipschitz: float, radius: float,
-                     box: tuple[np.ndarray, np.ndarray] | None = None,
-                     family: str = "custom") -> "ProblemSpec":
+                     box: tuple[np.ndarray, np.ndarray] | None = None
+                     ) -> "ProblemSpec":
         """A problem from per-agent objective and shared constraint oracles.
 
         Each oracle maps a point to (value, subgradient); the agent and
@@ -374,7 +356,7 @@ class ProblemSpec:
         ops = OracleOps(objectives, constraints)
         return cls(dim=dim, n_constraints=len(ops.constraints),
                    n_agents=len(ops.objectives), ops=ops, lipschitz=lipschitz,
-                   radius=radius, box=box, family=family)
+                   radius=radius, box=box)
 
     def _check_dim(self, x: np.ndarray):
         if x.shape[-1] != self.dim:
@@ -496,7 +478,6 @@ def _build_loss_problem(data: SyntheticDataset, l: float, u: float,
         lipschitz=1.0,
         radius=radius,
         box=(lower, upper),
-        family=loss,
     )
 
 

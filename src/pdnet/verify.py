@@ -122,8 +122,8 @@ def _determinism_check() -> CheckResult:
     return _check("seeded determinism", ok)
 
 
-def quick_checks(seed: int = 0) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def quick_checks() -> list[CheckResult]:
+    rng = np.random.default_rng(0)
     results = _projection_checks(rng)
     results.append(_unbiasedness_check(rng))
     results.extend(_inequality_checks(rng))
@@ -136,16 +136,15 @@ def quick_checks(seed: int = 0) -> list[CheckResult]:
 # full level: bound monitors on canonical runs
 # ---------------------------------------------------------------------------
 
-def _canonical_run(eta=1.0, horizon=2000, margins=(0.1, 0.1), n=50,
-                   variant="deterministic", with_reference=True):
-    data = problems.generate_dataset(n, 5, seed=1)
+def _canonical_run(margins=(0.1, 0.1), with_reference=True):
+    data = problems.generate_dataset(50, 5, seed=1)
     p = problems.build_logistic_problem(data, *margins)
-    g = graphs.generate_watts_strogatz(n, 10, 0.02, seed=7)
+    g = graphs.generate_watts_strogatz(50, 10, 0.02, seed=7)
     w = graphs.lazy_metropolis(g)
     ref = None
     if with_reference:
         ref = problems.reference_optimum(p)
-    cfg = engine.RunConfig(variant=variant, eta=eta, iterations=horizon,
+    cfg = engine.RunConfig(variant="deterministic", eta=1.0, iterations=2000,
                            record_every=10, seed=1)
     trace = engine.run(p, w, cfg, reference=ref)
     return p, ref, trace
@@ -163,8 +162,8 @@ def bound_monitor_checks(p, ref, trace) -> list[CheckResult]:
             for name, checked in pairs.items()]
 
 
-def full_checks(seed: int = 0) -> list[CheckResult]:
-    results = quick_checks(seed)
+def full_checks() -> list[CheckResult]:
+    results = quick_checks()
     p, ref, trace = _canonical_run()
     results.extend(bound_monitor_checks(p, ref, trace))
 
@@ -173,7 +172,7 @@ def full_checks(seed: int = 0) -> list[CheckResult]:
     cfg2 = trace2.config
     viol_ok = all(
         r.violation_sq <= metrics.strict_violation_bound(
-            p2, trace2.sigma2, cfg2.eta, p2.n_agents, max(r.t, 2),
+            p2, trace2.sigma2, cfg2.eta, max(r.t, 2),
             cfg2.step_scale) + 1e-12
         for r in trace2.records if r.t >= 100)
     results.append(_check("strict-feasibility violation bound", viol_ok))

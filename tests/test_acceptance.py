@@ -220,7 +220,7 @@ def test_criterion_04_lambda_norm_bound(paper_logistic, eta_sweep_runs):
     violations = 0
     worst_ratio = 0.0
     for (variant, eta), trace in eta_sweep_runs.items():
-        bound = me.lambda_norm_bound(paper_logistic, eta, 100)
+        bound = me.lambda_norm_bound(paper_logistic, eta)
         for r in trace.records:
             worst_ratio = max(worst_ratio, r.sum_lambda_sq / bound)
             if r.sum_lambda_sq > bound:
@@ -236,7 +236,7 @@ def test_criterion_05_subgradient_and_consensus_bounds(paper_logistic,
     violations = 0
     for (variant, eta), trace in eta_sweep_runs.items():
         cfg = trace.config
-        gx_bound = me.grad_x_norm_bound(paper_logistic, eta, 100)
+        gx_bound = me.grad_x_norm_bound(paper_logistic, eta)
         glam_bound = me.grad_lambda_excess_bound(paper_logistic)
         for r in trace.records:
             if r.max_grad_x_norm > gx_bound:
@@ -244,7 +244,7 @@ def test_criterion_05_subgradient_and_consensus_bounds(paper_logistic,
             if r.max_grad_lambda_excess > glam_bound:
                 violations += 1
             cons_bound = me.consensus_bound(
-                paper_logistic, trace.sigma2, eta, 100, cfg.iterations,
+                paper_logistic, trace.sigma2, eta, cfg.iterations,
                 en.stepsize(r.t, cfg))
             if r.consensus_diameter > cons_bound:
                 violations += 1
@@ -297,7 +297,7 @@ def test_criterion_07a_strict_feasibility_rates(paper_dataset, ws_matrix):
     ok = True
     for r in trace.records:
         if 100 <= r.t <= 10_000:
-            envelope = me.strict_violation_bound(p, trace.sigma2, eta, 100,
+            envelope = me.strict_violation_bound(p, trace.sigma2, eta,
                                                  max(r.t, 2),
                                                  trace.config.step_scale)
             if r.violation_sq > envelope:
@@ -354,13 +354,13 @@ def test_criterion_08_stochastic_rate_bounds(paper_logistic, ws_matrix, paper_re
         for t in horizons:
             gap = records_at(trace, t).max_gap
             gaps[t].append(gap)
-            high_prob = me.stochastic_rate_bound(paper_logistic, ws_matrix,
-                                                    eta, t, 100)
+            high_prob = me.stochastic_rate_bound(paper_logistic,
+                                                 ws_matrix.sigma2, eta, t)
             if gap > high_prob + paper_reference.residual + 1e-4:
                 single_violations += 1
     mean_ok = all(
         float(np.mean(gaps[t]))
-        <= me.rate_bound(paper_logistic, ws_matrix, eta, t, 100)
+        <= me.rate_bound(paper_logistic, ws_matrix.sigma2, eta, t)
         + paper_reference.residual + 1e-4
         for t in horizons)
     elapsed = time.time() - start

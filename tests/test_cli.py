@@ -65,11 +65,6 @@ def test_config_rejects_unknown_key():
 def test_config_roundtrip_identity():
     config = cfgmod.parse_config({"run.eta": "0.5", "problem.family": "hinge",
                                   "run.monitor_bounds": "true"})
-    # through the file format
-    text = cfgmod.config_lines(config)
-    entries = {k.strip(): v.strip() for k, v in
-               (ln.split("=", 1) for ln in text.splitlines())}
-    assert cfgmod.parse_config(entries) == config
     # through a manifest-style JSON embedding
     assert cfgmod.parse_config(json.loads(json.dumps(config))) == config
 
@@ -108,7 +103,7 @@ def test_weight_matrix_csv_streams_the_dense_rows(out_root, sets):
     dense_rows = "\n".join(",".join(repr(float(v)) for v in row)
                            for row in w.entries) + "\n"
     assert (out_root / "wm" / "weight_matrix.csv").read_text() == dense_rows
-    assert w.to_csv_text() == dense_rows
+    assert "".join(w.csv_lines()) == dense_rows
 
 
 def test_generate_graph_bad_family(out_root):
@@ -187,10 +182,14 @@ def test_run_zero_iterations(out_root):
     assert len(xhat) == 1  # empty average reported as header only
 
 
-def test_run_mismatched_sizes_exits_2(out_root):
+def test_run_mismatched_sizes_exits_2(out_root, capsys):
     code = cli.main(["run", "--set", "problem.n=10", "--set", "graph.n=12",
-                     "--set", "run.T=5", "--set", "reference.iterations=100"])
+                     "--set", "graph.k=4", "--set", "run.T=5",
+                     "--set", "reference.iterations=100"])
     assert code == cli.EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "12x12" in lines[0] and "10 agents" in lines[0]
 
 
 @pytest.mark.parametrize("override",

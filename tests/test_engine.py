@@ -328,6 +328,62 @@ def test_random_feasible_initialization(paper_logistic):
     assert np.array_equal(states.x, again.x)
 
 
+def per_agent_random_feasible(p, seed):
+    """Oracle: each agent's start bisected on its own, one
+    ``constraint_values`` call per trial."""
+    rows = []
+    for agent in range(p.n_agents):
+        key = np.array([np.uint64(seed), np.uint64(2 ** 63 + agent)],
+                       dtype=np.uint64)
+        v = np.random.Generator(np.random.Philox(key=key)).normal(size=p.dim)
+        v *= p.radius / max(float(np.linalg.norm(v)), 1e-300)
+
+        def feasible(c):
+            return bool(np.all(p.constraint_values(c * v) <= 0.0))
+
+        if feasible(1.0):
+            rows.append(v)
+            continue
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if feasible(mid):
+                lo = mid
+            else:
+                hi = mid
+        rows.append(lo * v)
+    return np.vstack(rows)
+
+
+def half_plane_problem():
+    """Seven agents in d = 2 with f_i(x) = <a_i, x> under x_0 <= 1/2 and
+    x_1 >= -1/2: some unit-sphere samples are feasible as drawn."""
+    rng = np.random.default_rng(3)
+    coefs = rng.normal(size=(7, 2))
+    coefs /= np.linalg.norm(coefs, axis=1, keepdims=True)
+    objectives = [lambda x, a=a: (float(a @ x), a) for a in coefs]
+    constraints = [lambda x: (float(x[0] - 0.5), np.array([1.0, 0.0])),
+                   lambda x: (float(-x[1] - 0.5), np.array([0.0, -1.0]))]
+    return make_custom_problem(objectives, constraints, lipschitz=1.0,
+                               radius=1.0, dim=2)
+
+
+@pytest.mark.parametrize("problem", ["paper_logistic", "paper_hinge",
+                                     "half_plane"])
+def test_random_feasible_starts_match_per_agent_bisection(problem, request):
+    p = (half_plane_problem() if problem == "half_plane"
+         else request.getfixturevalue(problem))
+    for seed in (0, 4, 2 ** 40):
+        cfg = en.RunConfig(eta=1.0, init="random_feasible", seed=seed)
+        starts = en.initial_states(p, cfg).x
+        oracle = per_agent_random_feasible(p, seed)
+        assert starts.tobytes() == oracle.tobytes()
+    if problem == "half_plane":
+        # both branches ran: drawn points kept, others scaled inward
+        drawn = np.abs(np.linalg.norm(starts, axis=1) - 1.0) < 1e-12
+        assert 0 < drawn.sum() < p.n_agents
+
+
 def test_centralized_matches_hand_rolled_loop():
     # independent implementation of the unregularized centralized update
     data = generate_dataset(10, 3, seed=7)
@@ -452,7 +508,7 @@ def test_missigned_dual_update_trips_lambda_bound(monkeypatch, paper_logistic,
     cfg = en.RunConfig(eta=1.0, iterations=400, record_every=20,
                        monitor_bounds=True)
     trace = en.run(paper_logistic, ws_matrix, cfg)
-    bound = metrics.lambda_norm_bound(paper_logistic, 1.0, 100)
+    bound = metrics.lambda_norm_bound(paper_logistic, 1.0)
     worst = max(r.sum_lambda_sq for r in trace.records)
     assert worst > bound or trace.aborted is not None
     assert trace.warnings or trace.aborted

@@ -111,9 +111,18 @@ def dense_lazy_metropolis(g):
     return w
 
 
+def dense_laplacian_closed_form(g):
+    """Independent oracle: I - (D - A) / (d_max + 1) as a dense n x n
+    array, with the diagonal completed by numpy's dense row sum."""
+    w = dense_adjacency(g) * (1.0 / (max(g.degrees) + 1))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return w
+
+
 def dense_laplacian_weights(g):
-    """Independent oracle: the normalized-Laplacian weights computed on
-    dense n x n arrays."""
+    """Textbook reference: the normalized-Laplacian weights computed on
+    dense n x n arrays, W = I - d/(d+1) Lap for a d-regular graph and
+    I - D^{1/2} Lap D^{1/2} / (d_max + 1) otherwise."""
     n = g.n
     a = dense_adjacency(g)
     degrees = np.array(g.degrees, dtype=float)
@@ -121,15 +130,9 @@ def dense_laplacian_weights(g):
     lap = np.eye(n) - (d_inv_sqrt[:, None] * a * d_inv_sqrt[None, :])
     if np.all(degrees == degrees[0]):
         d = degrees[0]
-        w = np.eye(n) - (d / (d + 1.0)) * lap
-    else:
-        d_sqrt = np.sqrt(degrees)
-        d_max = degrees.max()
-        w = np.eye(n) - (d_sqrt[:, None] * lap * d_sqrt[None, :]) / (d_max + 1.0)
-    w = 0.5 * (w + w.T)
-    w[np.abs(w) < 1e-15] = 0.0
-    np.fill_diagonal(w, np.diag(w) + (1.0 - w.sum(axis=1)))
-    return w
+        return np.eye(n) - (d / (d + 1.0)) * lap
+    d_sqrt = np.sqrt(degrees)
+    return np.eye(n) - (d_sqrt[:, None] * lap * d_sqrt[None, :]) / (degrees.max() + 1.0)
 
 
 # -- generators --------------------------------------------------------------
@@ -394,7 +397,7 @@ ORACLE_GRAPHS = {
 def test_weights_match_dense_oracle_bit_for_bit(name, scheme):
     g = ORACLE_GRAPHS[name]()
     dense = {"lazy_metropolis": dense_lazy_metropolis,
-             "laplacian_weights": dense_laplacian_weights}[scheme](g)
+             "laplacian_weights": dense_laplacian_closed_form}[scheme](g)
     w = getattr(graphs, scheme)(g)
     # the CSR of the dense oracle as np.nonzero lists it: row-major order,
     # exact zeros dropped, int32 indices
@@ -409,6 +412,22 @@ def test_weights_match_dense_oracle_bit_for_bit(name, scheme):
     if g.n <= graphs.DENSE_SIGMA2_MAX_N:
         assert w.sigma2 == np.sort(np.abs(np.linalg.eigvalsh(dense)))[-2]
     assert np.array_equal(w.entries, dense)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_laplacian_weights_match_the_normalized_formula(name):
+    # the closed form and the textbook formula differ only in rounding:
+    # same nonzero pattern, every entry within 2 eps
+    g = ORACLE_GRAPHS[name]()
+    textbook = dense_laplacian_weights(g)
+    w = laplacian_weights(g).entries
+    assert np.array_equal(w != 0, textbook != 0)
+    assert np.max(np.abs(w - textbook)) <= 2 * np.finfo(float).eps
+
+
+def test_laplacian_weights_reject_an_isolated_node():
+    with pytest.raises(GraphError, match="isolated node"):
+        laplacian_weights(GraphTopology.from_edges(1, []))
 
 
 def test_lazy_metropolis_allocates_no_dense_matrix():
@@ -450,8 +469,8 @@ def test_laplacian_weights_star_graph():
     w = laplacian_weights(g)
     assert_allclose(w.entries.sum(axis=0), 1.0, atol=1e-12)
     assert_allclose(w.entries.sum(axis=1), 1.0, atol=1e-12)
-    # non-regular branch keeps the hub-leaf coupling positive
-    assert w.entries[0, 1] > 0
+    # every edge, hub-leaf included, carries 1 / (d_max + 1)
+    assert w.entries[0, 1] == 1 / 5
 
 
 def test_spectral_gap_rank_one():
@@ -496,20 +515,9 @@ def test_consensus_matrix_immutable():
 
 # -- serialization -----------------------------------------------------------
 
-def test_edgelist_roundtrip():
-    g = generate_watts_strogatz(20, 4, 0.3, seed=2)
-    text = g.to_edgelist_text()
-    back = GraphTopology.from_edgelist_text(text)
-    assert back.n == g.n and set(back.edges) == set(g.edges)
-    assert text.splitlines()[0] == "20"
-
-
-def test_matrix_csv_roundtrip():
-    g = generate_erdos_renyi(12, 0.4, seed=9)
-    w = lazy_metropolis(g)
-    back = ConsensusMatrix.from_csv_text(w.to_csv_text(), graph=g)
-    assert np.array_equal(back.entries, w.entries)
-    assert back.sigma2 == w.sigma2
+def test_edgelist_text_lists_n_then_each_edge():
+    g = GraphTopology.from_edges(4, [(2, 1), (0, 3), (1, 2), (3, 1)])
+    assert g.to_edgelist_text() == "4\n0 3\n1 2\n1 3\n"
 
 
 def test_sigma2_method_by_size_and_symmetry(ws_matrix):

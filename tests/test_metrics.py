@@ -115,12 +115,12 @@ def test_violation_averages_across_agents(paper_logistic):
 # -- rate-bound constants --------------------------------------------------------
 
 def test_thm2_constant_exceeds_one(paper_logistic, ws_matrix):
-    c = me.thm2_constant(paper_logistic, ws_matrix, 1.0, 10_000, 100)
+    c = me.thm2_constant(paper_logistic, ws_matrix.sigma2, 1.0, 10_000)
     assert c > 1.0
 
 
 def test_thm2_constant_large_eta_limit(paper_logistic, ws_matrix):
-    c_inf = me.thm2_constant(paper_logistic, ws_matrix, 1e12, 10_000, 100)
+    c_inf = me.thm2_constant(paper_logistic, ws_matrix.sigma2, 1e12, 10_000)
     m, lip, radius = 10, 1.0, 1.0
     log_term = math.log(10_000 * math.sqrt(100 * 10_000)) / (1 - ws_matrix.sigma2)
     expected = 1 + 2.5 * m * lip**2 * radius**2 + 20 * lip**2 * log_term**1.5
@@ -135,29 +135,29 @@ def test_thm2_constant_independent_reevaluation(paper_logistic, ws_matrix):
     mixing = math.log(horizon * math.sqrt(n * horizon)) / (1.0 - sigma2)
     by_hand = (1.0 + 2.5 * m * lip**2 * radius**2
                + 20.0 * lip**2 * amplification**2 * mixing**1.5)
-    assert me.thm2_constant(paper_logistic, ws_matrix, eta, horizon, n) \
+    assert me.thm2_constant(paper_logistic, sigma2, eta, horizon) \
         == pytest.approx(by_hand, rel=1e-12)
-    assert me.rate_bound(paper_logistic, ws_matrix, eta, horizon, n) \
+    assert me.rate_bound(paper_logistic, sigma2, eta, horizon) \
         == pytest.approx(radius * by_hand * math.log(horizon)
                          / (math.sqrt(horizon) - 1), rel=1e-12)
 
 
 def test_thm2_constant_needs_horizon(paper_logistic, ws_matrix):
     with pytest.raises(me.MetricError):
-        me.thm2_constant(paper_logistic, ws_matrix, 1.0, 1, 100)
+        me.thm2_constant(paper_logistic, ws_matrix.sigma2, 1.0, 1)
 
 
 def test_bound_envelopes_positive(paper_logistic, ws_matrix):
-    assert me.lambda_norm_bound(paper_logistic, 2.0, 100) == pytest.approx(250.0)
-    assert me.grad_x_norm_bound(paper_logistic, 1.0, 100) \
+    assert me.lambda_norm_bound(paper_logistic, 2.0) == pytest.approx(250.0)
+    assert me.grad_x_norm_bound(paper_logistic, 1.0) \
         == pytest.approx(1.0 + 100 * 10**1.5)
     assert me.grad_lambda_excess_bound(paper_logistic) == pytest.approx(20.0)
-    assert me.consensus_bound(paper_logistic, ws_matrix.sigma2, 1.0, 100,
-                              10_000, 0.05) > 0
-    b = me.strict_violation_bound(paper_logistic, ws_matrix.sigma2, 1.0, 100,
+    assert me.consensus_bound(paper_logistic, ws_matrix.sigma2, 1.0, 10_000,
+                              0.05) > 0
+    b = me.strict_violation_bound(paper_logistic, ws_matrix.sigma2, 1.0,
                                   10_000, 1.0)
     b_small = me.strict_violation_bound(paper_logistic, ws_matrix.sigma2, 1.0,
-                                        100, 1_000_000, 1.0)
+                                        1_000_000, 1.0)
     assert 0 < b_small < b
 
 
