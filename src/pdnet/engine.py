@@ -78,8 +78,9 @@ def resolve_config(cfg: RunConfig, p: ProblemSpec) -> RunConfig:
         raise EngineError("record_every must be >= 1")
     if cfg.init not in (INIT_ORIGIN, INIT_RANDOM_FEASIBLE):
         raise EngineError(f"unknown init {cfg.init!r}")
-    if cfg.seed < 0:
-        raise EngineError("seed must be nonnegative")
+    if not 0 <= cfg.seed < 2 ** 64:
+        # the seed keys Philox streams, whose key words are 64-bit
+        raise EngineError(f"seed must be in [0, 2**64), got {cfg.seed}")
 
     if cfg.variant == CENTRALIZED_UNREGULARIZED:
         eta = 0.0
@@ -174,20 +175,21 @@ def _mix(csr, rows: np.ndarray) -> np.ndarray:
 
 
 def initial_states(p: ProblemSpec, cfg: RunConfig) -> AgentStates:
-    """x_i(0) at the origin or a random feasible point; lam_i(0) = 0."""
-    n, d = p.n_agents, p.dim
+    """x_i(0) at the origin or a random feasible point, and lam_i(0) = 0:
+    one row per agent, or one row for the centralized baseline."""
+    n = 1 if cfg.variant == CENTRALIZED_UNREGULARIZED else p.n_agents
+    d = p.dim
     x0 = (np.zeros((n, d)) if cfg.init == INIT_ORIGIN
-          else _random_feasible_points(p, cfg.seed))
+          else _random_feasible_points(p, cfg.seed, n))
     return AgentStates(x=x0, lam=np.zeros((n, p.n_constraints)),
                        avg_numerator=np.zeros((n, d)), weight_sum=0.0)
 
 
-def _random_feasible_points(p: ProblemSpec, seed: int) -> np.ndarray:
-    """One sphere sample per agent, each scaled into the feasible set by
-    bisection towards the origin; all agents bisect together."""
+def _random_feasible_points(p: ProblemSpec, seed: int, n: int) -> np.ndarray:
+    """One sphere sample per row, each scaled into the feasible set by
+    bisection towards the origin; all rows bisect together."""
     if np.any(p.constraint_values(np.zeros(p.dim)) > 0.0):
         raise EngineError("random_feasible init needs a feasible origin")
-    n = p.n_agents
     v = np.empty((n, p.dim))
     for agent in range(n):
         key = np.array([np.uint64(seed), np.uint64(2 ** 63 + agent)], dtype=np.uint64)
@@ -210,36 +212,30 @@ def _random_feasible_points(p: ProblemSpec, seed: int) -> np.ndarray:
 # one synchronous step
 # ---------------------------------------------------------------------------
 
-def _deterministic_directions(p: ProblemSpec, x: np.ndarray, lam: np.ndarray,
-                              eta: float):
-    grad_f = p.agent_objective_grads(x)
-    g_vals = p.constraint_values_many(x)
-    grad_x = grad_f + p.agent_constraint_combo(x, lam)
-    grad_lam = g_vals - eta * lam
-    return grad_x, grad_lam
-
-
-def _directions(p: ProblemSpec, states: AgentStates, t: int, cfg: RunConfig,
-                stream: np.random.Generator | None = None):
+def _directions(p: ProblemSpec, states: AgentStates, cfg: RunConfig,
+                t: int | None = None, stream: np.random.Generator | None = None):
     """Primal and dual directions at the iteration-t snapshot.
 
-    The only switch on the variant. The stochastic variant replaces the
-    constraint term sum_k lam_k grad g_k of the primal direction with one
-    multiplier-sampled grad g_k scaled by ||lam||_1; the dual direction
-    g - eta lam is the same for every variant. ``stream`` is the run's
-    ``uniform_stream``, re-keyed for each iteration.
+    The one function for every variant. The centralized baseline's one row
+    takes the gradient of the mean objective f = (1/n) sum f_i. The
+    stochastic variant replaces the primal constraint term sum_k lam_k
+    grad g_k with ||lam||_1 grad g_k at one multiplier-sampled k per agent,
+    and samples nothing when t is None, as at the horizon record.
+    ``stream`` is the run's ``uniform_stream``, re-keyed for each iteration.
+    The dual direction g - eta lam is the same for every variant.
     """
-    if cfg.variant != STOCHASTIC:
-        return _deterministic_directions(p, states.x, states.lam, cfg.eta)
     x, lam = states.x, states.lam
-    uniforms = iteration_uniforms(cfg.seed, t, states.n_agents, stream)
-    grad_f = p.agent_objective_grads(x)
-    g_vals = p.constraint_values_many(x)
-    ks = sample_constraint_indices(lam, uniforms)
-    rows = p.agent_constraint_rows(x, ks)
-    grad_x = grad_f + lam.sum(axis=1)[:, None] * rows
-    grad_lam = g_vals - cfg.eta * lam
-    return grad_x, grad_lam
+    if cfg.variant == CENTRALIZED_UNREGULARIZED:
+        grad_f = p.mean_objective_grad_only(x[0])[None, :]
+    else:
+        grad_f = p.agent_objective_grads(x)
+    if cfg.variant == STOCHASTIC and t is not None:
+        uniforms = iteration_uniforms(cfg.seed, t, states.n_agents, stream)
+        ks = sample_constraint_indices(lam, uniforms)
+        grad_x = grad_f + lam.sum(axis=1)[:, None] * p.agent_constraint_rows(x, ks)
+    else:
+        grad_x = grad_f + p.agent_constraint_combo(x, lam)
+    return grad_x, p.constraint_values_many(x) - cfg.eta * lam
 
 
 def _advance(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix, t: int,
@@ -305,9 +301,18 @@ def _check_finite(x: np.ndarray, lam: np.ndarray, t: int) -> None:
 
 def step(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix, t: int,
          cfg: RunConfig) -> AgentStates:
-    """One synchronous step of ``cfg.variant`` from the iteration-t snapshot."""
-    grad_x, grad_lam = _directions(p, states, t, cfg)
-    return _advance(states, p, w, t, cfg, grad_x, grad_lam)
+    """One synchronous step of ``cfg.variant`` from the iteration-t snapshot.
+
+    The centralized baseline steps its one row with a 1x1 matrix.
+    """
+    n = states.n_agents
+    _check_size(w, n, f"the states have {n} rows")
+    return _advance(states, p, w, t, cfg, *_directions(p, states, cfg, t))
+
+
+def _check_size(w: ConsensusMatrix, n: int, what: str) -> None:
+    if w.n != n:
+        raise EngineError(f"mixing matrix is {w.n}x{w.n} but {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +361,7 @@ def run(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
     cfg = resolve_config(cfg, p)
     if cfg.variant == CENTRALIZED_UNREGULARIZED:
         raise EngineError("use run_centralized_unregularized for the baseline")
-    if w.n != p.n_agents:
-        raise EngineError(
-            f"mixing matrix is {w.n}x{w.n} but the problem has "
-            f"{p.n_agents} agents")
+    _check_size(w, p.n_agents, f"the problem has {p.n_agents} agents")
     return _run_loop(p, w, cfg, reference)
 
 
@@ -367,69 +369,23 @@ def run_centralized_unregularized(p: ProblemSpec, cfg: RunConfig,
                                   reference: ReferenceSolution | None = None) -> Trace:
     """Single-agent unregularized baseline on the mean objective.
 
-    Equivalent to the deterministic variant with one agent holding
-    f = (1/n) sum f_i, identity mixing, and eta = 0. Without the
-    regularizer the dual norm is unbounded; the runaway guard applies.
+    The deterministic step on one row holding f = (1/n) sum f_i, with
+    identity mixing and eta = 0. Without the regularizer the dual norm is
+    unbounded; the runaway guard applies.
     """
     if cfg.variant != CENTRALIZED_UNREGULARIZED:
         raise EngineError("config variant must be centralized_unregularized")
     cfg = resolve_config(cfg, p)
-    single = centralized_mean_problem(p)
     w1 = ConsensusMatrix.from_entries(np.array([[1.0]]))
-    return _run_loop(single, w1, cfg, reference)
-
-
-def centralized_mean_problem(p: ProblemSpec) -> ProblemSpec:
-    """Collapse an n-agent problem to one agent holding the mean objective."""
-    if p.n_agents == 1:
-        return p
-    return dataclasses.replace(p, n_agents=1, ops=_MeanOps(p.ops))
-
-
-class _MeanOps:
-    """The collapsed problem's ops: agent 0's objective is the mean f, and
-    the shared constraints are the n-agent problem's."""
-
-    def __init__(self, ops):
-        self._ops = ops
-
-    def agent_objective_grads(self, x_rows):
-        return self._ops.mean_objective_grad_only(x_rows[0])[None, :]
-
-    def agent_objective_values(self, x_rows):
-        return self._ops.mean_objective_many(x_rows)
-
-    def mean_objective_many(self, points):
-        return self._ops.mean_objective_many(points)
-
-    def mean_objective_grad(self, x):
-        return self._ops.mean_objective_grad(x)
-
-    def mean_objective_grad_only(self, x):
-        return self._ops.mean_objective_grad_only(x)
-
-    def mean_objective_bracket(self, points):
-        return self._ops.mean_objective_bracket(points)
-
-    def constraint_values_many(self, points):
-        return self._ops.constraint_values_many(points)
-
-    def agent_constraint_combo(self, x_rows, lam_rows):
-        return self._ops.agent_constraint_combo(x_rows, lam_rows)
-
-    def agent_constraint_rows(self, x_rows, ks):
-        return self._ops.agent_constraint_rows(x_rows, ks)
+    return _run_loop(p, w1, cfg, reference)
 
 
 def _run_loop(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
               reference: ReferenceSolution | None) -> Trace:
     states = initial_states(p, cfg)
     initial = states.copy()
-    outputs0 = initial.output_points()
-    initial_gnorms = np.linalg.norm(p.constraint_values_many(outputs0), axis=1)
-    initial_fgaps = None
-    if reference is not None:
-        initial_fgaps = metrics.objective_values(p, outputs0) - reference.f_star
+    initial_fgaps, initial_gnorms = metrics.initial_normalizers(p, initial,
+                                                                reference)
 
     # final_states is set once the loop ends; until then it names the copy
     # kept anyway, so the t = 0 arrays are not held for the whole run
@@ -453,7 +409,7 @@ def _run_loop(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
     stream = uniform_stream() if cfg.variant == STOCHASTIC else None
     try:
         for t in range(cfg.iterations):
-            grad_x, grad_lam = _directions(p, states, t, cfg, stream)
+            grad_x, grad_lam = _directions(p, states, cfg, t, stream)
             if t % cfg.record_every == 0:
                 record_now(t, grad_x, grad_lam)
             states = _advance(states, p, w, t, cfg, grad_x, grad_lam)
@@ -462,9 +418,7 @@ def _run_loop(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
         log.error("run aborted: %s", exc)
     else:
         # no constraint is sampled at the horizon: record the full directions
-        grad_x, grad_lam = _deterministic_directions(p, states.x, states.lam,
-                                                     cfg.eta)
-        record_now(cfg.iterations, grad_x, grad_lam)
+        record_now(cfg.iterations, *_directions(p, states, cfg))
     trace.final_states = states
     for name, (count, first_t, value, bound) in exceeded.items():
         msg = (f"{name} exceeded at {count} records from t={first_t}, "

@@ -33,7 +33,7 @@ class IterationRecord:
 
     ``eps`` is the maximum relative objective error over agents and
     ``delta`` the maximum relative constraint norm; both are normalized by
-    their value at the initial averages, so eps = 1 exactly at t = 0.
+    their value at the t = 0 iterates, so eps = 1 exactly at t = 0.
     ``violation_sq`` is the squared positive part of the network-average
     constraint vector. ``eps_absolute`` flags records where a degenerate
     normalizer forced the absolute gap to be reported instead.
@@ -142,17 +142,28 @@ def _violation_sq(gvals: np.ndarray) -> float:
     return float(np.sum(np.maximum(gvals.mean(axis=0), 0.0) ** 2))
 
 
+def initial_normalizers(p: ProblemSpec, initial_states,
+                        ref: ReferenceSolution | None = None):
+    """(fgaps, gnorms): f(xhat_i(0)) - f* and ||g(xhat_i(0))|| per agent,
+    the normalizers of eps and delta, at the t = 0 iterates (the averages
+    if ``initial_states`` has any). fgaps is None without ``ref``."""
+    outputs0 = initial_states.output_points()
+    gnorms = row_norms(p.constraint_values_many(outputs0))
+    fgaps = None if ref is None else objective_values(p, outputs0) - ref.f_star
+    return fgaps, gnorms
+
+
 def epsilon_G(p: ProblemSpec, ref: ReferenceSolution, states,
               initial_states) -> float:
     """Maximum relative objective error over the network.
 
     max_i |(f(xhat_i) - f*) / (f(xhat_i(0)) - f*)| where f is the
-    cumulative objective. Raises when an average is undefined or an
-    initial gap falls below the degenerate-normalizer threshold.
+    cumulative objective, normalized at the t = 0 iterates. Raises when an
+    average of ``states`` is undefined or an initial gap falls below the
+    degenerate-normalizer threshold.
     """
     outputs = _require_outputs(states)
-    normalizers = (objective_values(p, _require_outputs(initial_states))
-                   - ref.f_star)
+    normalizers = initial_normalizers(p, initial_states, ref)[0]
     if np.min(np.abs(normalizers)) < DEGENERATE_NORMALIZER:
         raise MetricError("initial objective gap is degenerate")
     return _objective_maxima(p, outputs, ref.f_star, normalizers)[1]
@@ -165,9 +176,8 @@ def delta_G(p: ProblemSpec, states, initial_states) -> float:
     strictly feasible trajectory keeps delta bounded away from zero.
     """
     outputs = _require_outputs(states)
-    initial = _require_outputs(initial_states)
-    delta = _max_ratio(np.linalg.norm(p.constraint_values_many(outputs), axis=1),
-                       np.linalg.norm(p.constraint_values_many(initial), axis=1))
+    delta = _max_ratio(row_norms(p.constraint_values_many(outputs)),
+                       initial_normalizers(p, initial_states)[1])
     if delta is None:
         raise MetricError("initial constraint norm is zero")
     return delta
@@ -352,7 +362,8 @@ def compute_record(p: ProblemSpec, states, t: int, eta: float, sigma2: float,
 
     At t = 0 (empty averages) the current iterates stand in for the
     averages, which pins eps and delta to exactly 1. ``initial_fgaps`` and
-    ``initial_gnorms`` are the per-agent normalizers captured at t = 0.
+    ``initial_gnorms`` are the per-agent normalizers from
+    ``initial_normalizers``.
     ``sigma2`` enters only the rate bound, which is evaluated only with
     ``ref``; without one any value may be passed.
     """

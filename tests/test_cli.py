@@ -221,6 +221,21 @@ def test_centralized_run(out_root):
     assert manifest["derived"]["graph"]["nodes"] == 1
 
 
+@pytest.mark.parametrize("setting", ["run.variant=stochastic",
+                                     "run.init=random_feasible"])
+@pytest.mark.parametrize("seed,code", [(2 ** 64 - 1, 0), (2 ** 64, 2)])
+def test_run_seed_must_fit_64_bits(setting, seed, code, out_root, capsys):
+    # both settings key Philox streams with the seed
+    argv = ["run", "--out", "seed", *SMALL_RUN, "--set", "run.T=5",
+            "--set", "reference.iterations=100", "--set", setting,
+            "--set", f"run.seed={seed}"]
+    assert cli.main(argv) == code
+    if code == cli.EXIT_CONFIG:
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "seed must be in [0, 2**64)" in lines[0]
+
+
 def test_sweep_legs_and_summary(out_root):
     code = cli.main(["sweep", "--out", "sw", *SMALL_RUN,
                      "--param", "eta", "--values", "0.5,1.0"])

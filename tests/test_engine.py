@@ -203,19 +203,25 @@ def test_stochastic_update_seed_independent_while_dual_zero():
     assert a.final_states.lam.max() == 0.0
 
 
-def test_enumerated_stochastic_mean_matches_deterministic(paper_logistic):
+def test_enumerated_stochastic_mean_matches_deterministic(monkeypatch,
+                                                         paper_logistic):
+    # the stochastic directions at each forced index k, weighted by the
+    # sampling probabilities, average to the unsampled (horizon) directions
     from pdnet.lagrangian import sampling_distribution
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(paper_logistic.n_agents, 5)) * 0.1
-    lam = rng.random((paper_logistic.n_agents, 10))
-    gx_det, glam_det = en._deterministic_directions(paper_logistic, x, lam, 1.0)
+    n = paper_logistic.n_agents
+    states = en.AgentStates(x=rng.normal(size=(n, 5)) * 0.1,
+                            lam=rng.random((n, 10)),
+                            avg_numerator=np.zeros((n, 5)), weight_sum=0.0)
+    cfg = en.RunConfig(variant="stochastic", eta=1.0)
+    gx_det, glam_det = en._directions(paper_logistic, states, cfg)
     mean_gx = np.zeros_like(gx_det)
     for k in range(10):
-        ks = np.full(paper_logistic.n_agents, k)
-        rows = paper_logistic.agent_constraint_rows(x, ks)
-        stoch = (paper_logistic.agent_objective_grads(x)
-                 + lam.sum(axis=1)[:, None] * rows)
-        probs = np.array([sampling_distribution(l)[k] for l in lam])
+        monkeypatch.setattr(en, "sample_constraint_indices",
+                            lambda lam, uniforms: np.full(n, k))
+        stoch, glam = en._directions(paper_logistic, states, cfg, t=3)
+        assert np.array_equal(glam, glam_det)
+        probs = np.array([sampling_distribution(l)[k] for l in states.lam])
         mean_gx += probs[:, None] * stoch
     assert_allclose(mean_gx, gx_det, atol=1e-12)
 
@@ -290,16 +296,16 @@ def test_divergence_guard_aborts():
 
 def test_non_finite_iterate_names_agent_and_component(monkeypatch,
                                                       paper_logistic, ws_matrix):
-    original = en._deterministic_directions
+    original = en._directions
 
-    def poisoned(p, x, lam, eta):
-        grad_x, grad_lam = original(p, x, lam, eta)
-        if np.any(x != 0.0):
+    def poisoned(p, states, cfg, t=None, stream=None):
+        grad_x, grad_lam = original(p, states, cfg, t, stream)
+        if np.any(states.x != 0.0):
             grad_lam = grad_lam.copy()
             grad_lam[37, 0] = np.nan
         return grad_x, grad_lam
 
-    monkeypatch.setattr(en, "_deterministic_directions", poisoned)
+    monkeypatch.setattr(en, "_directions", poisoned)
     trace = en.run(paper_logistic, ws_matrix,
                    en.RunConfig(eta=1.0, iterations=20, record_every=5))
     assert trace.aborted == "non-finite lam at t=1, agent 37"
@@ -410,6 +416,54 @@ def test_centralized_matches_hand_rolled_loop():
     assert_allclose(trace.final_states.lam[0], lam, atol=1e-12)
 
 
+@pytest.mark.parametrize("init", ["origin", "random_feasible"])
+def test_step_serves_the_centralized_baseline(init):
+    # the baseline's states are one row of the n-agent problem, stepped
+    # with a 1x1 matrix on the mean objective's gradient
+    from pdnet.graphs import generate_watts_strogatz
+    p = build_logistic_problem(generate_dataset(20, 3, seed=2), 0.1, 0.1)
+    cfg = en.RunConfig(variant=en.CENTRALIZED_UNREGULARIZED, init=init,
+                       iterations=3, seed=5)
+    trace = en.run_centralized_unregularized(p, cfg)
+    states = en.initial_states(p, trace.config)
+    assert states.x.shape == (1, 3) and states.lam.shape == (1, 6)
+    assert np.array_equal(states.x, trace.initial_states.x)
+    if init == "random_feasible":  # the one row starts where agent 0 does
+        agents = en.initial_states(p, dataclasses.replace(
+            trace.config, variant="deterministic"))
+        assert np.array_equal(states.x, agents.x[:1])
+    for t in range(3):
+        states = en.step(states, p, identity_matrix(), t, trace.config)
+    for name in ("x", "lam", "avg_numerator"):
+        assert np.array_equal(getattr(states, name),
+                              getattr(trace.final_states, name))
+    with pytest.raises(en.EngineError, match="20x20 but the states have 1 rows"):
+        en.step(states, p, lazy_metropolis(generate_watts_strogatz(20, 4, 0.2,
+                                                                   seed=3)),
+                0, trace.config)
+
+
+@pytest.mark.parametrize("variant", ["deterministic", "stochastic"])
+def test_step_rejects_a_mismatched_matrix(variant, paper_logistic):
+    cfg = en.resolve_config(en.RunConfig(variant=variant, eta=1.0),
+                            paper_logistic)
+    states = en.initial_states(paper_logistic, cfg)
+    with pytest.raises(en.EngineError, match="1x1 but the states have 100 rows"):
+        en.step(states, paper_logistic, identity_matrix(), 0, cfg)
+
+
+@pytest.mark.parametrize("seed,ok", [(2 ** 64 - 1, True), (2 ** 64, False),
+                                     (-1, False)])
+def test_resolve_config_bounds_the_seed(seed, ok, paper_logistic):
+    # the seed is a 64-bit Philox key word
+    cfg = en.RunConfig(eta=1.0, seed=seed)
+    if ok:
+        assert en.resolve_config(cfg, paper_logistic).seed == seed
+    else:
+        with pytest.raises(en.EngineError, match="seed must be in"):
+            en.resolve_config(cfg, paper_logistic)
+
+
 def test_centralized_requires_matching_variant(paper_logistic):
     with pytest.raises(en.EngineError):
         en.run_centralized_unregularized(paper_logistic,
@@ -498,13 +552,13 @@ def test_missigned_dual_update_trips_lambda_bound(monkeypatch, paper_logistic,
                                                   ws_matrix):
     # mutation test: flipping the dual direction must be caught by the
     # multiplier-norm envelope
-    original = en._deterministic_directions
+    original = en._directions
 
-    def flipped(p, x, lam, eta):
-        gx, glam = original(p, x, lam, eta)
+    def flipped(p, states, cfg, t=None, stream=None):
+        gx, glam = original(p, states, cfg, t, stream)
         return gx, -glam
 
-    monkeypatch.setattr(en, "_deterministic_directions", flipped)
+    monkeypatch.setattr(en, "_directions", flipped)
     cfg = en.RunConfig(eta=1.0, iterations=400, record_every=20,
                        monitor_bounds=True)
     trace = en.run(paper_logistic, ws_matrix, cfg)
@@ -552,15 +606,18 @@ def test_run_is_a_loop_of_steps(variant, init, record_every, paper_logistic,
     # hand and recording with compute_record gives the run's bits
     cfg = en.RunConfig(variant=variant, init=init, eta=1.0, iterations=30,
                        seed=4, record_every=record_every)
+    # the baseline steps the n-agent problem's one row with a 1x1 matrix
+    p = paper_logistic
     if variant == en.CENTRALIZED_UNREGULARIZED:
-        trace = en.run_centralized_unregularized(paper_logistic, cfg,
+        trace = en.run_centralized_unregularized(p, cfg,
                                                  reference=paper_reference)
-        p, w = en.centralized_mean_problem(paper_logistic), identity_matrix()
+        w = identity_matrix()
     else:
-        trace = en.run(paper_logistic, ws_matrix, cfg, reference=paper_reference)
-        p, w = paper_logistic, ws_matrix
+        trace = en.run(p, ws_matrix, cfg, reference=paper_reference)
+        w = ws_matrix
     cfg = trace.config
     states = en.initial_states(p, cfg)
+    assert states.n_agents == w.n
     outputs0 = states.output_points()
     normalizers = dict(
         ref=paper_reference,
@@ -575,15 +632,14 @@ def test_run_is_a_loop_of_steps(variant, init, record_every, paper_logistic,
     records = []
     for t in range(cfg.iterations):
         if t % record_every == 0:
-            records.append(record(t, *en._directions(p, states, t, cfg)))
+            records.append(record(t, *en._directions(p, states, cfg, t)))
         before = states.copy()
         after = en.step(states, p, w, t, cfg)
         for name in ("x", "lam", "avg_numerator"):
             assert np.array_equal(getattr(states, name), getattr(before, name))
         assert states.weight_sum == before.weight_sum
         states = after
-    records.append(record(cfg.iterations, *en._deterministic_directions(
-        p, states.x, states.lam, cfg.eta)))
+    records.append(record(cfg.iterations, *en._directions(p, states, cfg)))
 
     assert ([metrics.record_csv_row(r) for r in trace.records]
             == [metrics.record_csv_row(r) for r in records])

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pdnet import metrics as me
-from pdnet.engine import AgentStates
+from pdnet.engine import AgentStates, RunConfig, run
 from pdnet.problems import (ProblemSpec, ReferenceSolution, box_constraints,
                             build_hinge_problem, build_logistic_problem,
                             generate_dataset)
@@ -85,6 +85,25 @@ def test_delta_cases():
     val = me.delta_G(p, states_at([[0.0]]), init)
     expected = np.linalg.norm([-0.5, -0.5]) / np.linalg.norm([-0.8, -0.2])
     assert val == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("variant", ["deterministic", "stochastic"])
+@pytest.mark.parametrize("init", ["origin", "random_feasible"])
+def test_run_metrics_take_the_initial_states(variant, init, paper_logistic,
+                                              ws_matrix, paper_reference):
+    # a trace's initial states have no averages yet: the metrics normalize
+    # at their iterates, as the records do, and give the last record's bits
+    cfg = RunConfig(variant=variant, init=init, eta=1.0, iterations=30,
+                    seed=4)
+    trace = run(paper_logistic, ws_matrix, cfg, reference=paper_reference)
+    final, initial = trace.final_states, trace.initial_states
+    last = trace.records[-1]
+    assert initial.averages() is None
+    assert repr(me.epsilon_G(paper_logistic, paper_reference, final,
+                             initial)) == repr(last.eps)
+    assert repr(me.delta_G(paper_logistic, final, initial)) == repr(last.delta)
+    assert (repr(me.violation_functional(paper_logistic, final))
+            == repr(last.violation_sq))
 
 
 def test_violation_functional_cases():

@@ -5,7 +5,8 @@
 For n in {10^2, 2 * 10^3, 10^4} agents (logistic, d = 5, l = u = 0.1, on a
 Watts-Strogatz(n, 20, 0.02) graph with lazy Metropolis weights), runs the
 deterministic variant for 20 steps and then times ``metrics.compute_record``
-on its final states, as the engine calls it, 15 times each way. BLAS and
+on its final states, as the engine calls it at the horizon (with the
+horizon directions and the t = 0 normalizers), 15 times each way. BLAS and
 OpenMP are pinned to one thread before numpy is imported.
 """
 
@@ -16,11 +17,12 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import math  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
 
 import pdnet  # noqa: E402
-from pdnet import metrics  # noqa: E402
+from pdnet import engine, metrics  # noqa: E402
 
 SIZES = (100, 2000, 10_000)
 STEPS = 20
@@ -37,22 +39,24 @@ def record_costs(n: int) -> tuple[float, float]:
     cfg = pdnet.RunConfig(iterations=STEPS, eta=1.0, seed=1)
     trace = pdnet.run(problem, weights, cfg)
     states, cfg = trace.final_states, trace.config
-    initial = trace.initial_states.output_points()
-    initial_fgaps = metrics.objective_values(problem, initial) - reference.f_star
-    initial_gnorms = metrics.row_norms(problem.constraint_values_many(initial))
-    sigma2 = weights.sigma2
+    grad_x, grad_lam = engine._directions(problem, states, cfg)
 
-    def median_cost(ref, fgaps) -> float:
+    def median_cost(ref) -> float:
+        fgaps, gnorms = metrics.initial_normalizers(
+            problem, trace.initial_states, ref)
+        # only the rate bound, which needs the reference, reads sigma2
+        sigma2 = math.nan if ref is None else weights.sigma2
         costs = []
         for _ in range(REPEATS):
             start = time.perf_counter()
             metrics.compute_record(problem, states, STEPS, cfg.eta, sigma2,
                                    ref=ref, initial_fgaps=fgaps,
-                                   initial_gnorms=initial_gnorms)
+                                   initial_gnorms=gnorms, grad_x_rows=grad_x,
+                                   grad_lambda_rows=grad_lam)
             costs.append(time.perf_counter() - start)
         return statistics.median(costs)
 
-    return median_cost(reference, initial_fgaps), median_cost(None, None)
+    return median_cost(reference), median_cost(None)
 
 
 def main() -> None:
