@@ -18,7 +18,6 @@ import os
 import platform
 import sys
 import time
-from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -81,15 +80,14 @@ def _resolve_out_dir(config: dict) -> Path:
     return out if out.is_absolute() else _output_root() / out
 
 
-def _write_atomic(path: Path, text: str | Iterable[str]) -> None:
-    """Write ``text`` (a string, or an iterable of string pieces written
-    one after another) to a temporary file beside ``path``, then rename it
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it
     into place, so a failed write leaves neither a partial artifact nor
     the temporary file."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as f:
-            f.writelines([text] if isinstance(text, str) else text)
+            f.write(text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -111,7 +109,7 @@ def cmd_generate_graph(args) -> int:
     out_dir = _resolve_out_dir(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(out_dir / "graph_edges.txt", g.to_edgelist_text())
-    _write_atomic(out_dir / "weight_matrix.csv", w.csv_lines())
+    _write_atomic(out_dir / "weight_matrix.csv", w.to_csv_text())
     gap = spectral_gap(w)
     report = {
         "family": config["graph.family"],

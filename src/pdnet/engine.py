@@ -307,6 +307,7 @@ def step(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix, t: int,
     """
     n = states.n_agents
     _check_size(w, n, f"the states have {n} rows")
+    stepsize(t, cfg)  # a bad t or scale fails before the stochastic sample
     return _advance(states, p, w, t, cfg, *_directions(p, states, cfg, t))
 
 

@@ -10,7 +10,6 @@ random graphs is enforced by retrying with an incremented seed.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -149,7 +148,8 @@ class ConsensusMatrix:
     them, so a run that checks none never pays for the eigensolve. The
     constructors validate the entries: finite, nonnegative, row and
     column sums within STOCHASTIC_TOL of 1, and (when a topology is
-    supplied) zero off the graph edges.
+    supplied) zero off the graph edges. The weight file
+    (``to_csv_text``) lists the stored entries: O(nnz) bytes.
     """
 
     csr: sparse.csr_array = field(repr=False)
@@ -187,16 +187,14 @@ class ConsensusMatrix:
         return _validated(_assemble_csr(len(w), rows, cols, w[rows, cols])[0],
                           graph)
 
-    def csv_lines(self) -> Iterator[str]:
-        """One matrix row per line, comma separated, full precision; each
-        row is expanded from the CSR on its own."""
-        row = np.zeros(self.n)
-        csr = self.csr
-        for i in range(self.n):
-            lo, hi = csr.indptr[i], csr.indptr[i + 1]
-            row[csr.indices[lo:hi]] = csr.data[lo:hi]
-            yield ",".join(map(repr, row.tolist())) + "\n"
-            row[csr.indices[lo:hi]] = 0.0
+    def to_csv_text(self) -> str:
+        """Serialize the stored entries: a header ``i,j,w``, then one
+        ``i,j,w`` line per entry in CSR order, with ``repr`` precision."""
+        lines = ["i,j,w"]
+        lines += [f"{i},{j},{v!r}" for i, j, v in zip(
+            _row_ids(self.csr).tolist(), self.csr.indices.tolist(),
+            self.csr.data.tolist())]
+        return "\n".join(lines) + "\n"
 
 
 def _assemble_csr(n: int, rows: np.ndarray, cols: np.ndarray,
@@ -218,35 +216,6 @@ def _assemble_csr(n: int, rows: np.ndarray, cols: np.ndarray,
     csr = sparse.csr_array((values[order], cols[order].astype(index), indptr),
                            shape=(n, n))
     return csr, slots
-
-
-#: A dense row sum expands as many rows at a time as hold this many
-#: entries (at least one row).
-ROW_SUM_ENTRIES = 2 ** 18
-
-
-def _dense_row_sums(csr: sparse.csr_array) -> np.ndarray:
-    """Row sums of ``csr`` with the bits of numpy's ``dense.sum(axis=1)``.
-
-    Numpy's pairwise summation pairs a row's nonzeros according to the
-    zeros between them, so a sum over the stored entries alone differs in
-    the last bit for about half the rows. The rows are expanded a block
-    at a time instead: O(max(n, ROW_SUM_ENTRIES)) memory.
-    """
-    n = csr.shape[0]
-    step = min(n, max(1, ROW_SUM_ENTRIES // n))
-    rows = _row_ids(csr)
-    sums = np.empty(n)
-    block = np.zeros((step, n))
-    flat = block.reshape(-1)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        lo, hi = csr.indptr[start], csr.indptr[stop]
-        cells = (rows[lo:hi] - start) * n + csr.indices[lo:hi]
-        flat[cells] = csr.data[lo:hi]
-        sums[start:stop] = block[:stop - start].sum(axis=1)
-        flat[cells] = 0.0
-    return sums
 
 
 def _row_ids(csr: sparse.csr_array) -> np.ndarray:
@@ -517,7 +486,14 @@ def generate_barbell(n: int, bridge_count: int = 1) -> GraphTopology:
 
 def _edge_weighted(g: GraphTopology, v: np.ndarray) -> ConsensusMatrix:
     """The symmetric matrix with weight v[e] on both entries of edge e and
-    the diagonal that completes each row sum to 1."""
+    the diagonal that completes each row sum to 1.
+
+    A row's sum is taken over its stored entries alone, the diagonal slot
+    still 0: ``np.add.reduceat`` gives the first entry plus numpy's
+    pairwise sum of the rest. Every row stores its diagonal slot, so no
+    segment is empty (reduceat would return data[start] for one). O(nnz)
+    time and memory.
+    """
     n = g.n
     i, j = g.edge_array.T
     nodes = np.arange(n)
@@ -525,7 +501,8 @@ def _edge_weighted(g: GraphTopology, v: np.ndarray) -> ConsensusMatrix:
     csr, slots = _assemble_csr(n, np.concatenate([i, j, nodes]),
                                np.concatenate([j, i, nodes]),
                                np.concatenate([v, v, np.zeros(n)]))
-    csr.data[slots[2 * len(v):]] = 1.0 - _dense_row_sums(csr)
+    csr.data[slots[2 * len(v):]] = 1.0 - np.add.reduceat(csr.data,
+                                                         csr.indptr[:-1])
     return _validated(csr, g)
 
 

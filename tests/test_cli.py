@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pdnet
-from pdnet import cli, config as cfgmod
+from pdnet import cli, config as cfgmod, graphs
 from pdnet.config import ConfigError
 
 
@@ -92,18 +92,34 @@ def test_generate_graph_artifacts(out_root):
      "weights.scheme=laplacian"],
     ["graph.family=barbell", "graph.n=40", "graph.bridges=3"],
 ])
-def test_weight_matrix_csv_streams_the_dense_rows(out_root, sets):
+def test_weight_matrix_csv_lists_the_stored_entries(out_root, sets):
     argv = ["generate-graph", "--out", "wm"]
     for item in sets:
         argv += ["--set", item]
     assert cli.main(argv) == 0
     config = cfgmod.apply_overrides(cfgmod.parse_config(), sets)
     w = cfgmod.build_weights(config, cfgmod.build_graph(config))
-    # the format written from the dense matrix before it was streamed
-    dense_rows = "\n".join(",".join(repr(float(v)) for v in row)
-                           for row in w.entries) + "\n"
-    assert (out_root / "wm" / "weight_matrix.csv").read_text() == dense_rows
-    assert "".join(w.csv_lines()) == dense_rows
+    text = (out_root / "wm" / "weight_matrix.csv").read_text()
+    assert text == w.to_csv_text()
+    header, *lines = text.splitlines()
+    assert header == "i,j,w"
+    i, j, v = zip(*(line.split(",") for line in lines))
+    assert np.array_equal(np.array(i, dtype=np.int64), graphs._row_ids(w.csr))
+    assert np.array_equal(np.array(j, dtype=np.int64), w.csr.indices)
+    assert np.array(v, dtype=float).tobytes() == w.csr.data.tobytes()
+
+
+def test_weight_matrix_csv_holds_o_nnz_bytes(out_root):
+    # WS(5000, 20, 0.02): a header plus one line per stored entry, n of
+    # them on the diagonal and two per edge
+    assert cli.main(["generate-graph", "--out", "ws5000",
+                     "--set", "graph.n=5000", "--set", "graph.k=20",
+                     "--set", "graph.theta=0.02"]) == 0
+    out = out_root / "ws5000"
+    edges = json.loads((out / "spectral_report.json").read_text())["edge_count"]
+    path = out / "weight_matrix.csv"
+    assert len(path.read_text().splitlines()) == 1 + 5000 + 2 * edges
+    assert path.stat().st_size < 5e6
 
 
 def test_generate_graph_bad_family(out_root):

@@ -115,9 +115,8 @@ def test_step_checks_its_stepsize(variant, paper_logistic, ws_matrix):
     with pytest.raises(en.EngineError, match="step_scale unresolved"):
         en.step(states, paper_logistic, ws_matrix, 0,
                 en.RunConfig(variant=variant, eta=1.0))
-    if variant == "deterministic":  # the stochastic key rejects t < 0 first
-        with pytest.raises(en.EngineError, match="nonnegative"):
-            en.step(states, paper_logistic, ws_matrix, -1, resolved)
+    with pytest.raises(en.EngineError, match="nonnegative"):
+        en.step(states, paper_logistic, ws_matrix, -1, resolved)
 
 
 def test_resolve_config_caps_step_scale(paper_logistic):

@@ -34,19 +34,19 @@ ORACLE_F_STAR = 0.4925
 
 GOLDEN = {
     "hinge-barbell-deterministic":
-        "c87b06392574091a09d034a55fcc6569fb5a566359c9b24a1f6584ad0f1015bd",
+        "928517372fcdb010eb22eb87852fdf6c93ef6ebe96078c05a6f4e7588ba7e39f",
     "hinge-barbell-stochastic-random-feasible":
-        "bbf72fc4612660d3f4a2c5e775a9a49d4d5024634f2bea61515d92b3b9e98067",
+        "1159eba353adb6008f4c5e963da5fc133db606ef17fc0520bfa5358757d47476",
     "logistic-centralized":
         "9a0fd86a140f58fdf4e8dbec66df338494c7856629596c3fc4c26d911de9b986",
     "logistic-ws-deterministic":
-        "f4a17b43e963a725b7f338b6fc6d5b775f0bab432bee66cc4acf78b7ac56ebfd",
+        "ca05d012b89fdfdfc043b116c69b586c9bd4a2c8bb191b46ecf92ba1cdca4cab",
     "logistic-ws-monitor-bounds":
-        "cec9d02bec9470a2f1c9d67615b8e36e97dbf38b6c14d1b18f785a60397f1a82",
+        "db363f8c4ff1e98309b35b49c7947133d7549d8b989337e0ffd4220b36b0b1df",
     "logistic-ws600-deterministic":
-        "a8b9a4e29e6d7daf2aa7a2cd5851d378461a3e866879591edf94ce393d70bd15",
+        "a4e6ffd10c4739912aa029649b3c50442b070e38e3aefbda43c28424868e6ce2",
     "logistic-ws-stochastic":
-        "5cd54bf676c0305f1463596100a39129d55e18fc4179ea375b27aad546d84a6d",
+        "2e85ffe21497b27ddf33cce0b796f82b7c3bdebb0be8492437af329f28607740",
     "oracle-ring-deterministic":
         "3db319e5351e86ddb71c5c28de5c1ed15669a3a1086320aa416e6bf3cd3001c4",
     "oracle-ring-stochastic":

@@ -98,25 +98,33 @@ def allowed_mask(g):
     return dense_adjacency(g) + np.eye(g.n)
 
 
+def complete_diagonal(w):
+    """Set each w[i, i] to 1 minus the row's stored entries, summed as
+    the first plus numpy's pairwise sum of the rest: the stored columns
+    are the nonzeros plus column i, ascending, with w[i, i] = 0."""
+    for i in range(len(w)):
+        w[i, i] = 0.0
+        vals = w[i, np.union1d(np.flatnonzero(w[i]), [i])]
+        w[i, i] = 1.0 - (vals[0] + np.add.reduce(vals[1:]))
+    return w
+
+
 def dense_lazy_metropolis(g):
     """Independent oracle: the lazy Metropolis weights as a dense n x n
-    array, with the diagonal completed by numpy's dense row sum."""
+    array, with the diagonal completed by ``complete_diagonal``."""
     i, j = g.edge_array.T
     sizes = np.array(g.degrees, dtype=np.int64) + 1
     v = 1.0 / (2.0 * np.maximum(sizes[i], sizes[j]))
     w = np.zeros((g.n, g.n))
     w[i, j] = v
     w[j, i] = v
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return w
+    return complete_diagonal(w)
 
 
 def dense_laplacian_closed_form(g):
     """Independent oracle: I - (D - A) / (d_max + 1) as a dense n x n
-    array, with the diagonal completed by numpy's dense row sum."""
-    w = dense_adjacency(g) * (1.0 / (max(g.degrees) + 1))
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return w
+    array, with the diagonal completed by ``complete_diagonal``."""
+    return complete_diagonal(dense_adjacency(g) * (1.0 / (max(g.degrees) + 1)))
 
 
 def dense_laplacian_weights(g):
@@ -430,17 +438,26 @@ def test_laplacian_weights_reject_an_isolated_node():
         laplacian_weights(GraphTopology.from_edges(1, []))
 
 
-def test_lazy_metropolis_allocates_no_dense_matrix():
+def assert_no_dense_matrix(scheme):
+    """``scheme`` on WS(5000, 20, 0.02) peaks below a quarter of n x n floats."""
     n = 5000
     g = generate_watts_strogatz(n, 20, 0.02, seed=7)
     tracemalloc.start()
     try:
-        w = lazy_metropolis(g)
+        w = scheme(g)
         assert w.sigma2_method == "eigsh"
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 / 4
+
+
+def test_lazy_metropolis_allocates_no_dense_matrix():
+    assert_no_dense_matrix(lazy_metropolis)
+
+
+def test_laplacian_weights_allocate_no_dense_matrix():
+    assert_no_dense_matrix(laplacian_weights)
 
 
 def test_entries_is_a_fresh_read_only_copy():
