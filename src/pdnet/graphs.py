@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
+from .draws import RewireStream
 from .problems import MAX_ARRAY_ENTRIES
 
 #: Tolerance for row/column sums of a doubly stochastic matrix.
@@ -67,7 +68,8 @@ class GraphTopology:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise GraphError(f"edges must be (i, j) pairs, got shape {pairs.shape}")
-        i, j = pairs.min(axis=1), pairs.max(axis=1)
+        i = np.minimum(pairs[:, 0], pairs[:, 1])
+        j = np.maximum(pairs[:, 0], pairs[:, 1])
         loops = np.flatnonzero(i == j)
         if loops.size:
             raise GraphError(f"self-loop at node {i[loops[0]]}")
@@ -267,7 +269,8 @@ def _pattern_on_edges(csr: sparse.csr_array, graph: GraphTopology) -> bool:
     """Whether every off-diagonal stored entry lies on a graph edge."""
     codes, mirrors = _entry_codes(csr)
     upper = np.minimum(codes, mirrors)[codes != mirrors]
-    edges = np.sort(graph.edge_array[:, 0] * graph.n + graph.edge_array[:, 1])
+    # ascending, as edge_array's rows are
+    edges = graph.edge_array[:, 0] * graph.n + graph.edge_array[:, 1]
     pos = np.minimum(np.searchsorted(edges, upper), edges.size - 1)
     return bool(np.all(edges[pos] == upper))
 
@@ -359,8 +362,14 @@ def generate_watts_strogatz(n: int, k: int, theta: float,
     edge independently with probability ``theta``, avoiding self-loops and
     duplicate edges. Reseeds until the result is connected. The new
     endpoint is drawn uniformly from the nodes outside i's neighbourhood,
-    read off the ring and the edges rewired so far, so a rewire costs
-    O(k log k) instead of O(n).
+    read off the ring and the edges rewired so far.
+
+    The graph is the one that drawing each coin with ``rng.random()`` and
+    each endpoint with ``rng.integers`` from ``np.random.default_rng(seed)``
+    gives, bit for bit, but the draws come from ``draws.RewireStream``: the
+    coins of all n k / 2 ring edges in one bulk draw and one array mask,
+    then O(k log k) Python work per rewire, instead of a Python call per
+    ring edge and O(n) per rewire.
 
     Parameters
     ----------
@@ -388,32 +397,29 @@ def generate_watts_strogatz(n: int, k: int, theta: float,
     ring = np.stack([ring_i, (ring_i + np.tile(offsets, n)) % n], axis=1)
 
     def build(s: int):
-        rng = np.random.default_rng(s)
-        coin = rng.random
+        stream = RewireStream(s, n * half, theta)
         # the graph is the ring minus the rewired ring edges plus the new
         # ones; ``lost`` and ``gained`` hold those changes per node, so a
         # rewire reads the k or so neighbours of i only
         lost: defaultdict[int, set[int]] = defaultdict(set)
         gained: defaultdict[int, set[int]] = defaultdict(set)
         rewired, new_edges = [], []
-        for i in range(n):
-            for off in offsets:
-                if coin() >= theta:
-                    continue
-                near = ({(i + o) % n for o in offsets}
-                        | {(i - o) % n for o in offsets})
-                taken = sorted((near - lost[i]) | gained[i] | {i})
-                free = n - len(taken)
-                if not free:
-                    continue
-                new_j = _nth_outside(taken, int(rng.integers(free)))
-                j = (i + off) % n
-                lost[i].add(j)
-                lost[j].add(i)
-                gained[i].add(new_j)
-                gained[new_j].add(i)
-                rewired.append(i * half + off - 1)
-                new_edges.append((i, new_j))
+        while (e := stream.next_hit()) is not None:
+            i, off = e // half, e % half + 1
+            near = ({(i + o) % n for o in offsets}
+                    | {(i - o) % n for o in offsets})
+            taken = sorted((near - lost[i]) | gained[i] | {i})
+            free = n - len(taken)
+            if not free:
+                continue
+            new_j = _nth_outside(taken, stream.integers(free))
+            j = (i + off) % n
+            lost[i].add(j)
+            lost[j].add(i)
+            gained[i].add(new_j)
+            gained[new_j].add(i)
+            rewired.append(e)
+            new_edges.append((i, new_j))
         kept = np.delete(ring, rewired, axis=0)
         added = np.array(new_edges, dtype=np.int64).reshape(-1, 2)
         return np.concatenate([kept, added]), n
@@ -444,15 +450,14 @@ def generate_lattice8(rows: int, cols: int) -> GraphTopology:
     if rows < 2 or cols < 2:
         raise GraphError(f"lattice needs rows, cols >= 2, got {rows}x{cols}")
     _check_size(rows * cols, "rows * cols")
+    u = np.arange(rows * cols)
+    r, c = np.divmod(u, cols)
     edges = []
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1)):
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < rows and 0 <= cc < cols:
-                    edges.append((u, rr * cols + cc))
-    return GraphTopology.from_edges(rows * cols, edges)
+    # each cell links forward: east, south-west, south, south-east
+    for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1)):
+        inside = (r + dr < rows) & (0 <= c + dc) & (c + dc < cols)
+        edges.append(np.stack([u[inside], u[inside] + dr * cols + dc], axis=1))
+    return GraphTopology(rows * cols, np.concatenate(edges))
 
 
 def generate_barbell(n: int, bridge_count: int = 1) -> GraphTopology:
@@ -470,14 +475,10 @@ def generate_barbell(n: int, bridge_count: int = 1) -> GraphTopology:
     if not 1 <= bridge_count <= half:
         raise GraphError(
             f"bridge count must be in [1, {half}], got {bridge_count}")
-    edges = []
-    for base in (0, half):
-        for i in range(half):
-            for j in range(i + 1, half):
-                edges.append((base + i, base + j))
-    for b in range(bridge_count):
-        edges.append((b, half + b))
-    return GraphTopology.from_edges(n, edges)
+    clique = np.stack(np.triu_indices(half, k=1), axis=1)
+    bridges = np.arange(bridge_count)
+    edges = [clique, clique + half, np.stack([bridges, bridges + half], axis=1)]
+    return GraphTopology(n, np.concatenate(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdnet import graphs
+from pdnet import draws, graphs
 from pdnet.graphs import (
     ConnectivityError,
     ConsensusMatrix,
@@ -50,33 +50,46 @@ def bfs_connected(n, edges):
     return all(seen)
 
 
+def candidate_list_attempt(n, k, theta, s):
+    """Independent oracle: one seed's rewiring, written with an O(n)
+    candidate list per rewire and one ``Generator`` call per draw."""
+    rng = np.random.default_rng(s)
+    adj = [set() for _ in range(n)]
+    for i in range(n):
+        for off in range(1, k // 2 + 1):
+            adj[i].add((i + off) % n)
+            adj[(i + off) % n].add(i)
+    for i in range(n):
+        for off in range(1, k // 2 + 1):
+            j = (i + off) % n
+            if rng.random() >= theta:
+                continue
+            candidates = [v for v in range(n) if v != i and v not in adj[i]]
+            if not candidates:
+                continue
+            new_j = candidates[rng.integers(len(candidates))]
+            adj[i].discard(j)
+            adj[j].discard(i)
+            adj[i].add(new_j)
+            adj[new_j].add(i)
+    return {(i, j) for i in range(n) for j in adj[i] if i < j}
+
+
 def candidate_list_watts_strogatz(n, k, theta, seed):
-    """Independent oracle: the rewiring written with an O(n) candidate list
-    per rewire, reseeded like the generator until connected."""
+    """The oracle reseeded like the generator until connected."""
     for s in range(seed, seed + graphs.MAX_CONNECTIVITY_RETRIES):
-        rng = np.random.default_rng(s)
-        adj = [set() for _ in range(n)]
-        for i in range(n):
-            for off in range(1, k // 2 + 1):
-                adj[i].add((i + off) % n)
-                adj[(i + off) % n].add(i)
-        for i in range(n):
-            for off in range(1, k // 2 + 1):
-                j = (i + off) % n
-                if rng.random() >= theta:
-                    continue
-                candidates = [v for v in range(n) if v != i and v not in adj[i]]
-                if not candidates:
-                    continue
-                new_j = candidates[rng.integers(len(candidates))]
-                adj[i].discard(j)
-                adj[j].discard(i)
-                adj[i].add(new_j)
-                adj[new_j].add(i)
-        edges = {(i, j) for i in range(n) for j in adj[i] if i < j}
+        edges = candidate_list_attempt(n, k, theta, s)
         if bfs_connected(n, edges):
             return edges
     raise AssertionError("oracle found no connected graph")
+
+
+def assert_edge_array_is(g, edges):
+    """``g.edge_array`` holds exactly the (i, j), i < j, pairs ``edges``
+    in ascending order, byte for byte."""
+    expected = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    assert g.edge_array.shape == expected.shape
+    assert g.edge_array.tobytes() == expected.tobytes()
 
 
 def complete_edges(nodes):
@@ -172,9 +185,60 @@ def test_watts_strogatz_matches_candidate_list_oracle(n, k, theta):
     for seed in (0, 1, 7):
         g = generate_watts_strogatz(n, k, theta, seed=seed)
         edges = candidate_list_watts_strogatz(n, k, theta, seed)
-        assert set(g.edges) == edges
+        assert_edge_array_is(g, edges)
         ends = np.array(sorted(edges)).ravel()
         assert g.degrees == tuple(np.bincount(ends, minlength=n))
+
+
+@pytest.mark.parametrize("n,k,theta,seed,retried", [
+    (2000, 20, 0.02, 7, False),
+    (2000, 20, 0.02, 8, False),
+    # every coin hits, so the integer draws exhaust the first bulk draw
+    (300, 6, 1.0, 3, False),
+    # seeds 7 and 8 give disconnected graphs, seed 9 a connected one
+    (40, 2, 0.3, 7, True),
+    (40, 2, 1.0, 4, True),
+])
+def test_watts_strogatz_matches_oracle_at_scale_refill_and_retry(
+        n, k, theta, seed, retried):
+    g = generate_watts_strogatz(n, k, theta, seed=seed)
+    assert_edge_array_is(g, candidate_list_watts_strogatz(n, k, theta, seed))
+    first = candidate_list_attempt(n, k, theta, seed)
+    assert bfs_connected(n, first) is not retried
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2 ** 40])
+def test_rewire_coins_are_generator_random(seed):
+    raw = np.random.default_rng(seed).bit_generator.random_raw(1000)
+    expected = np.random.default_rng(seed).random(1000)
+    assert draws.coins(raw).tobytes() == expected.tobytes()
+
+
+#: bound 1 draws nothing; at 2^31 + 1 Lemire rejects about half its draws;
+#: 2^32 takes a 32-bit half as it is
+STREAM_BOUNDS = (2, 1, 3, 2 ** 31 + 1, 7, 2 ** 31 + 1, 1000, 1,
+                 3 * 2 ** 30, 2 ** 32 - 1, 2 ** 32, 1999)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 40])
+def test_rewire_stream_replays_generator_calls(seed, theta):
+    # at theta = 1 the integer draws run the stream past its first bulk
+    # draw of one output per coin, so it refills
+    count = 600
+    rng = np.random.default_rng(seed)
+    stream = draws.RewireStream(seed, count, theta)
+    hits = 0
+    for e in range(count):
+        if rng.random() >= theta:
+            continue
+        assert stream.next_hit() == e
+        bound = STREAM_BOUNDS[hits % len(STREAM_BOUNDS)]
+        assert stream.integers(bound) == rng.integers(bound)
+        hits += 1
+    assert stream.next_hit() is None
+    if theta == 1.0:
+        assert hits == count
 
 
 def test_watts_strogatz_deterministic():
@@ -224,6 +288,26 @@ def test_lattice8_10x10_connected():
     assert bfs_connected(g.n, g.edges)
 
 
+def loop_lattice8_edges(rows, cols):
+    """Oracle: each cell's forward Moore links, cell by cell."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            u = r * cols + c
+            for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1)):
+                rr, cc = r + dr, c + dc
+                if 0 <= rr < rows and 0 <= cc < cols:
+                    edges.append((u, rr * cols + cc))
+    return edges
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 2), (2, 7), (7, 2), (3, 3),
+                                       (5, 6), (13, 4)])
+def test_lattice8_matches_loop_oracle(rows, cols):
+    assert_edge_array_is(generate_lattice8(rows, cols),
+                         loop_lattice8_edges(rows, cols))
+
+
 def test_lattice8_rejects_degenerate():
     with pytest.raises(GraphError):
         generate_lattice8(1, 5)
@@ -238,6 +322,25 @@ def test_barbell_single_bridge_small():
 def test_barbell_edge_count():
     g = generate_barbell(100, 1)
     assert len(g.edges) == 2 * (50 * 49 // 2) + 1
+
+
+def loop_barbell_edges(n, bridge_count):
+    """Oracle: both cliques pair by pair, then the bridges."""
+    half = n // 2
+    edges = []
+    for base in (0, half):
+        for i in range(half):
+            for j in range(i + 1, half):
+                edges.append((base + i, base + j))
+    for b in range(bridge_count):
+        edges.append((b, half + b))
+    return edges
+
+
+@pytest.mark.parametrize("n,b", [(4, 1), (4, 2), (10, 3), (100, 1),
+                                 (100, 50)])
+def test_barbell_matches_loop_oracle(n, b):
+    assert_edge_array_is(generate_barbell(n, b), loop_barbell_edges(n, b))
 
 
 @pytest.mark.parametrize("n,b", [(6, 4), (7, 1), (2, 1), (6, 0)])
