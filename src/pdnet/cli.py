@@ -255,9 +255,7 @@ def cmd_run(args) -> int:
 #: run.eta is, then sets run.eta = T^-r.
 SWEEP_PARAMS = {"eta": ("run.eta",), "n": ("problem.n", "graph.n"),
                 "T": ("run.T",), "graph.family": ("graph.family",),
-                "variant": ("run.variant",), "r": ("run.eta",),
-                "run.eta": ("run.eta",), "run.T": ("run.T",),
-                "run.variant": ("run.variant",)}
+                "variant": ("run.variant",), "r": ("run.eta",)}
 
 
 def _apply_sweep_value(config: dict, param: str, raw: str) -> dict:

@@ -43,8 +43,6 @@ DEFAULTS: dict[str, object] = {
     "output_dir": "run",
 }
 
-_OPTIONAL_FLOATS = {"run.step_scale"}
-
 
 class ConfigError(ValueError):
     """Malformed configuration input."""
@@ -64,7 +62,7 @@ def _coerce(key: str, raw) -> object:
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     try:
-        if key in _OPTIONAL_FLOATS:
+        if default is None:
             if raw is None or (isinstance(raw, str) and raw.lower() in ("", "none")):
                 return None
             return float(raw)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import metrics
 from .graphs import ConsensusMatrix
-from .lagrangian import (checked_eta, iteration_uniforms,
+from .lagrangian import (checked_eta, iteration_uniforms, primal_directions,
                          sample_constraint_indices, uniform_stream)
 from .metrics import IterationRecord
 from .problems import ProblemSpec, ReferenceSolution
@@ -218,24 +218,23 @@ def _directions(p: ProblemSpec, states: AgentStates, cfg: RunConfig,
 
     The one function for every variant. The centralized baseline's one row
     takes the gradient of the mean objective f = (1/n) sum f_i. The
-    stochastic variant replaces the primal constraint term sum_k lam_k
-    grad g_k with ||lam||_1 grad g_k at one multiplier-sampled k per agent,
-    and samples nothing when t is None, as at the horizon record.
-    ``stream`` is the run's ``uniform_stream``, re-keyed for each iteration.
-    The dual direction g - eta lam is the same for every variant.
+    stochastic variant samples one constraint index per agent for
+    ``primal_directions``, and samples nothing when t is None, as at the
+    horizon record. ``stream`` is the run's ``uniform_stream``, re-keyed
+    for each iteration. The dual direction g - eta lam is the same for
+    every variant.
     """
     x, lam = states.x, states.lam
     if cfg.variant == CENTRALIZED_UNREGULARIZED:
-        grad_f = p.mean_objective_grad_only(x[0])[None, :]
+        grad_f = p.mean_objective_grad(x[0])[1][None, :]
     else:
         grad_f = p.agent_objective_grads(x)
+    ks = None
     if cfg.variant == STOCHASTIC and t is not None:
         uniforms = iteration_uniforms(cfg.seed, t, states.n_agents, stream)
         ks = sample_constraint_indices(lam, uniforms)
-        grad_x = grad_f + lam.sum(axis=1)[:, None] * p.agent_constraint_rows(x, ks)
-    else:
-        grad_x = grad_f + p.agent_constraint_combo(x, lam)
-    return grad_x, p.constraint_values_many(x) - cfg.eta * lam
+    return (primal_directions(p, x, lam, grad_f, ks),
+            p.constraint_values_many(x) - cfg.eta * lam)
 
 
 def _advance(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix, t: int,

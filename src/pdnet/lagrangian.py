@@ -55,13 +55,27 @@ def lagrangian_value(p: ProblemSpec, agent: int, x: np.ndarray,
     return float(fval + lam @ g - 0.5 * eta * float(lam @ lam))
 
 
+def primal_directions(p: ProblemSpec, x_rows: np.ndarray,
+                      lam_rows: np.ndarray, grad_f: np.ndarray,
+                      ks: np.ndarray | None = None) -> np.ndarray:
+    """Primal subgradients of the Lagrangians, one row per agent.
+
+    Row i is grad_f[i] + sum_k lam[i, k] grad g_k(x_i). Given sampled
+    indices ``ks``, the sum becomes ||lam_i||_1 grad g_{k_i}(x_i), its
+    unbiased estimate when k_i is drawn from ``sampling_distribution``.
+    """
+    if ks is None:
+        return grad_f + p.agent_constraint_combo(x_rows, lam_rows)
+    return (grad_f + lam_rows.sum(axis=1)[:, None]
+            * p.agent_constraint_rows(x_rows, ks))
+
+
 def grad_x(p: ProblemSpec, agent: int, x: np.ndarray,
            lam: np.ndarray) -> np.ndarray:
     """Primal subgradient: grad f_i(x) + sum_k lam_k grad g_k(x)."""
     lam = _checked_dual(p, lam)
     _, gf = p.objective(agent, x)
-    combo = p.agent_constraint_combo(x[None, :], lam[None, :])[0]
-    return gf + combo
+    return primal_directions(p, x[None, :], lam[None, :], gf[None, :])[0]
 
 
 def grad_lambda(p: ProblemSpec, x: np.ndarray, lam: np.ndarray,
@@ -87,8 +101,8 @@ def stochastic_grad_x(p: ProblemSpec, agent: int, x: np.ndarray,
     if not 0 <= k < p.n_constraints:
         raise ProblemError(f"constraint index {k} out of range")
     _, gf = p.objective(agent, x)
-    gk = p.agent_constraint_rows(x[None, :], np.array([k]))[0]
-    return gf + float(lam.sum()) * gk
+    return primal_directions(p, x[None, :], lam[None, :], gf[None, :],
+                             np.array([k]))[0]
 
 
 # ---------------------------------------------------------------------------

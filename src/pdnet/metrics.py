@@ -353,17 +353,17 @@ def rate_fit(trace, column: str, window: tuple[float, float]) -> RateFit:
 # ---------------------------------------------------------------------------
 
 def compute_record(p: ProblemSpec, states, t: int, eta: float, sigma2: float,
-                   ref: ReferenceSolution | None = None,
-                   initial_fgaps: np.ndarray | None = None,
-                   initial_gnorms: np.ndarray | None = None,
-                   grad_x_rows: np.ndarray | None = None,
-                   grad_lambda_rows: np.ndarray | None = None) -> IterationRecord:
+                   *, ref: ReferenceSolution | None,
+                   initial_fgaps: np.ndarray | None,
+                   initial_gnorms: np.ndarray, grad_x_rows: np.ndarray,
+                   grad_lambda_rows: np.ndarray) -> IterationRecord:
     """Assemble the metric record for the current states.
 
     At t = 0 (empty averages) the current iterates stand in for the
-    averages, which pins eps and delta to exactly 1. ``initial_fgaps`` and
-    ``initial_gnorms`` are the per-agent normalizers from
-    ``initial_normalizers``.
+    averages, which pins eps and delta to exactly 1. ``initial_fgaps``
+    (None exactly when ``ref`` is) and ``initial_gnorms`` are the
+    per-agent normalizers from ``initial_normalizers``; the gradient rows
+    are the directions of the step from these states.
     ``sigma2`` enters only the rate bound, which is evaluated only with
     ``ref``; without one any value may be passed.
     """
@@ -373,19 +373,16 @@ def compute_record(p: ProblemSpec, states, t: int, eta: float, sigma2: float,
 
     gvals = p.constraint_values_many(outputs)
     violation_sq = _violation_sq(gvals)
-    gnorms = row_norms(gvals)
 
     eps = math.nan
     max_gap = math.nan
     eps_absolute = False
     if ref is not None:
-        normalizers = (objective_values(p, outputs) - ref.f_star
-                       if initial_fgaps is None else initial_fgaps)
-        eps_absolute = bool(np.min(np.abs(normalizers)) < DEGENERATE_NORMALIZER)
+        eps_absolute = bool(np.min(np.abs(initial_fgaps)) < DEGENERATE_NORMALIZER)
         max_gap, eps = _objective_maxima(
-            p, outputs, ref.f_star, None if eps_absolute else normalizers)
+            p, outputs, ref.f_star, None if eps_absolute else initial_fgaps)
 
-    delta = _max_ratio(gnorms, gnorms if initial_gnorms is None else initial_gnorms)
+    delta = _max_ratio(row_norms(gvals), initial_gnorms)
     if delta is None:
         delta = math.nan
 
@@ -393,13 +390,8 @@ def compute_record(p: ProblemSpec, states, t: int, eta: float, sigma2: float,
     if ref is not None and t >= 2 and eta > 0.0 and sigma2 < 1.0:
         thm2 = rate_bound(p, sigma2, eta, t)
 
-    max_gx = math.nan
-    if grad_x_rows is not None:
-        max_gx = float(np.max(row_norms(grad_x_rows)))
-    max_glam_excess = math.nan
-    if grad_lambda_rows is not None:
-        glam_sq = np.sum(grad_lambda_rows ** 2, axis=1)
-        max_glam_excess = float(np.max(glam_sq - 2.0 * eta ** 2 * lam_norms ** 2))
+    glam_sq = np.sum(grad_lambda_rows ** 2, axis=1)
+    max_glam_excess = float(np.max(glam_sq - 2.0 * eta ** 2 * lam_norms ** 2))
 
     return IterationRecord(
         t=t, eps=eps, delta=delta,
@@ -407,7 +399,8 @@ def compute_record(p: ProblemSpec, states, t: int, eta: float, sigma2: float,
         consensus_diameter=diffs,
         thm2_bound=thm2, violation_sq=violation_sq, max_gap=max_gap,
         sum_lambda_sq=float(np.sum(lam_norms ** 2)),
-        max_grad_x_norm=max_gx, max_grad_lambda_excess=max_glam_excess,
+        max_grad_x_norm=float(np.max(row_norms(grad_x_rows))),
+        max_grad_lambda_excess=max_glam_excess,
         eps_absolute=eps_absolute,
     )
 

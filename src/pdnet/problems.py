@@ -183,18 +183,12 @@ class _LossBoxOps:
         # np.mean's bits: the sum, then one division by the count
         return np.add.reduce(self._loss_values(z), axis=1) / z.shape[1]
 
-    def _mean_gradient(self, z: np.ndarray) -> np.ndarray:
-        return self.features.T @ (self.labels * self._loss_slopes(z)) / len(z)
-
     def mean_objective_grad(self, x: np.ndarray):
         z = self.labels * (self.features @ x)
         # np.mean's bits (the sum, then one division) without its wrapper:
         # the reference solve calls this on every trial step
         return float(np.add.reduce(self._loss_values(z)) / len(z)), \
-            self._mean_gradient(z)
-
-    def mean_objective_grad_only(self, x: np.ndarray) -> np.ndarray:
-        return self._mean_gradient(self.labels * (self.features @ x))
+            self.features.T @ (self.labels * self._loss_slopes(z)) / len(z)
 
     def mean_objective_bracket(self, points: np.ndarray):
         """(lower, upper) around ``mean_objective_many(points)``, in O(nd).
@@ -299,9 +293,6 @@ class OracleOps:
         n = len(self.objectives)
         return total / n, grad / n
 
-    def mean_objective_grad_only(self, x: np.ndarray) -> np.ndarray:
-        return self.mean_objective_grad(x)[1]
-
     def mean_objective_bracket(self, points: np.ndarray) -> None:
         """No bracket: bare oracles come with no curvature bound."""
         return None
@@ -401,11 +392,6 @@ class ProblemSpec:
         self._check_dim(x)
         return self.ops.mean_objective_grad(x)
 
-    def mean_objective_grad_only(self, x: np.ndarray) -> np.ndarray:
-        """grad f(x) alone, for callers that do not read the value."""
-        self._check_dim(x)
-        return self.ops.mean_objective_grad_only(x)
-
     def mean_objective_bracket(self, points: np.ndarray):
         """(lower, upper) arrays bracketing ``mean_objective_many(points)``
         bit for bit, rounding included, in O(nd); None when the problem
@@ -428,9 +414,6 @@ class ProblemSpec:
         """grad g_k(x) as row k, for every constraint k."""
         m = self.n_constraints
         return self.agent_constraint_rows(np.tile(x, (m, 1)), np.arange(m))
-
-    def mean_objective(self, x: np.ndarray) -> float:
-        return float(self.mean_objective_many(x[None, :])[0])
 
 
 def box_constraints(lower: np.ndarray, upper: np.ndarray) -> tuple[Oracle, ...]:
@@ -610,7 +593,7 @@ def suboptimality_certificate(p: ProblemSpec, x: np.ndarray) -> float:
     """
     if p.box is None:
         raise ProblemError("certificate requires box-structured constraints")
-    grad = p.mean_objective_grad_only(x)
+    grad = p.mean_objective_grad(x)[1]
     best = _linear_min_box_ball(grad, p.box[0], p.box[1], p.radius)
     return max(float(grad @ x) - best, 0.0)
 

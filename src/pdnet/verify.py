@@ -56,18 +56,18 @@ def _unbiasedness_check(rng) -> CheckResult:
     worst = 0.0
     for build in (problems.build_logistic_problem, problems.build_hinge_problem):
         p = build(data, 0.2, 0.2)
+        n, m = p.n_agents, p.n_constraints
         for _ in range(100):
-            x = rng.normal(size=4)
-            x *= rng.random() / np.linalg.norm(x)
-            lam = rng.random(p.n_constraints) * 2
-            if rng.random() < 0.1:
-                lam[:] = 0.0
-            probs = lagrangian.sampling_distribution(lam)
-            agent = int(rng.integers(p.n_agents))
-            mix = sum(probs[k] * lagrangian.stochastic_grad_x(p, agent, x, lam, k)
-                      for k in range(p.n_constraints))
+            x = rng.normal(size=(n, 4))
+            x *= rng.random((n, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+            lam = rng.random((n, m)) * 2
+            lam[rng.random(n) < 0.1] = 0.0
+            grad_f = p.agent_objective_grads(x)
+            probs = lagrangian._sampling_probabilities(lam)
+            mix = sum(probs[:, k, None] * lagrangian.primal_directions(
+                p, x, lam, grad_f, np.full(n, k)) for k in range(m))
             worst = max(worst, float(np.max(np.abs(
-                mix - lagrangian.grad_x(p, agent, x, lam)))))
+                mix - lagrangian.primal_directions(p, x, lam, grad_f)))))
     return _check("constraint-sampling unbiasedness", worst <= 1e-12,
                   f"worst deviation {worst:.2e}")
 

@@ -74,7 +74,8 @@ def regularized_saddle(p, eta):
     assert np.max(np.abs(slsqp.x - bfgs.x)) <= 3e-8, "saddle solvers disagree"
     assert np.linalg.norm(slsqp.x) < p.radius, "ball active at the saddle"
     excess = np.maximum(p.constraint_values(slsqp.x), 0.0)
-    return p.mean_objective(slsqp.x), float(excess @ excess)
+    return (float(p.mean_objective_many(slsqp.x[None, :])[0]),
+            float(excess @ excess))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI commands, config round-trips, artifacts, and exit codes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -55,6 +56,10 @@ def test_config_file_and_overrides(tmp_path):
     assert config["run.T"] == 500
     config = cfgmod.apply_overrides(config, ["run.eta=0.25"])
     assert config["run.eta"] == 0.25
+    # a key whose default is None is an optional float
+    for raw, value in (("0.5", 0.5), ("none", None), ("", None)):
+        config = cfgmod.apply_overrides(config, [f"run.step_scale={raw}"])
+        assert config["run.step_scale"] == value
 
 
 def test_config_rejects_unknown_key():
@@ -303,9 +308,13 @@ def test_sweep_empty_values_exits_2(out_root):
         == cli.EXIT_CONFIG
 
 
-def test_sweep_unknown_param_exits_2(out_root):
-    assert cli.main(["sweep", "--param", "banana", "--values", "1"]) \
-        == cli.EXIT_CONFIG
+def test_sweep_unknown_param_exits_2(out_root, capsys):
+    # the config keys that eta, T and variant set are not parameters
+    for param in ("banana", "run.eta", "run.T", "run.variant"):
+        assert cli.main(["sweep", "--param", param, "--values", "1"]) \
+            == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "one of eta, n, T, graph.family, variant, r\n" in err, err
 
 
 @pytest.mark.parametrize("extra,param,values", [
@@ -422,6 +431,33 @@ def test_run_divergence_exits_3(monkeypatch, out_root):
     assert "blow-up" in manifest["derived"]["aborted"]
     # the partial trace is still persisted
     assert (out_root / "boom" / "trace.csv").exists()
+
+
+def test_sweep_divergent_leg_exits_3(monkeypatch, out_root, capsys):
+    from pdnet import engine
+
+    def explode(states, p, w, t, cfg, gx, glam):
+        raise engine.DivergenceError("forced blow-up for the exit-code test")
+
+    monkeypatch.setattr(engine, "_advance", explode)
+    code = cli.main(["sweep", "--out", "boom", *SMALL_RUN, "--param", "eta",
+                     "--values", "0.5,1.0", "--threads", "1"])
+    assert code == cli.EXIT_DIVERGED
+    with (out_root / "boom" / "summary.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    status = "diverged: forced blow-up for the exit-code test"
+    assert [row["status"] for row in rows] == [status, status]
+    # the t = 0 record is still summarized
+    assert [float(row["eps_final"]) for row in rows] == [1.0, 1.0]
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"  leg 0.5: {status}", f"  leg 1.0: {status}"]
+
+
+def test_verify_full_passes(capsys, out_root):
+    assert cli.main(["verify", "full"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert sum("  PASS" in line for line in out) == 12
+    assert out[-1] == "12/12 checks passed"
 
 
 def test_verify_quick_passes(capsys, out_root):

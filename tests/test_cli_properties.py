@@ -93,6 +93,6 @@ def test_run_survives_hostile_config_values(sets):
 def test_sweep_survives_each_hostile_value():
     # --values=V keeps argparse from reading a value such as -inf as an option
     for param in cli.SWEEP_PARAMS:
-        for value in SIZE_HOSTILE if param in ("T", "run.T") else HOSTILE:
+        for value in SIZE_HOSTILE if param == "T" else HOSTILE:
             _check_cli(["sweep", "--out", "sweep", *_set_args(TINY),
                         "--param", param, f"--values={value}"], (param, value))

@@ -225,6 +225,43 @@ def test_enumerated_stochastic_mean_matches_deterministic(monkeypatch,
     assert_allclose(mean_gx, gx_det, atol=1e-12)
 
 
+@pytest.mark.parametrize("family", ["logistic", "hinge"])
+@pytest.mark.parametrize("variant", ["deterministic", "stochastic"])
+def test_single_agent_directions_are_rows_of_the_step(variant, family, request,
+                                                      monkeypatch):
+    # grad_x, stochastic_grad_x (at the engine's own sample) and grad_lambda
+    # are row i of the engine's directions, bit for bit
+    from pdnet import lagrangian as lg
+    p = request.getfixturevalue(f"paper_{family}")
+    rng = np.random.default_rng(5)
+    n, m = p.n_agents, p.n_constraints
+    x = rng.normal(size=(n, p.dim))
+    x *= rng.random((n, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+    lam = rng.random((n, m))
+    lam[::7] = 0.0
+    states = en.AgentStates(x=x, lam=lam, avg_numerator=np.zeros_like(x),
+                            weight_sum=0.0)
+    cfg = en.resolve_config(en.RunConfig(variant=variant, eta=0.7, seed=3), p)
+    samples = []
+    sample = en.sample_constraint_indices
+
+    def recorded(lam_rows, uniforms):
+        samples.append(sample(lam_rows, uniforms))
+        return samples[-1]
+
+    monkeypatch.setattr(en, "sample_constraint_indices", recorded)
+    gx, glam = en._directions(p, states, cfg, t=4)
+    assert len(samples) == (variant == "stochastic")
+    for i in range(n):
+        if samples:
+            row = lg.stochastic_grad_x(p, i, x[i], lam[i], int(samples[0][i]))
+        else:
+            row = lg.grad_x(p, i, x[i], lam[i])
+        assert row.tobytes() == gx[i].tobytes(), i
+        assert (lg.grad_lambda(p, x[i], lam[i], cfg.eta).tobytes()
+                == glam[i].tobytes()), i
+
+
 # -- runs --------------------------------------------------------------------------
 
 def test_running_average_matches_recomputation():

@@ -263,6 +263,12 @@ def test_rate_fit_requires_enough_positive_records():
         me.rate_fit(fake_records(ts, vals), "eps", (10, 500))
 
 
+def zero_directions(states, m=2):
+    """Zero primal and dual step directions for ``states``' agents."""
+    n, d = states.x.shape
+    return dict(grad_x_rows=np.zeros((n, d)), grad_lambda_rows=np.zeros((n, m)))
+
+
 def test_compute_record_degenerate_normalizer_reports_absolute():
     p = linear_problem()
     ref = ReferenceSolution(f_star=0.0, x_star=np.zeros(1),
@@ -270,9 +276,20 @@ def test_compute_record_degenerate_normalizer_reports_absolute():
     states = states_at([[0.2]])
     rec = me.compute_record(p, states, t=0, eta=1.0, sigma2=0.5, ref=ref,
                             initial_fgaps=np.array([1e-16]),
-                            initial_gnorms=np.array([1.0]))
+                            initial_gnorms=np.array([1.0]),
+                            **zero_directions(states))
     assert rec.eps_absolute
     assert rec.eps == pytest.approx(0.2)
+
+
+def test_compute_record_degenerate_constraint_normalizer_gives_nan_delta():
+    p = linear_problem()
+    states = states_at([[0.2]])
+    rec = me.compute_record(p, states, t=0, eta=1.0, sigma2=0.5, ref=None,
+                            initial_fgaps=None, initial_gnorms=np.array([1e-16]),
+                            **zero_directions(states))
+    assert math.isnan(rec.delta)
+    assert rec.violation_sq == 0.0
 
 
 def test_compute_record_rate_bound_needs_a_reference():
@@ -280,8 +297,11 @@ def test_compute_record_rate_bound_needs_a_reference():
     ref = ReferenceSolution(f_star=0.0, x_star=np.zeros(1),
                             method="grid-search", residual=0.0)
     states = states_at([[0.2]])
-    with_ref = me.compute_record(p, states, t=5, eta=1.0, sigma2=0.5, ref=ref)
-    without = me.compute_record(p, states, t=5, eta=1.0, sigma2=0.5)
+    common = dict(initial_gnorms=np.array([1.0]), **zero_directions(states))
+    with_ref = me.compute_record(p, states, t=5, eta=1.0, sigma2=0.5, ref=ref,
+                                 initial_fgaps=np.array([0.5]), **common)
+    without = me.compute_record(p, states, t=5, eta=1.0, sigma2=0.5, ref=None,
+                                initial_fgaps=None, **common)
     assert math.isfinite(with_ref.thm2_bound)
     assert math.isnan(without.thm2_bound) and math.isnan(without.max_gap)
 
@@ -352,9 +372,11 @@ def test_pruned_objective_record_equals_the_full_record(family, monkeypatch):
                                 method="literal", residual=0.0)
         expected = full_objective_maxima(p, outputs, f_star, normalizers)
         evaluated.clear()
-        rec = me.compute_record(p, states_at(outputs), t=5, eta=1.0,
+        states = states_at(outputs)
+        rec = me.compute_record(p, states, t=5, eta=1.0,
                                 sigma2=0.5, ref=ref, initial_fgaps=normalizers,
-                                initial_gnorms=np.ones(len(outputs)))
+                                initial_gnorms=np.ones(len(outputs)),
+                                **zero_directions(states))
         rows += sum(evaluated)
         got = (rec.eps, rec.max_gap, rec.eps_absolute)
         assert repr(got) == repr(expected), (trial, got, expected)

@@ -176,6 +176,8 @@ def test_fast_paths_match_oracles(paper_dataset, paper_logistic, paper_hinge):
         ks = rng.integers(0, p.n_constraints, size=p.n_agents)
         assert_allclose(p.agent_constraint_rows(x_rows, ks),
                         ref.agent_constraint_rows(x_rows, ks))
+        # bare oracles come with no curvature bound, so with no bracket
+        assert ref.mean_objective_bracket(pts) is None
 
 
 def test_mean_objective_rows_keep_their_bits_alone_and_in_any_block(monkeypatch):
@@ -269,21 +271,6 @@ def test_hinge_bracket_needs_a_center_inside_the_ball(paper_hinge):
     paper_logistic = build_logistic_problem(generate_dataset(100, 5, seed=1),
                                             0.1, 0.1)
     assert paper_logistic.mean_objective_bracket(on_sphere) is not None
-
-
-def test_mean_objective_grad_only_is_the_gradient_of_mean_objective_grad(
-        paper_dataset, paper_logistic, paper_hinge):
-    rng = np.random.default_rng(3)
-    oracle = make_custom_problem(
-        [loss_oracle("logistic", a, b)
-         for a, b in zip(paper_dataset.features, paper_dataset.labels)],
-        box_constraints(*paper_logistic.box), lipschitz=1.0, radius=1.0,
-        dim=5)
-    for p in (paper_logistic, paper_hinge, oracle):
-        for x in ball_points(rng, 5, 5):
-            assert (p.mean_objective_grad_only(x).tobytes()
-                    == p.mean_objective_grad(x)[1].tobytes())
-    assert oracle.mean_objective_bracket(np.zeros((3, 5))) is None
 
 
 # -- hinge -------------------------------------------------------------------
