@@ -172,14 +172,11 @@ def execute_run(config: dict, out_dir: Path):
     ref = problems.reference_optimum(
         p, iterations=int(config["reference.iterations"]))
     timings = {"reference_s": time.perf_counter() - start, "build_s": 0.0}
-    centralized = config["run.variant"] == engine.CENTRALIZED_UNREGULARIZED
     run_cfg = cfgmod.build_run_config(config)
-
-    if centralized:
+    w = None  # the centralized baseline reads no mixing matrix
+    if run_cfg.variant == engine.CENTRALIZED_UNREGULARIZED:
         graph_info = {"family": None, "nodes": 1, "edges": 0, "sigma2": 0.0,
                       "sigma2_method": None}
-        start = time.perf_counter()
-        trace = engine.run_centralized_unregularized(p, run_cfg, reference=ref)
     else:
         start = time.perf_counter()
         g = cfgmod.build_graph(config)
@@ -188,8 +185,8 @@ def execute_run(config: dict, out_dir: Path):
                       "edges": len(g.edge_array), "sigma2": w.sigma2,
                       "sigma2_method": w.sigma2_method}
         timings["build_s"] = time.perf_counter() - start
-        start = time.perf_counter()
-        trace = engine.run(p, w, run_cfg, reference=ref)
+    start = time.perf_counter()
+    trace = engine.run(p, w, run_cfg, reference=ref)
     timings["run_s"] = time.perf_counter() - start
     timings["records_s"] = trace.records_s
 

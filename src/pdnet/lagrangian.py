@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problems import ProblemSpec, ProblemError
+from .problems import ProblemSpec, ProblemError, checked_index
 
 #: The regularization strengths eta accepted anywhere. The theory-bound
 #: formulas square eta and 1/eta, so a value outside this range overflows
@@ -91,15 +91,17 @@ def sampling_distribution(lam: np.ndarray) -> np.ndarray:
     p_k = lam_k / ||lam||_1 when the multipliers carry any mass, uniform
     otherwise (the exact-zero vector produced by orthant projection).
     """
-    return _sampling_probabilities(validate_dual(lam)[None, :])[0]
+    lam = validate_dual(lam)
+    if len(lam) == 0:
+        raise ProblemError("no constraint to sample: the multiplier vector is empty")
+    return _sampling_probabilities(lam[None, :])[0]
 
 
 def stochastic_grad_x(p: ProblemSpec, agent: int, x: np.ndarray,
                       lam: np.ndarray, k: int) -> np.ndarray:
     """Sampled primal subgradient: grad f_i(x) + ||lam||_1 grad g_k(x)."""
     lam = _checked_dual(p, lam)
-    if not 0 <= k < p.n_constraints:
-        raise ProblemError(f"constraint index {k} out of range")
+    checked_index(k, p.n_constraints, "constraint index")
     _, gf = p.objective(agent, x)
     return primal_directions(p, x[None, :], lam[None, :], gf[None, :],
                              np.array([k]))[0]

@@ -10,7 +10,7 @@ inequalities as predicates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -323,9 +323,14 @@ class RateFit:
 def rate_fit(trace, column: str, window: tuple[float, float]) -> RateFit:
     """Least-squares slope of log(metric) against log(t) over a window.
 
-    ``trace`` may be a Trace or any iterable of IterationRecord. Requires
-    at least 10 strictly positive records inside the window.
+    ``trace`` may be a Trace or any iterable of IterationRecord, and
+    ``column`` names an IterationRecord field (``eps``, not ``eps_G``).
+    Requires at least 10 strictly positive records inside the window.
     """
+    names = [f.name for f in fields(IterationRecord)]
+    if column not in names:
+        raise MetricError(f"unknown record field {column!r}; one of "
+                          f"{', '.join(names)}")
     records = getattr(trace, "records", trace)
     lo, hi = window
     ts, ys = [], []

@@ -403,6 +403,7 @@ class ProblemSpec:
 
     def objective(self, agent: int, x: np.ndarray) -> tuple[float, np.ndarray]:
         """(f_i(x), grad f_i(x)), from batched calls with every agent at x."""
+        checked_index(agent, self.n_agents, "agent")
         x_rows = np.tile(x, (self.n_agents, 1))
         return (float(self.agent_objective_values(x_rows)[agent]),
                 self.agent_objective_grads(x_rows)[agent])
@@ -414,6 +415,12 @@ class ProblemSpec:
         """grad g_k(x) as row k, for every constraint k."""
         m = self.n_constraints
         return self.agent_constraint_rows(np.tile(x, (m, 1)), np.arange(m))
+
+
+def checked_index(index, count: int, what: str) -> None:
+    """Raise ProblemError unless ``index`` is an integer in [0, count)."""
+    if not (isinstance(index, (int, np.integer)) and 0 <= index < count):
+        raise ProblemError(f"{what} {index!r} is not an integer in [0, {count})")
 
 
 def box_constraints(lower: np.ndarray, upper: np.ndarray) -> tuple[Oracle, ...]:

@@ -416,7 +416,7 @@ def test_criterion_10_regularization_contrast(binding_logistic,
     cfg_c = en.RunConfig(variant="centralized_unregularized",
                          iterations=10_000, seed=1, init="random_feasible",
                          record_every=10)
-    centralized = en.run_centralized_unregularized(p, cfg_c, reference=ref)
+    centralized = en.run(p, ws_matrix, cfg_c, reference=ref)
     viol_d = records_at(decentralized, 10_000).violation_sq
     viol_c = records_at(centralized, 10_000).violation_sq
     f_eta, viol_eta = regularized_saddle(p, eta)

@@ -303,6 +303,30 @@ def test_sweep_starts_no_more_processes_than_legs(monkeypatch, out_root):
     assert pools == [2]
 
 
+def test_sweep_runs_every_variant_through_engine_run(monkeypatch, out_root):
+    from pdnet import engine, problems
+    variants = ["deterministic", "stochastic", "centralized_unregularized"]
+    library_run, calls = engine.run, []
+
+    def counted(p, w, cfg, **kwargs):
+        calls.append(cfg.variant)
+        return library_run(p, w, cfg, **kwargs)
+
+    monkeypatch.setattr(engine, "run", counted)
+    assert cli.main(["sweep", "--out", "v", *SMALL_RUN, "--param", "variant",
+                     "--values", ",".join(variants), "--threads", "1"]) == 0
+    assert calls == variants
+    config = cfgmod.apply_overrides(cfgmod.parse_config(), SMALL_RUN[1::2])
+    p = cfgmod.build_problem(config)
+    ref = problems.reference_optimum(p, iterations=config["reference.iterations"])
+    w = cfgmod.build_weights(config, cfgmod.build_graph(config))
+    for variant in variants:
+        run_cfg = cfgmod.build_run_config({**config, "run.variant": variant})
+        text = library_run(p, w, run_cfg, reference=ref).to_csv_text()
+        leg = out_root / "v" / f"leg_variant_{variant}" / "trace.csv"
+        assert leg.read_bytes() == text.encode()
+
+
 def test_sweep_empty_values_exits_2(out_root):
     assert cli.main(["sweep", "--param", "eta", "--values", ""]) \
         == cli.EXIT_CONFIG

@@ -135,6 +135,18 @@ def test_resolve_config_rejects_violating_scale(paper_logistic):
         en.resolve_config(en.RunConfig(variant="nope"), paper_logistic)
 
 
+def test_stochastic_variant_needs_a_constraint():
+    f = lambda x: (float(x @ x), 2 * x)
+    p = make_custom_problem([f] * 4, [], lipschitz=2.0, radius=1.0, dim=2)
+    ring = lazy_metropolis(GraphTopology.from_edges(
+        4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+    for variant in ("deterministic", "centralized_unregularized"):
+        cfg = en.RunConfig(variant=variant, eta=1.0, iterations=5)
+        assert en.run(p, ring, cfg).aborted is None
+    with pytest.raises(en.EngineError, match="needs a constraint to sample"):
+        en.run(p, ring, en.RunConfig(variant="stochastic", eta=1.0))
+
+
 def test_resolve_config_baseline_forces_eta(paper_logistic):
     cfg = en.RunConfig(variant=en.CENTRALIZED_UNREGULARIZED, eta=3.0)
     resolved = en.resolve_config(cfg, paper_logistic)
@@ -432,7 +444,7 @@ def test_centralized_matches_hand_rolled_loop():
     p = build_logistic_problem(data, 0.1, 0.1)
     cfg = en.RunConfig(variant=en.CENTRALIZED_UNREGULARIZED, iterations=80,
                        record_every=20)
-    trace = en.run_centralized_unregularized(p, cfg)
+    trace = en.run(p, None, cfg)
 
     a, b = data.features, data.labels
     lower, upper = -0.1, 0.1
@@ -455,12 +467,11 @@ def test_centralized_matches_hand_rolled_loop():
 @pytest.mark.parametrize("init", ["origin", "random_feasible"])
 def test_step_serves_the_centralized_baseline(init):
     # the baseline's states are one row of the n-agent problem, stepped
-    # with a 1x1 matrix on the mean objective's gradient
-    from pdnet.graphs import generate_watts_strogatz
+    # on the mean objective's gradient
     p = build_logistic_problem(generate_dataset(20, 3, seed=2), 0.1, 0.1)
     cfg = en.RunConfig(variant=en.CENTRALIZED_UNREGULARIZED, init=init,
                        iterations=3, seed=5)
-    trace = en.run_centralized_unregularized(p, cfg)
+    trace = en.run(p, None, cfg)
     states = en.initial_states(p, trace.config)
     assert states.x.shape == (1, 3) and states.lam.shape == (1, 6)
     assert np.array_equal(states.x, trace.initial_states.x)
@@ -469,14 +480,53 @@ def test_step_serves_the_centralized_baseline(init):
             trace.config, variant="deterministic"))
         assert np.array_equal(states.x, agents.x[:1])
     for t in range(3):
-        states = en.step(states, p, identity_matrix(), t, trace.config)
+        states = en.step(states, p, None, t, trace.config)
     for name in ("x", "lam", "avg_numerator"):
         assert np.array_equal(getattr(states, name),
                               getattr(trace.final_states, name))
-    with pytest.raises(en.EngineError, match="20x20 but the states have 1 rows"):
-        en.step(states, p, lazy_metropolis(generate_watts_strogatz(20, 4, 0.2,
-                                                                   seed=3)),
-                0, trace.config)
+
+
+def test_baseline_step_does_not_read_the_matrix(paper_logistic, ws_matrix):
+    cfg = en.resolve_config(en.RunConfig(variant=en.CENTRALIZED_UNREGULARIZED,
+                                         init="random_feasible", seed=3),
+                            paper_logistic)
+    states = en.initial_states(paper_logistic, cfg)
+    outs = [en.step(states, paper_logistic, w, 0, cfg)
+            for w in (None, ws_matrix, identity_matrix())]
+    for out in outs[1:]:
+        for name in ("x", "lam", "avg_numerator", "weight_sum"):
+            assert np.array_equal(getattr(out, name), getattr(outs[0], name))
+
+
+@pytest.mark.parametrize("variant", ["deterministic", "stochastic"])
+def test_networked_variants_need_a_matrix(variant, paper_logistic):
+    cfg = en.RunConfig(variant=variant, eta=1.0, iterations=5)
+    with pytest.raises(en.EngineError, match="mixing matrix is missing"):
+        en.run(paper_logistic, None, cfg)
+    resolved = en.resolve_config(cfg, paper_logistic)
+    states = en.initial_states(paper_logistic, resolved)
+    with pytest.raises(en.EngineError, match="mixing matrix is missing"):
+        en.step(states, paper_logistic, None, 0, resolved)
+
+
+BASELINE_CFG = en.RunConfig(variant=en.CENTRALIZED_UNREGULARIZED,
+                            iterations=40, record_every=7, seed=2,
+                            init="random_feasible")
+
+
+def assert_same_run(a, b):
+    assert a.to_csv_text() == b.to_csv_text()
+    for name in ("x", "lam", "avg_numerator", "weight_sum"):
+        assert np.array_equal(getattr(a.final_states, name),
+                              getattr(b.final_states, name))
+    assert a.sigma2 == b.sigma2 == 0.0
+
+
+def test_baseline_run_does_not_read_the_matrix(paper_logistic, ws_matrix,
+                                              paper_reference):
+    assert_same_run(
+        en.run(paper_logistic, ws_matrix, BASELINE_CFG, reference=paper_reference),
+        en.run(paper_logistic, None, BASELINE_CFG, reference=paper_reference))
 
 
 @pytest.mark.parametrize("variant", ["deterministic", "stochastic"])
@@ -500,13 +550,16 @@ def test_resolve_config_bounds_the_seed(seed, ok, paper_logistic):
             en.resolve_config(cfg, paper_logistic)
 
 
-def test_centralized_requires_matching_variant(paper_logistic):
+def test_centralized_requires_matching_variant(paper_logistic,
+                                              paper_reference):
+    # the old entry point of the baseline: a checked alias of run
     with pytest.raises(en.EngineError):
         en.run_centralized_unregularized(paper_logistic,
                                          en.RunConfig(variant="deterministic"))
-    with pytest.raises(en.EngineError):
-        en.run(paper_logistic, identity_matrix(100),
-               en.RunConfig(variant=en.CENTRALIZED_UNREGULARIZED))
+    assert_same_run(
+        en.run_centralized_unregularized(paper_logistic, BASELINE_CFG,
+                                         reference=paper_reference),
+        en.run(paper_logistic, None, BASELINE_CFG, reference=paper_reference))
 
 
 def test_run_rejects_mismatched_matrix(paper_logistic):
@@ -581,7 +634,7 @@ def test_monitored_reference_free_run_solves_sigma2(sigma2_solves,
 def test_centralized_trace_sigma2_is_zero(small_instance):
     p, _, ref = small_instance
     cfg = en.RunConfig(variant=en.CENTRALIZED_UNREGULARIZED, iterations=10)
-    assert en.run_centralized_unregularized(p, cfg, reference=ref).sigma2 == 0.0
+    assert en.run(p, None, cfg, reference=ref).sigma2 == 0.0
 
 
 def test_missigned_dual_update_trips_lambda_bound(monkeypatch, paper_logistic,
@@ -642,18 +695,11 @@ def test_run_is_a_loop_of_steps(variant, init, record_every, paper_logistic,
     # hand and recording with compute_record gives the run's bits
     cfg = en.RunConfig(variant=variant, init=init, eta=1.0, iterations=30,
                        seed=4, record_every=record_every)
-    # the baseline steps the n-agent problem's one row with a 1x1 matrix
-    p = paper_logistic
-    if variant == en.CENTRALIZED_UNREGULARIZED:
-        trace = en.run_centralized_unregularized(p, cfg,
-                                                 reference=paper_reference)
-        w = identity_matrix()
-    else:
-        trace = en.run(p, ws_matrix, cfg, reference=paper_reference)
-        w = ws_matrix
+    # the baseline steps the n-agent problem's one row and does not read w
+    p, w = paper_logistic, ws_matrix
+    trace = en.run(p, w, cfg, reference=paper_reference)
     cfg = trace.config
     states = en.initial_states(p, cfg)
-    assert states.n_agents == w.n
     outputs0 = states.output_points()
     normalizers = dict(
         ref=paper_reference,
@@ -661,7 +707,7 @@ def test_run_is_a_loop_of_steps(variant, init, record_every, paper_logistic,
         initial_gnorms=np.linalg.norm(p.constraint_values_many(outputs0), axis=1))
 
     def record(t, grad_x, grad_lam):
-        return metrics.compute_record(p, states, t, cfg.eta, w.sigma2,
+        return metrics.compute_record(p, states, t, cfg.eta, trace.sigma2,
                                       grad_x_rows=grad_x,
                                       grad_lambda_rows=grad_lam, **normalizers)
 

@@ -93,8 +93,8 @@ def run_case(name, logistic, hinge, ws_matrix):
         return en.run(logistic, ws_matrix, cfg(variant="stochastic"),
                       reference=lref)
     if name == "logistic-centralized":
-        return en.run_centralized_unregularized(
-            logistic, cfg(variant="centralized_unregularized"), reference=lref)
+        return en.run(logistic, None, cfg(variant="centralized_unregularized"),
+                      reference=lref)
     if name == "logistic-ws-monitor-bounds":
         return en.run(logistic, ws_matrix,
                       cfg(eta=0.5, iterations=600, record_every=20,

@@ -122,6 +122,11 @@ def test_sampling_distribution_normalizes():
     assert_allclose(lg.sampling_distribution(np.array([1.0, 3.0])), [0.25, 0.75])
 
 
+def test_sampling_distribution_of_no_constraints():
+    with pytest.raises(ProblemError, match="no constraint to sample"):
+        lg.sampling_distribution(np.array([]))
+
+
 # -- stochastic subgradient -----------------------------------------------------
 
 def test_stochastic_grad_zero_multipliers(paper_logistic):
@@ -144,6 +149,23 @@ def test_stochastic_grad_single_constraint_matches_deterministic():
 def test_stochastic_grad_index_out_of_range(paper_logistic):
     with pytest.raises(ProblemError):
         lg.stochastic_grad_x(paper_logistic, 0, np.zeros(5), np.zeros(10), 10)
+
+
+def test_stochastic_grad_index_must_be_an_integer(paper_logistic):
+    with pytest.raises(ProblemError, match="constraint index 2.5 is not an integer"):
+        lg.stochastic_grad_x(paper_logistic, 0, np.zeros(5), np.zeros(10), 2.5)
+
+
+@pytest.mark.parametrize("agent", [-1, 100, 2.5])
+@pytest.mark.parametrize("call", [
+    lambda p, i, x, lam: lg.grad_x(p, i, x, lam),
+    lambda p, i, x, lam: lg.lagrangian_value(p, i, x, lam, ETA),
+    lambda p, i, x, lam: lg.stochastic_grad_x(p, i, x, lam, 0)])
+def test_agent_index_must_name_an_agent(call, agent, paper_logistic):
+    # a negative index would otherwise read agent n - 1's row
+    assert paper_logistic.n_agents == 100
+    with pytest.raises(ProblemError, match=r"agent .* not an integer in \[0, 100\)"):
+        call(paper_logistic, agent, np.zeros(5), np.zeros(10))
 
 
 @pytest.mark.parametrize("family", ["logistic", "hinge"])

@@ -263,6 +263,14 @@ def test_rate_fit_requires_enough_positive_records():
         me.rate_fit(fake_records(ts, vals), "eps", (10, 500))
 
 
+def test_rate_fit_rejects_an_unknown_column():
+    # the trace.csv header says eps_G; the record field is eps
+    ts = np.arange(10, 500, 10)
+    with pytest.raises(me.MetricError, match="unknown record field 'eps_G'; "
+                                             "one of t, eps, delta"):
+        me.rate_fit(fake_records(ts, np.ones(len(ts))), "eps_G", (10, 500))
+
+
 def zero_directions(states, m=2):
     """Zero primal and dual step directions for ``states``' agents."""
     n, d = states.x.shape
