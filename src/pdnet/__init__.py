@@ -51,7 +51,6 @@ from .problems import (
     SyntheticDataset,
     build_hinge_problem,
     build_logistic_problem,
-    feasibility_report,
     generate_dataset,
     grid_search_optimum,
     reference_optimum,

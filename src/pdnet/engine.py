@@ -20,7 +20,7 @@ import numpy as np
 from . import metrics
 from .graphs import ConsensusMatrix
 from .lagrangian import (checked_eta, iteration_uniforms, primal_directions,
-                         sample_constraint_indices, uniform_stream)
+                         rekeyed, sample_constraint_indices, uniform_stream)
 from .metrics import IterationRecord
 from .problems import ProblemSpec, ReferenceSolution
 
@@ -189,13 +189,14 @@ def initial_states(p: ProblemSpec, cfg: RunConfig) -> AgentStates:
 
 def _random_feasible_points(p: ProblemSpec, seed: int, n: int) -> np.ndarray:
     """One sphere sample per row, each scaled into the feasible set by
-    bisection towards the origin; all rows bisect together."""
+    bisection towards the origin; all rows bisect together. Row i's normals
+    are those of ``Generator(Philox(key=[seed, 2**63 + i]))``."""
     if np.any(p.constraint_values(np.zeros(p.dim)) > 0.0):
         raise EngineError("random_feasible init needs a feasible origin")
+    stream = uniform_stream()
     v = np.empty((n, p.dim))
     for agent in range(n):
-        key = np.array([np.uint64(seed), np.uint64(2 ** 63 + agent)], dtype=np.uint64)
-        v[agent] = np.random.Generator(np.random.Philox(key=key)).normal(size=p.dim)
+        v[agent] = rekeyed(stream, seed, 2 ** 63 + agent).normal(size=p.dim)
         v[agent] *= p.radius / max(float(np.linalg.norm(v[agent])), 1e-300)
 
     def feasible(c: np.ndarray) -> np.ndarray:
@@ -304,25 +305,40 @@ def step(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix | None,
          t: int, cfg: RunConfig) -> AgentStates:
     """One synchronous step of ``cfg.variant`` from the iteration-t snapshot.
 
-    The centralized baseline does not read ``w``.
+    ``cfg`` is resolved and checked as ``run`` does it. The centralized
+    baseline does not read ``w`` and takes exactly one row.
     """
-    w = _mixing_matrix(w, cfg, states.n_agents)
-    stepsize(t, cfg)  # a bad t or scale fails before the stochastic sample
+    w, cfg = _checked_call(p, w, cfg, states)
+    stepsize(t, cfg)  # a bad t fails before the stochastic sample
     return _advance(states, p, w, t, cfg, *_directions(p, states, cfg, t))
 
 
 _IDENTITY_1X1 = ConsensusMatrix.from_entries(np.ones((1, 1)))
 
 
-def _mixing_matrix(w: ConsensusMatrix | None, cfg: RunConfig, n: int,
-                   what: str = "the states have {} rows") -> ConsensusMatrix:
-    """``w`` checked to mix n rows, or the baseline's 1x1 identity."""
+def _checked_call(p: ProblemSpec, w: ConsensusMatrix | None, cfg: RunConfig,
+                  states: AgentStates | None = None
+                  ) -> tuple[ConsensusMatrix, RunConfig]:
+    """The matrix that mixes the call's rows, and ``cfg`` resolved: the
+    baseline's one row mixes with the 1x1 identity, the networked variants'
+    one row per agent with ``w``. The ``states`` that ``step`` passes must
+    have x and avg_numerator of shape (rows, d) and lam of (rows, m)."""
+    cfg = resolve_config(cfg, p)
+    rows = p.n_agents
     if cfg.variant == CENTRALIZED_UNREGULARIZED:
-        return _IDENTITY_1X1
+        rows, w = 1, _IDENTITY_1X1
+    n = rows if states is None else states.n_agents
     if w is None or w.n != n:
         got = "missing" if w is None else f"{w.n}x{w.n}"
-        raise EngineError(f"mixing matrix is {got} but " + what.format(n))
-    return w
+        raise EngineError(f"mixing matrix is {got} but the states have {n} rows "
+                          f"(the problem has {p.n_agents} agents)")
+    if states is not None:
+        for name, cols in (("x", p.dim), ("lam", p.n_constraints),
+                           ("avg_numerator", p.dim)):
+            shape = getattr(states, name).shape
+            if shape != (rows, cols):
+                raise EngineError(f"states.{name} is {shape}, not {(rows, cols)}")
+    return w, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +384,7 @@ def run(p: ProblemSpec, w: ConsensusMatrix | None, cfg: RunConfig,
     horizon; a reference optimum adds the relative error and rate-bound
     columns. A diverged run returns its partial trace, ``aborted`` set.
     """
-    cfg = resolve_config(cfg, p)
-    w = _mixing_matrix(w, cfg, p.n_agents, "the problem has {} agents")
-    return _run_loop(p, w, cfg, reference)
+    return _run_loop(p, *_checked_call(p, w, cfg), reference)
 
 
 def run_centralized_unregularized(p: ProblemSpec, cfg: RunConfig,
@@ -381,8 +395,7 @@ def run_centralized_unregularized(p: ProblemSpec, cfg: RunConfig,
     """
     if cfg.variant != CENTRALIZED_UNREGULARIZED:
         raise EngineError("config variant must be centralized_unregularized")
-    cfg = resolve_config(cfg, p)
-    return _run_loop(p, _mixing_matrix(None, cfg, 1), cfg, reference)
+    return _run_loop(p, *_checked_call(p, None, cfg), reference)
 
 
 def _run_loop(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,

@@ -112,11 +112,23 @@ def stochastic_grad_x(p: ProblemSpec, agent: int, x: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def uniform_stream() -> np.random.Generator:
-    """A Philox generator for ``iteration_uniforms`` to re-key.
+    """A Philox generator for ``rekeyed`` to re-key.
 
     Make one per run, or per thread: re-keying changes its state in place.
     """
     return np.random.Generator(np.random.Philox(key=0))
+
+
+def rekeyed(stream: np.random.Generator, k0: int, k1: int) -> np.random.Generator:
+    """``stream`` set to Philox key (k0, k1) with a zero counter and an
+    empty buffer, which is the state ``Generator(Philox(key=[k0, k1]))``
+    starts in, without building one."""
+    stream.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (k0, k1)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return stream
 
 
 def iteration_uniforms(seed: int, t: int, n: int,
@@ -125,19 +137,10 @@ def iteration_uniforms(seed: int, t: int, n: int,
 
     Keyed by (run seed, iteration); agent i consumes entry i. Independent
     of scheduling and parallelism, so runs replay bit-identically. The
-    bits are those of ``Generator(Philox(key=[seed, t])).random(n)``:
-    ``stream`` (from ``uniform_stream``, a fresh one when None) is set to
-    that key with a zero counter and an empty buffer, which is the state
-    such a generator starts in, without building one.
+    bits are those of ``Generator(Philox(key=[seed, t])).random(n)``, drawn
+    from ``stream`` (from ``uniform_stream``, a fresh one when None).
     """
-    if stream is None:
-        stream = uniform_stream()
-    stream.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (seed, t)},
-        "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0}
-    return stream.random(n)
+    return rekeyed(stream or uniform_stream(), seed, t).random(n)
 
 
 def _sampling_probabilities(lam_rows: np.ndarray) -> np.ndarray:

@@ -489,42 +489,6 @@ def build_hinge_problem(data: SyntheticDataset, l: float, u: float) -> ProblemSp
     return _build_loss_problem(data, l, u, "hinge")
 
 
-def feasibility_report(p: ProblemSpec, x: np.ndarray):
-    """Positive parts of constraint values plus the ball excess at x.
-
-    Returns (violations, norm_excess) with violations[k] = max(0, g_k(x))
-    and norm_excess = max(0, ||x|| - R).
-    """
-    if x.shape != (p.dim,):
-        raise ProblemError(f"expected a vector of dimension {p.dim}, got {x.shape}")
-    violations = np.maximum(0.0, p.constraint_values(x))
-    excess = max(0.0, float(np.linalg.norm(x)) - p.radius)
-    return violations, excess
-
-
-def validate_lipschitz(p: ProblemSpec, seed: int = 0, n_points: int = 32,
-                       tol: float = 1e-12) -> list[str]:
-    """Spot-check subgradient norms against the declared Lipschitz bound.
-
-    Samples points inside the radius ball, evaluates every objective and
-    constraint oracle, and returns (and logs) a message per violation.
-    """
-    rng = np.random.default_rng(seed)
-    failures = []
-    for _ in range(n_points):
-        x = rng.normal(size=p.dim)
-        x *= rng.random() * p.radius / max(np.linalg.norm(x), 1e-30)
-        objective_grads = p.agent_objective_grads(np.tile(x, (p.n_agents, 1)))
-        for kind, grads in (("objective", objective_grads),
-                            ("constraint", p.constraint_grads(x))):
-            for i, norm in enumerate(np.linalg.norm(grads, axis=1)):
-                if norm > p.lipschitz + tol:
-                    failures.append(f"{kind} {i}: subgradient norm {norm} > L")
-    for msg in failures:
-        log.error("Lipschitz bound violated: %s", msg)
-    return failures
-
-
 # ---------------------------------------------------------------------------
 # reference optimum
 # ---------------------------------------------------------------------------
@@ -651,8 +615,8 @@ def reference_optimum(p: ProblemSpec, iterations: int = 10_000,
         raise ReferenceError(
             f"reference solve residual {residual:.3e} > {residual_tol:.1e}")
 
-    violations, excess = feasibility_report(p, x)
-    if not (float(np.max(violations, initial=0.0)) <= 1e-8 and excess <= 1e-8):
+    if not (np.max(p.constraint_values(x), initial=0.0) <= 1e-8
+            and float(np.linalg.norm(x)) - p.radius <= 1e-8):
         raise ReferenceError("reference point is infeasible beyond 1e-8")
     return ReferenceSolution(f_star=float(val), x_star=x,
                              method="projected-gradient",

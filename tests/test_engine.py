@@ -105,18 +105,42 @@ def test_stepsize_schedule():
     assert en.stepsize(99, cfg_r) == pytest.approx(0.07)
 
 
-@pytest.mark.parametrize("variant", ["deterministic", "stochastic"])
+@pytest.mark.parametrize("variant", en.VARIANTS)
 def test_step_checks_its_stepsize(variant, paper_logistic, ws_matrix):
-    # step takes alpha from stepsize, so an unresolved scale or a negative
-    # t is an EngineError, not an arithmetic error
-    resolved = en.resolve_config(en.RunConfig(variant=variant, eta=1.0),
-                                 paper_logistic)
+    # step resolves its config as run does: a raw config steps bit for bit
+    # as the resolved one, the baseline's with eta = 0 where lam > 0, and
+    # a negative t is an EngineError, not an arithmetic error
+    baseline = variant == en.CENTRALIZED_UNREGULARIZED
+    raw = en.RunConfig(variant=variant, step_scale=0.5 if baseline else None,
+                       seed=3)
+    resolved = en.resolve_config(raw, paper_logistic)
     states = en.initial_states(paper_logistic, resolved)
-    with pytest.raises(en.EngineError, match="step_scale unresolved"):
-        en.step(states, paper_logistic, ws_matrix, 0,
-                en.RunConfig(variant=variant, eta=1.0))
+    states.lam[:] = 1.0
+    out = en.step(states, paper_logistic, ws_matrix, 0, raw)
+    expected = en.step(states, paper_logistic, ws_matrix, 0, resolved)
+    for name in ("x", "lam", "avg_numerator", "weight_sum"):
+        assert np.array_equal(getattr(out, name), getattr(expected, name))
+    if baseline:
+        # lam + alpha(0) g(0) with g(0) = -0.1, undamped by eta
+        assert_allclose(out.lam, 0.95, rtol=1e-15)
     with pytest.raises(en.EngineError, match="nonnegative"):
         en.step(states, paper_logistic, ws_matrix, -1, resolved)
+
+
+@pytest.mark.parametrize("cfg", [
+    en.RunConfig(eta=1.0, step_scale=1.0),
+    en.RunConfig(variant="stochastic", eta=10.0, step_scale=1.0),
+    en.RunConfig(eta=0.0),
+    en.RunConfig(variant="nope"),
+    en.RunConfig(seed=2 ** 64)])
+def test_step_rejects_what_run_rejects(cfg, paper_logistic, ws_matrix):
+    # eta * alpha(0) > 1/2 and the other bad configs fail alike in both
+    states = en.initial_states(paper_logistic, en.RunConfig())
+    with pytest.raises(en.EngineError) as from_run:
+        en.run(paper_logistic, ws_matrix, cfg)
+    with pytest.raises(en.EngineError) as from_step:
+        en.step(states, paper_logistic, ws_matrix, 0, cfg)
+    assert str(from_step.value) == str(from_run.value)
 
 
 def test_resolve_config_caps_step_scale(paper_logistic):
@@ -157,10 +181,10 @@ def test_resolve_config_baseline_forces_eta(paper_logistic):
 # -- single steps -----------------------------------------------------------------
 
 def test_hand_stepped_single_agent():
-    # one agent, f(x) = x, g(x) = x - 1/2, eta = 1, alpha(0) = 1:
+    # one agent, f(x) = x, g(x) = x - 1/2, eta = 1/2, alpha(0) = 1:
     # y = -1 projects to the ball boundary, dual direction clips to zero
     p = toy_problem()
-    cfg = en.RunConfig(eta=1.0, step_scale=1.0)
+    cfg = en.RunConfig(eta=0.5, step_scale=1.0)
     states = en.initial_states(p, cfg)
     out = en.step(states, p, identity_matrix(), 0, cfg)
     assert_allclose(out.x, [[-1.0]])
@@ -529,13 +553,27 @@ def test_baseline_run_does_not_read_the_matrix(paper_logistic, ws_matrix,
         en.run(paper_logistic, None, BASELINE_CFG, reference=paper_reference))
 
 
-@pytest.mark.parametrize("variant", ["deterministic", "stochastic"])
+@pytest.mark.parametrize("variant", en.VARIANTS)
 def test_step_rejects_a_mismatched_matrix(variant, paper_logistic):
-    cfg = en.resolve_config(en.RunConfig(variant=variant, eta=1.0),
-                            paper_logistic)
-    states = en.initial_states(paper_logistic, cfg)
+    # the baseline mixes its one row with the 1x1 identity
+    cfg = en.RunConfig(variant=variant, eta=1.0)
+    states = en.initial_states(paper_logistic, en.RunConfig())
     with pytest.raises(en.EngineError, match="1x1 but the states have 100 rows"):
         en.step(states, paper_logistic, identity_matrix(), 0, cfg)
+
+
+@pytest.mark.parametrize("variant", en.VARIANTS)
+@pytest.mark.parametrize("name,cols", [("lam", 9), ("x", 4),
+                                       ("avg_numerator", 2)])
+def test_step_rejects_misshapen_states(variant, name, cols, paper_logistic,
+                                       ws_matrix):
+    cfg = en.resolve_config(en.RunConfig(variant=variant), paper_logistic)
+    states = en.initial_states(paper_logistic, cfg)
+    rows = states.n_agents
+    setattr(states, name, np.zeros((rows, cols)))
+    with pytest.raises(en.EngineError,
+                       match=rf"states.{name} is \({rows}, {cols}\)"):
+        en.step(states, paper_logistic, ws_matrix, 0, cfg)
 
 
 @pytest.mark.parametrize("seed,ok", [(2 ** 64 - 1, True), (2 ** 64, False),

@@ -254,6 +254,22 @@ def test_iteration_uniforms_are_numpy_philox(seed):
             stream.bit_generator.random_raw(5)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 64 - 1])
+def test_rekeyed_normals_are_the_per_agent_generator(seed):
+    # the random_feasible starts draw agent i's normals from one stream
+    # re-keyed to (seed, 2^63 + i), each a fresh generator's bits
+    stream = lg.uniform_stream()
+    for agent in (0, 1, 99, 10 ** 5 - 1):
+        # a list key holding 2^63 + i would pass through float64
+        key = np.array([seed, 2 ** 63 + agent], dtype=np.uint64)
+        for d in (1, 5, 17):
+            expected = np.random.Generator(np.random.Philox(key=key)).normal(size=d)
+            assert np.array_equal(
+                lg.rekeyed(stream, seed, 2 ** 63 + agent).normal(size=d),
+                expected)
+            stream.normal(size=3)
+
+
 def _where_sample(lam_rows, uniforms):
     """The sampler as first written: probabilities through two np.where."""
     m = lam_rows.shape[1]

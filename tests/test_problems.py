@@ -19,11 +19,9 @@ from pdnet.problems import (
     box_constraints,
     build_hinge_problem,
     build_logistic_problem,
-    feasibility_report,
     generate_dataset,
     grid_search_optimum,
     reference_optimum,
-    validate_lipschitz,
 )
 
 from conftest import make_custom_problem
@@ -324,42 +322,6 @@ def test_subgradient_validity_and_norms(family, paper_logistic, paper_hinge):
             assert np.all(p.constraint_values(y) >= vx + gkx @ (y - x) - 1e-10)
 
 
-def test_validate_lipschitz_clean(paper_logistic):
-    assert validate_lipschitz(paper_logistic, seed=0) == []
-
-
-def test_validate_lipschitz_reports(caplog):
-    bad = make_custom_problem(
-        [lambda x: (float(x[0]), np.array([5.0]))],
-        [lambda x: (float(x[0]), np.array([1.0]))],
-        lipschitz=1.0, radius=1.0, dim=1)
-    failures = validate_lipschitz(bad, seed=0, n_points=4)
-    assert failures and "objective 0" in failures[0]
-
-
-# -- feasibility report ------------------------------------------------------
-
-def test_feasibility_report_cases(paper_logistic):
-    v, excess = feasibility_report(paper_logistic, np.zeros(5))
-    assert np.array_equal(v, np.zeros(10)) and excess == 0.0
-
-    x = np.array([0.2, 0, 0, 0, 0])
-    v, excess = feasibility_report(paper_logistic, x)
-    expected = np.zeros(10)
-    expected[5] = 0.1  # upper-box constraint on coordinate 0
-    assert_allclose(v, expected, atol=1e-15)
-
-    x = np.zeros(5)
-    x[0] = 2.0
-    _, excess = feasibility_report(paper_logistic, x)
-    assert excess == pytest.approx(1.0)
-
-
-def test_feasibility_report_dimension_mismatch(paper_logistic):
-    with pytest.raises(ProblemError):
-        feasibility_report(paper_logistic, np.zeros(4))
-
-
 # -- projection onto box intersect ball ---------------------------------------
 
 def test_project_box_ball_variational_inequality():
@@ -435,9 +397,9 @@ def test_reference_best_value_monotone_in_iterations(paper_logistic):
 
 
 def test_reference_feasible_and_certified(paper_reference, paper_logistic):
-    violations, excess = feasibility_report(paper_logistic,
-                                            paper_reference.x_star)
-    assert np.max(violations) <= 1e-8 and excess <= 1e-8
+    x = paper_reference.x_star
+    assert np.max(paper_logistic.constraint_values(x)) <= 1e-8
+    assert np.linalg.norm(x) <= paper_logistic.radius + 1e-8
     assert paper_reference.residual <= 1e-4
     assert paper_reference.method == "projected-gradient"
 
