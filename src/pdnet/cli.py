@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import importlib.metadata
 import json
 import math
 import os
@@ -21,7 +22,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, config as cfgmod, engine, metrics, problems, verify
 from .config import ConfigError
@@ -224,7 +224,7 @@ def execute_run(config: dict, out_dir: Path):
 def _environment() -> dict[str, str | None]:
     """Interpreter and library versions plus the BLAS thread settings."""
     env = {"python": platform.python_version(), "numpy": np.__version__,
-           "scipy": scipy.__version__}
+           "scipy": importlib.metadata.version("scipy")}
     for var in BLAS_THREAD_VARS:
         env[var] = os.environ.get(var)
     return env

@@ -327,6 +327,11 @@ def _checked_call(p: ProblemSpec, w: ConsensusMatrix | None, cfg: RunConfig,
     rows = p.n_agents
     if cfg.variant == CENTRALIZED_UNREGULARIZED:
         rows, w = 1, _IDENTITY_1X1
+    if states is not None:
+        for name in ("x", "lam"):
+            if np.ndim(getattr(states, name)) != 2:
+                raise EngineError(f"states.{name} must be 2-d (rows, columns), "
+                                  f"got shape {np.shape(getattr(states, name))}")
     n = rows if states is None else states.n_agents
     if w is None or w.n != n:
         got = "missing" if w is None else f"{w.n}x{w.n}"

@@ -89,9 +89,9 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 
 def _max_ratio(values: np.ndarray, normalizers: np.ndarray) -> float | None:
     """max_i |values_i / normalizers_i|, or None if a normalizer is degenerate."""
-    if np.min(np.abs(normalizers)) < DEGENERATE_NORMALIZER:
+    if np.minimum.reduce(np.abs(normalizers)) < DEGENERATE_NORMALIZER:
         return None
-    return float(np.max(np.abs(values / normalizers)))
+    return float(np.maximum.reduce(np.abs(values / normalizers)))
 
 
 def objective_values(p: ProblemSpec, points: np.ndarray) -> np.ndarray:
@@ -128,18 +128,21 @@ def _objective_maxima(p: ProblemSpec, points: np.ndarray, f_star: float,
             size = np.abs(normalizers)
             abs_lo /= size
             abs_hi /= size
-        keep = (upper >= lower.max()) | (abs_hi >= abs_lo.max())
+        keep = ((upper >= np.maximum.reduce(lower))
+                | (abs_hi >= np.maximum.reduce(abs_lo)))
         points = points[keep]
         if normalizers is not None:
             normalizers = normalizers[keep]
     gaps = objective_values(p, points) - f_star
     ratios = gaps if normalizers is None else gaps / normalizers
-    return float(gaps.max()), float(np.abs(ratios).max())
+    return (float(np.maximum.reduce(gaps)),
+            float(np.maximum.reduce(np.abs(ratios))))
 
 
 def _violation_sq(gvals: np.ndarray) -> float:
     """||[mean of the rows of gvals]_+||^2."""
-    return float(np.sum(np.maximum(gvals.mean(axis=0), 0.0) ** 2))
+    mean = np.add.reduce(gvals, axis=0) / len(gvals)  # np.mean's bits
+    return float(np.add.reduce(np.maximum(mean, 0.0) ** 2))
 
 
 def initial_normalizers(p: ProblemSpec, initial_states,
@@ -383,7 +386,8 @@ def compute_record(p: ProblemSpec, states, t: int, eta: float, sigma2: float,
     max_gap = math.nan
     eps_absolute = False
     if ref is not None:
-        eps_absolute = bool(np.min(np.abs(initial_fgaps)) < DEGENERATE_NORMALIZER)
+        eps_absolute = bool(np.minimum.reduce(np.abs(initial_fgaps))
+                            < DEGENERATE_NORMALIZER)
         max_gap, eps = _objective_maxima(
             p, outputs, ref.f_star, None if eps_absolute else initial_fgaps)
 
@@ -395,16 +399,17 @@ def compute_record(p: ProblemSpec, states, t: int, eta: float, sigma2: float,
     if ref is not None and t >= 2 and eta > 0.0 and sigma2 < 1.0:
         thm2 = rate_bound(p, sigma2, eta, t)
 
-    glam_sq = np.sum(grad_lambda_rows ** 2, axis=1)
-    max_glam_excess = float(np.max(glam_sq - 2.0 * eta ** 2 * lam_norms ** 2))
+    glam_sq = np.add.reduce(grad_lambda_rows ** 2, axis=1)
+    max_glam_excess = float(np.maximum.reduce(
+        glam_sq - 2.0 * eta ** 2 * lam_norms ** 2))
 
     return IterationRecord(
         t=t, eps=eps, delta=delta,
-        max_lambda_norm=float(np.max(lam_norms)),
+        max_lambda_norm=float(np.maximum.reduce(lam_norms)),
         consensus_diameter=diffs,
         thm2_bound=thm2, violation_sq=violation_sq, max_gap=max_gap,
-        sum_lambda_sq=float(np.sum(lam_norms ** 2)),
-        max_grad_x_norm=float(np.max(row_norms(grad_x_rows))),
+        sum_lambda_sq=float(np.add.reduce(lam_norms ** 2)),
+        max_grad_x_norm=float(np.maximum.reduce(row_norms(grad_x_rows))),
         max_grad_lambda_excess=max_glam_excess,
         eps_absolute=eps_absolute,
     )
@@ -414,8 +419,9 @@ def _block_max_sq(points: np.ndarray) -> list:
     """Per-block maxima of the per-pair squared distances among the rows
     of ``points``, over the upper triangle in blocks of DIAMETER_BLOCK rows:
     each temporary holds DIAMETER_BLOCK x n x d values, not n x n x d."""
-    return [np.max(np.sum((points[s:s + DIAMETER_BLOCK, None, :]
-                           - points[None, s:, :]) ** 2, axis=2))
+    return [np.maximum.reduce(
+                np.add.reduce((points[s:s + DIAMETER_BLOCK, None, :]
+                               - points[None, s:, :]) ** 2, axis=2), axis=None)
             for s in range(0, points.shape[0], DIAMETER_BLOCK)]
 
 
@@ -431,18 +437,18 @@ def outputs_diameter(points: np.ndarray) -> float:
     r > L - max(r), and only those rows are scanned. Identical rows return
     0 after O(nd) work; non-finite values fall back to the full scan.
     """
-    center = points.mean(axis=0)
-    r = np.sqrt(np.sum((points - center) ** 2, axis=1))
-    a = int(np.argmax(r))
-    from_a = np.sum((points - points[a]) ** 2, axis=1)
-    if from_a.max() == 0.0 and not np.any(points != points[a]):
+    center = np.add.reduce(points, axis=0) / len(points)  # np.mean's bits
+    r = np.sqrt(np.add.reduce((points - center) ** 2, axis=1))
+    a = int(r.argmax())
+    from_a = np.add.reduce((points - points[a]) ** 2, axis=1)
+    if np.maximum.reduce(from_a) == 0.0 and not np.any(points != points[a]):
         return 0.0
-    b = int(np.argmax(from_a))
-    lower_sq = np.max([from_a[b],
-                       np.max(np.sum((points - points[b]) ** 2, axis=1))])
+    b = int(from_a.argmax())
+    lower_sq = np.maximum(from_a[b], np.maximum.reduce(
+        np.add.reduce((points - points[b]) ** 2, axis=1)))
     lower, r_max = float(np.sqrt(lower_sq)), float(r[a])
     if not math.isfinite(lower + r_max):
-        return float(np.sqrt(np.max(_block_max_sq(points))))
+        return float(np.sqrt(np.maximum.reduce(_block_max_sq(points))))
     # r and each per-pair value carry at most d + 2 roundings (difference,
     # square, d - 1 additions, sqrt), a relative error below (d + 2) eps
     # of L + max(r), the size of the point cloud about c; the factor 4
@@ -455,4 +461,5 @@ def outputs_diameter(points: np.ndarray) -> float:
     slack = (4.0 * (d + 2) * float(finfo.eps) * (lower + r_max)
              + math.sqrt((d + 2) * float(finfo.tiny)))
     survivors = points[r >= lower - r_max - slack]
-    return float(np.sqrt(np.max([lower_sq, *_block_max_sq(survivors)])))
+    return float(np.sqrt(np.maximum.reduce([lower_sq,
+                                            *_block_max_sq(survivors)])))

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 log = logging.getLogger(__name__)
 
@@ -32,6 +31,16 @@ MEAN_OBJECTIVE_BLOCK = 1 << 16
 #: The most 8-byte entries one numpy array can hold; a dataset or graph
 #: needing more cannot be allocated at all.
 MAX_ARRAY_ENTRIES = np.iinfo(np.intp).max // 8
+
+
+@np.errstate(over="ignore")  # as a decorator it costs half the with-block
+def _over_one_plus_exp(numerator, t: np.ndarray) -> np.ndarray:
+    """numerator / (1 + exp(t)), the logistic function at -t times
+    ``numerator``. Past t = 709.78 exp(t) is inf and the quotient an exact
+    signed 0, which numpy would otherwise report as an overflow."""
+    e = np.exp(t)
+    e += 1.0
+    return np.divide(numerator, e, out=e)
 
 
 class ProblemError(ValueError):
@@ -81,7 +90,7 @@ def generate_dataset(n: int, d: int, seed: int = 0) -> SyntheticDataset:
     a = rng.normal(size=(n, d))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     w = rng.normal(size=d)
-    p_plus = expit(-(a @ w))
+    p_plus = _over_one_plus_exp(1.0, a @ w)
     b = np.where(rng.random(n) < p_plus, 1.0, -1.0)
     return SyntheticDataset(features=a, labels=b, ground_truth_w=w)
 
@@ -100,13 +109,28 @@ class _LossBoxOps:
         self.lower = lower
         self.upper = upper
         self.loss = loss
-        self.dim = d = features.shape[1]
-        # row k is grad g_k: -e_k for the lower bounds, then +e_k
-        self._constraint_grads = np.zeros((2 * d, d))
-        self._constraint_grads[np.arange(2 * d), np.tile(np.arange(d), 2)] = (
-            np.repeat([-1.0, 1.0], d))
+        self.dim = features.shape[1]
+        # row j is -b_j a_j, so one product gives the negated margins
+        self._neg_signed = -(labels[:, None] * features)
 
-    # built on first use, so a run without a reference never builds them
+    def for_agent(self, agent: int) -> "_LossBoxOps":
+        """The ops of agent ``agent``'s data point alone, with the same
+        constraints: a one-agent problem."""
+        one = slice(agent, agent + 1)
+        return _LossBoxOps(self.features[one], self.labels[one], self.lower,
+                           self.upper, self.loss)
+
+    # built on first use: the sampled constraint rows by the stochastic
+    # variant, the rest by records with a reference
+
+    @functools.cached_property
+    def _constraint_grads(self) -> np.ndarray:
+        """Row k is grad g_k: -e_k for the lower bounds, then +e_k."""
+        d = self.dim
+        grads = np.zeros((2 * d, d))
+        grads[np.arange(2 * d), np.tile(np.arange(d), 2)] = (
+            np.repeat([-1.0, 1.0], d))
+        return grads
 
     @functools.cached_property
     def _columns(self) -> np.ndarray:
@@ -130,7 +154,7 @@ class _LossBoxOps:
         Gram matrix, which share their nonzero eigenvalues, and rounded up
         past the error of both products and of the eigensolve, each below
         (n + d) eps A^2."""
-        a = self.labels[:, None] * self.features
+        a = self._neg_signed  # the sign leaves the Gram matrix as it is
         n, d = a.shape
         gram = a.T @ a if d <= n else a @ a.T
         top = float(np.linalg.eigvalsh(gram)[-1]) / n
@@ -143,22 +167,25 @@ class _LossBoxOps:
             return np.logaddexp(0.0, z)
         return np.maximum(0.0, 1.0 - z)
 
-    def _loss_slopes(self, z: np.ndarray) -> np.ndarray:
-        """Per-term d(loss)/dz at z = b <a, x>."""
+    def _signed_slopes(self, t: np.ndarray) -> np.ndarray:
+        """Per-term b * d(loss)/dz at z = b <a, x> = -t: the factor of a in
+        the term's gradient. As b = +-1, the logistic one,
+        b / (1 + exp(-z)), is exactly b times 1 / (1 + exp(-z))."""
         if self.loss == "logistic":
-            return expit(z)
-        return np.where(z < 1.0, -1.0, 0.0)
+            return _over_one_plus_exp(self.labels, t)
+        return self.labels * np.where(t > -1.0, -1.0, 0.0)
 
-    def _agent_margins(self, x_rows: np.ndarray) -> np.ndarray:
-        """z_i = b_i <a_i, x_i>, one per agent."""
-        return self.labels * np.einsum("id,id->i", self.features, x_rows)
+    def _neg_margins(self, x_rows: np.ndarray) -> np.ndarray:
+        """t_i = -b_i <a_i, x_i>, one per agent. Negating every product
+        negates the sum exactly, so -t is the margin z."""
+        return np.einsum("id,id->i", self._neg_signed, x_rows)
 
     def agent_objective_grads(self, x_rows: np.ndarray) -> np.ndarray:
-        z = self._agent_margins(x_rows)
-        return (self.labels * self._loss_slopes(z))[:, None] * self.features
+        slopes = self._signed_slopes(self._neg_margins(x_rows))
+        return slopes[:, None] * self.features
 
     def agent_objective_values(self, x_rows: np.ndarray) -> np.ndarray:
-        return self._loss_values(self._agent_margins(x_rows))
+        return self._loss_values(-self._neg_margins(x_rows))
 
     def mean_objective_many(self, points: np.ndarray) -> np.ndarray:
         """Mean loss at each point, by a fixed-order kernel without BLAS.
@@ -184,11 +211,11 @@ class _LossBoxOps:
         return np.add.reduce(self._loss_values(z), axis=1) / z.shape[1]
 
     def mean_objective_grad(self, x: np.ndarray):
-        z = self.labels * (self.features @ x)
+        t = self._neg_signed @ x
         # np.mean's bits (the sum, then one division) without its wrapper:
         # the reference solve calls this on every trial step
-        return float(np.add.reduce(self._loss_values(z)) / len(z)), \
-            self.features.T @ (self.labels * self._loss_slopes(z)) / len(z)
+        return float(np.add.reduce(self._loss_values(-t)) / len(t)), \
+            self.features.T @ self._signed_slopes(t) / len(t)
 
     def mean_objective_bracket(self, points: np.ndarray):
         """(lower, upper) around ``mean_objective_many(points)``, in O(nd).
@@ -268,6 +295,11 @@ class OracleOps:
     def __init__(self, objectives, constraints):
         self.objectives = tuple(objectives)
         self.constraints = tuple(constraints)
+
+    def for_agent(self, agent: int) -> "OracleOps":
+        """The ops of agent ``agent``'s objective alone, with the same
+        constraints: a one-agent problem."""
+        return OracleOps(self.objectives[agent:agent + 1], self.constraints)
 
     def agent_objective_grads(self, x_rows: np.ndarray) -> np.ndarray:
         grads = np.empty_like(x_rows)
@@ -402,11 +434,12 @@ class ProblemSpec:
     # -- single-point evaluation ----------------------------------------------
 
     def objective(self, agent: int, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """(f_i(x), grad f_i(x)), from batched calls with every agent at x."""
+        """(f_i(x), grad f_i(x)), from the batched kernels on agent i alone."""
         checked_index(agent, self.n_agents, "agent")
-        x_rows = np.tile(x, (self.n_agents, 1))
-        return (float(self.agent_objective_values(x_rows)[agent]),
-                self.agent_objective_grads(x_rows)[agent])
+        self._check_dim(x)
+        ops, x_row = self.ops.for_agent(agent), x[None, :]
+        return (float(ops.agent_objective_values(x_row)[0]),
+                ops.agent_objective_grads(x_row)[0])
 
     def constraint_values(self, x: np.ndarray) -> np.ndarray:
         return self.constraint_values_many(x[None, :])[0]

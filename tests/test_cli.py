@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import pdnet
 from pdnet import cli, config as cfgmod, graphs
@@ -145,6 +146,7 @@ def test_run_writes_artifacts_and_manifest_roundtrip(out_root):
     assert env["python"] == ".".join(map(str, sys.version_info[:3]))
     assert env["numpy"] == np.__version__
     assert set(env) == {"python", "numpy", "scipy", *cli.BLAS_THREAD_VARS}
+    assert env["scipy"] == scipy.__version__
     for var in cli.BLAS_THREAD_VARS:
         assert env[var] == os.environ.get(var)
     trace = (out / "trace.csv").read_text()

@@ -576,6 +576,16 @@ def test_step_rejects_misshapen_states(variant, name, cols, paper_logistic,
         en.step(states, paper_logistic, ws_matrix, 0, cfg)
 
 
+@pytest.mark.parametrize("name", ["x", "lam"])
+def test_step_rejects_zero_dimensional_states(name):
+    # a 0-d array has no row count: an EngineError, not an IndexError
+    p = build_logistic_problem(generate_dataset(8, 3, seed=1), 0.1, 0.1)
+    states = en.initial_states(p, BASELINE_CFG)
+    setattr(states, name, np.float64(0.0))
+    with pytest.raises(en.EngineError, match=rf"states.{name} must be 2-d"):
+        en.step(states, p, None, 0, BASELINE_CFG)
+
+
 @pytest.mark.parametrize("seed,ok", [(2 ** 64 - 1, True), (2 ** 64, False),
                                      (-1, False)])
 def test_resolve_config_bounds_the_seed(seed, ok, paper_logistic):

@@ -38,15 +38,15 @@ GOLDEN = {
     "hinge-barbell-stochastic-random-feasible":
         "1159eba353adb6008f4c5e963da5fc133db606ef17fc0520bfa5358757d47476",
     "logistic-centralized":
-        "9a0fd86a140f58fdf4e8dbec66df338494c7856629596c3fc4c26d911de9b986",
+        "773566a46bf058638a2939017c8c70c88ddb31a863ba79b410e3f4ef82d5f566",
     "logistic-ws-deterministic":
-        "ca05d012b89fdfdfc043b116c69b586c9bd4a2c8bb191b46ecf92ba1cdca4cab",
+        "c163f94fdad6b5bea2213c0e5762fd28af4948d2c88f8b274f5515c3ff071442",
     "logistic-ws-monitor-bounds":
-        "db363f8c4ff1e98309b35b49c7947133d7549d8b989337e0ffd4220b36b0b1df",
+        "83165e82ac778c20cfdeead68e9bedaea958451a552b6c468878a1f11c2a461d",
     "logistic-ws600-deterministic":
         "a4e6ffd10c4739912aa029649b3c50442b070e38e3aefbda43c28424868e6ce2",
     "logistic-ws-stochastic":
-        "2e85ffe21497b27ddf33cce0b796f82b7c3bdebb0be8492437af329f28607740",
+        "abab11ddc049d6ff48c4697415f2ef4931f276862f29bedeba3f825e3e3c7be2",
     "oracle-ring-deterministic":
         "3db319e5351e86ddb71c5c28de5c1ed15669a3a1086320aa416e6bf3cd3001c4",
     "oracle-ring-stochastic":

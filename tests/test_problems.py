@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,63 @@ def test_logistic_gradient_matches_finite_differences(paper_logistic):
                 num[k] = (paper_logistic.objective(i, x + e)[0]
                           - paper_logistic.objective(i, x - e)[0]) / (2 * h)
             assert np.linalg.norm(num - grad) <= 1e-5 * max(1.0, np.linalg.norm(grad))
+
+
+def logistic_slopes(z, labels):
+    """b * l'(b z) through the batched gradient: one agent per z, with the
+    feature 1 and label b."""
+    data = SyntheticDataset(features=np.ones((len(z), 1)), labels=labels)
+    p = build_logistic_problem(data, 1.0, 1.0)
+    return p.agent_objective_grads(z[:, None])[:, 0]
+
+
+def test_logistic_slope_is_silent_and_exact_past_overflow():
+    # exp overflows past 709.78: the slope is then an exact 0 or 1, with
+    # no numpy warning
+    from scipy.special import expit
+    z = np.array([-800.0, -710.0, 710.0, 800.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b in (1.0, -1.0):
+            labels = np.full(len(z), b)
+            assert np.array_equal(logistic_slopes(z * b, labels),
+                                  b * expit(z))
+            data = SyntheticDataset(features=np.array([[1.0]]),
+                                    labels=np.array([b]))
+            p = build_logistic_problem(data, 1.0, 1.0)
+            for zi in z:
+                assert p.mean_objective_grad(np.array([zi * b]))[1][0] == (
+                    b * expit(zi))
+    assert np.array_equal(expit(z), [0.0, 0.0, 1.0, 1.0])
+
+
+def test_logistic_slope_within_four_ulp_of_expit():
+    from scipy.special import expit
+    rng = np.random.default_rng(22)
+    z = np.concatenate([rng.normal(scale=3.0, size=500_000),
+                        rng.uniform(-745.0, 745.0, size=500_000)])
+    labels = np.where(rng.random(len(z)) < 0.5, 1.0, -1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = logistic_slopes(z, labels)
+    want = labels * expit(labels * z)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+
+def test_dataset_labels_match_the_expit_construction():
+    # labels are +1 with probability expit(-<w, a_i>), drawn as before
+    from scipy.special import expit
+    for seed in range(20):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = generate_dataset(2000, 5, seed=seed)
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(2000, 5))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        w = rng.normal(size=5)
+        p_plus = expit(-(a @ w))
+        assert np.array_equal(data.labels,
+                              np.where(rng.random(2000) < p_plus, 1.0, -1.0))
 
 
 def test_logistic_value_stable_for_large_arguments():
@@ -422,6 +480,21 @@ def test_reference_solve_does_not_import_scipy_optimize():
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_does_not_load_scipy_special():
+    # scipy.special raised a fresh process's peak RSS by about 6 MB for
+    # one function; the logistic slope is numpy's exp
+    code = ("import sys\n"
+            "import pdnet\n"
+            "print('scipy.special' in sys.modules)\n"
+            "import pdnet.cli\n"
+            "print('scipy.special' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(problems.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def test_reference_requires_box():
