@@ -12,6 +12,7 @@ optimum used to normalize error metrics.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -549,6 +550,27 @@ class ReferenceSolution:
                    method=str(d["method"]), residual=float(d["residual"]))
 
 
+def _ball_scale(v: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                radius: float) -> float | None:
+    """Closed-form scale s at which ||clip(s v)|| reaches ``radius``.
+
+    Coordinate k reaches its face f_k (``upper`` for v_k > 0, ``lower`` for
+    v_k < 0) at the scale f_k / v_k. Between those sorted scales the squared
+    norm is s^2 A + C: A sums v_k^2 over the coordinates still moving, C sums
+    f_k^2 over those already on their face. Assumes lower <= 0 <= upper and
+    returns None where no segment crosses; the caller checks the estimate.
+    """
+    stops = sorted((f / x, x * x, f * f) for x, f in zip(
+        v.tolist(), np.where(v > 0, upper, lower).tolist()) if x != 0)
+    moving = list(itertools.accumulate(a for _, a, _ in reversed(stops)))[::-1]
+    r2, on_face = radius * radius, 0.0
+    for (t, _, c), a in zip(stops, moving):
+        if t * t * a + on_face >= r2:
+            return math.sqrt(max(r2 - on_face, 0.0) / a) if a > 0 else None
+        on_face += c
+    return None
+
+
 def _clip_in_ball(v: np.ndarray, lower: np.ndarray, upper: np.ndarray,
                   radius: float, max_scale: float = 1.0) -> np.ndarray:
     """clip(s v, lower, upper) for the largest s in [0, max_scale] in the ball.
@@ -558,13 +580,24 @@ def _clip_in_ball(v: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     With max_scale = 1 this is the exact Euclidean projection of v onto box
     intersect ball, whose KKT point is clip(v / (1 + mu)) for the ball
     multiplier mu >= 0.
+
+    ``inside`` is monotone in s, so the bisection ends on the largest float
+    scale inside the ball from any bracket: a few-ulp bracket around the
+    closed-form ``_ball_scale`` gives the same bits as [0, max_scale], which
+    stays the fallback when the estimate misses.
     """
     def inside(s: float) -> bool:
-        return float(np.linalg.norm(np.clip(s * v, lower, upper))) <= radius
+        y = np.clip(s * v, lower, upper)
+        return math.sqrt(y.dot(y)) <= radius  # np.linalg.norm's 1-D form
 
     lo, hi = 0.0, max_scale
     if inside(hi):
         lo = hi
+    elif (est := _ball_scale(v, lower, upper, radius)) is not None:
+        top = min(max_scale, est * (1.0 + 4e-16))
+        bottom = min(top, est * (1.0 - 4e-16))
+        if inside(bottom) and not inside(top):
+            lo, hi = bottom, top
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if inside(mid):
             lo = mid
@@ -581,11 +614,18 @@ def _linear_min_box_ball(c: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     objective does not increase as 1/nu grows, so it is the largest feasible
     scale of -c up to the one that puts every coordinate with c_k != 0 on
     its box face. Used for the Frank-Wolfe-style suboptimality certificate.
+    The scale is capped at 2^1000 / max(1, max |c_k|), where every s c_k
+    stays finite; a coordinate that reaches its face only beyond the cap
+    has |c_k| < reach_k max(1, max |c|) 2^-1000, a negligible term.
     """
     nonzero = c != 0
+    size = np.abs(c[nonzero])
     reach = np.maximum(np.abs(lower), np.abs(upper))[nonzero]
-    max_scale = float(np.max(reach / np.abs(c[nonzero]), initial=0.0))
-    return float(c @ _clip_in_ball(-c, lower, upper, radius, max_scale))
+    with np.errstate(over="ignore"):
+        max_scale = float(np.maximum.reduce(reach / size, initial=0.0))
+    cap = 2.0 ** 1000 / max(1.0, float(np.maximum.reduce(size, initial=0.0)))
+    return float(c @ _clip_in_ball(-c, lower, upper, radius,
+                                   min(max_scale, cap)))
 
 
 def suboptimality_certificate(p: ProblemSpec, x: np.ndarray) -> float:

@@ -408,6 +408,118 @@ def test_project_box_ball_clip_shortcut():
                     [0.2, -0.2, 0.1], atol=1e-15)
 
 
+def _bisect_in_ball(v, lower, upper, radius, max_scale=1.0):
+    # the projection before the closed-form crossing: a full bisection on
+    # [0, max_scale], kept verbatim as the oracle for its bits
+    def inside(s: float) -> bool:
+        return float(np.linalg.norm(np.clip(s * v, lower, upper))) <= radius
+
+    lo, hi = 0.0, max_scale
+    if inside(hi):
+        lo = hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(lo * v, lower, upper)
+
+
+def projection_draws(seed, count):
+    """Seeded (v, lower, upper, max_scale) draws for the bit tests.
+
+    d runs from 1 to 8 over asymmetric boxes around 0; about a fifth of the
+    coordinates of v are zero; v's scale spans 1e-3 to 1e3, so some draws
+    start inside the ball; every fourth draw takes a max_scale other than 1.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        d = 1 + i % 8
+        lower = -rng.uniform(0.05, 2.0, d)
+        upper = rng.uniform(0.05, 2.0, d)
+        v = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 3)
+        v[rng.random(d) < 0.2] = 0.0
+        max_scale = 10.0 ** rng.uniform(-1, 3) if i % 4 == 3 else 1.0
+        yield v, lower, upper, max_scale
+
+
+def test_clip_in_ball_bit_equal_to_full_bisection():
+    kinds = {"inside": 0, "crossing": 0, "max_scale": 0, "zero": 0}
+    for v, lower, upper, max_scale in projection_draws(11, 10_000):
+        expect = _bisect_in_ball(v, lower, upper, 1.0, max_scale)
+        got = _clip_in_ball(v, lower, upper, 1.0, max_scale)
+        assert got.tobytes() == expect.tobytes(), (v, lower, upper, max_scale)
+        kinds["inside" if np.linalg.norm(np.clip(max_scale * v, lower, upper))
+              <= 1.0 else "crossing"] += 1
+        kinds["max_scale"] += max_scale != 1.0
+        kinds["zero"] += bool(np.any(v == 0))
+    assert min(kinds.values()) >= 1000, kinds
+
+
+def test_ball_scale_brackets_the_crossing():
+    # the closed form lands within the few-ulp bracket on the solve's
+    # instances, so the bisection finisher takes a handful of steps
+    data = generate_dataset(100, 5, seed=1)
+    p = build_logistic_problem(data, 1.0, 1.0)
+    lower, upper = p.box
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        v = rng.normal(size=5)
+        est = problems._ball_scale(v, lower, upper, 1.0)
+        norm = lambda s: np.linalg.norm(np.clip(s * v, lower, upper))
+        assert norm(est * (1 - 4e-16)) <= 1.0 < norm(est * (1 + 4e-16))
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda est: None, lambda est: 0.0, lambda est: 0.5 * est,
+    lambda est: 2.0 * est, lambda est: math.inf, lambda est: math.nan],
+    ids=["none", "zero", "half", "double", "inf", "nan"])
+def test_clip_in_ball_falls_back_on_a_wrong_estimate(monkeypatch, estimate):
+    real = problems._ball_scale
+
+    def wrong(v, lower, upper, radius):
+        est = real(v, lower, upper, radius)
+        return None if est is None else estimate(est)
+
+    monkeypatch.setattr(problems, "_ball_scale", wrong)
+    for v, lower, upper, max_scale in projection_draws(12, 400):
+        expect = _bisect_in_ball(v, lower, upper, 1.0, max_scale)
+        got = _clip_in_ball(v, lower, upper, 1.0, max_scale)
+        assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 5, 17])
+@pytest.mark.parametrize("build", [build_logistic_problem, build_hinge_problem])
+def test_reference_bit_equal_to_full_bisection(monkeypatch, build, d):
+    binding = 0
+    for margin in (0.3, 0.5, 1.0, 2.0):
+        for seed in (1, 2, 3):
+            p = build(generate_dataset(100, d, seed=seed), margin, margin)
+            fast = reference_optimum(p)
+            with monkeypatch.context() as m:
+                m.setattr(problems, "_clip_in_ball", _bisect_in_ball)
+                slow = reference_optimum(p)
+            assert fast.f_star == slow.f_star
+            assert fast.x_star.tobytes() == slow.x_star.tobytes()
+            assert fast.residual == slow.residual
+            binding += bool(np.linalg.norm(fast.x_star) > 1.0 - 1e-9)
+    assert binding >= 3
+
+
+def test_linear_min_survives_a_subnormal_coefficient():
+    # |c_0| = 1e-320 put its face scale beyond the floats: the scale
+    # overflowed to inf and the bisection stopped at 0, reporting 0.0
+    lower, upper = -np.ones(5), np.ones(5)
+    c = np.array([1e-320, -0.5, 0.3, 0.2, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = problems._linear_min_box_ball(c, lower, upper, 1.0)
+        c[0] = 0.0
+        zero = problems._linear_min_box_ball(c, lower, upper, 1.0)
+    assert zero == pytest.approx(-math.sqrt(0.39))
+    assert tiny == pytest.approx(zero, abs=1e-12)
+
+
 # -- reference optimum --------------------------------------------------------
 
 def test_reference_linear_objective_box_corner():

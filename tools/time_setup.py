@@ -8,7 +8,11 @@ For n in {10^2, 2 * 10^3, 10^4, 10^5} agents, times: the dataset
 Erdos-Renyi(n, 0.06) and the one-bridge barbell up to n = 2000 only, as
 their edge counts grow as n^2; the ``GraphTopology`` constructor on the
 Watts-Strogatz edges; both weight schemes on that graph; and sigma2 of its
-lazy Metropolis matrix, up to n = 10^4. Each figure is the median of
+lazy Metropolis matrix, up to n = 10^4; and the reference solve
+(``iterations=10_000``) on that dataset at l = u = 1.0, where the ball
+binds as in the benchmark's ``cli_sweep`` (``reference``), and at
+l = u = 0.1, where only the box binds as in ``canonical``
+(``reference_box``). Each figure is the median of
 ``REPEATS`` calls (``REPEATS_LARGE`` at n = 10^5). BLAS and OpenMP are
 pinned to one thread before numpy is imported.
 """
@@ -51,6 +55,9 @@ def phase_costs(n: int) -> dict[str, float | None]:
     dense = n <= DENSE_FAMILY_MAX_N
     ws = graphs.generate_watts_strogatz(n, 20, 0.02, seed=7)
     lazy = graphs.lazy_metropolis(ws)
+    data = pdnet.generate_dataset(n=n, d=5, seed=1)
+    in_ball = pdnet.build_logistic_problem(data, 1.0, 1.0)
+    in_box = pdnet.build_logistic_problem(data, 0.1, 0.1)
     calls = {
         "dataset": lambda: pdnet.generate_dataset(n=n, d=5, seed=1),
         "watts_strogatz": lambda: graphs.generate_watts_strogatz(
@@ -65,6 +72,8 @@ def phase_costs(n: int) -> dict[str, float | None]:
         # the solve itself: ``sigma2`` is cached on the matrix after one read
         "sigma2": (lambda: graphs._second_singular_value(lazy.csr))
         if n <= SIGMA2_MAX_N else None,
+        "reference": lambda: pdnet.reference_optimum(in_ball, 10_000),
+        "reference_box": lambda: pdnet.reference_optimum(in_box, 10_000),
     }
     return {name: None if call is None else median_seconds(call, repeats)
             for name, call in calls.items()}
