@@ -22,7 +22,7 @@ from .graphs import ConsensusMatrix
 from .lagrangian import (checked_eta, iteration_uniforms, primal_directions,
                          rekeyed, sample_constraint_indices, uniform_stream)
 from .metrics import IterationRecord
-from .problems import ProblemSpec, ReferenceSolution
+from .problems import ProblemSpec, ReferenceSolution, checked_int
 
 log = logging.getLogger(__name__)
 
@@ -72,15 +72,12 @@ def resolve_config(cfg: RunConfig, p: ProblemSpec) -> RunConfig:
     """Fill defaults and enforce the stepsize/regularization precondition."""
     if cfg.variant not in VARIANTS:
         raise EngineError(f"unknown variant {cfg.variant!r}")
-    if cfg.iterations < 0:
-        raise EngineError("iteration count must be nonnegative")
-    if cfg.record_every < 1:
-        raise EngineError("record_every must be >= 1")
     if cfg.init not in (INIT_ORIGIN, INIT_RANDOM_FEASIBLE):
         raise EngineError(f"unknown init {cfg.init!r}")
-    if not 0 <= cfg.seed < 2 ** 64:
-        # the seed keys Philox streams, whose key words are 64-bit
-        raise EngineError(f"seed must be in [0, 2**64), got {cfg.seed}")
+    checked_int(cfg.iterations, "iterations", 0, error=EngineError)
+    checked_int(cfg.record_every, "record_every", 1, error=EngineError)
+    # the seed keys Philox streams, whose key words are 64-bit
+    checked_int(cfg.seed, "seed", 0, 2 ** 64, EngineError)
 
     if cfg.variant == STOCHASTIC and p.n_constraints == 0:
         raise EngineError("the stochastic variant needs a constraint to sample")
@@ -121,6 +118,8 @@ def project_ball(x: np.ndarray, radius: float) -> np.ndarray:
     """
     if not radius > 0.0:
         raise EngineError("ball radius must be positive")
+    if not x.ndim:
+        raise EngineError("project_ball needs a vector or rows, got a 0-d array")
     if np.abs(x).max(initial=0.0) * math.sqrt(x.shape[-1]) <= 0.5 * radius:
         # every norm is at most sqrt(d) max |x_ij|, so even with rounding
         # each computed norm is inside the ball and each scale is exactly 1
@@ -405,14 +404,11 @@ def run_centralized_unregularized(p: ProblemSpec, cfg: RunConfig,
 
 def _run_loop(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
               reference: ReferenceSolution | None) -> Trace:
+    # no step writes into the states it reads: the trace keeps the t = 0 ones
     states = initial_states(p, cfg)
-    initial = states.copy()
-    initial_fgaps, initial_gnorms = metrics.initial_normalizers(p, initial,
+    initial_fgaps, initial_gnorms = metrics.initial_normalizers(p, states,
                                                                 reference)
-
-    # final_states is set once the loop ends; until then it names the copy
-    # kept anyway, so the t = 0 arrays are not held for the whole run
-    trace = Trace(records=[], initial_states=initial, final_states=initial,
+    trace = Trace(records=[], initial_states=states, final_states=states,
                   config=cfg, weights=w)
     exceeded: dict[str, list] = {}
     # only the rate bound, which needs the reference, reads sigma2

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from .draws import RewireStream
-from .problems import MAX_ARRAY_ENTRIES
+from .problems import check_size, checked_int
 
 #: Tolerance for row/column sums of a doubly stochastic matrix.
 STOCHASTIC_TOL = 1e-12
@@ -60,14 +60,21 @@ class GraphTopology:
     degrees: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        n = self.n
-        if n < 1:
-            raise GraphError(f"node count must be positive, got {n}")
-        pairs = np.asarray(self.edge_array, dtype=np.int64)
+        n = checked_int(self.n, "node count", 1, error=GraphError)
+        raw = np.asarray(self.edge_array)
+        if raw.dtype.kind not in "iuf":
+            raise GraphError(f"edge endpoints must be whole numbers, got {raw.dtype}")
+        with np.errstate(invalid="ignore"):  # NaN, inf and overflow cast to junk
+            pairs = raw.astype(np.int64)
+        if (bad := raw[pairs != raw]).size:
+            raise GraphError(f"edge endpoint {bad[0]} is not a whole number "
+                             "in the int64 range")
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise GraphError(f"edges must be (i, j) pairs, got shape {pairs.shape}")
+        if len(pairs) < n - 1:  # before any array of n entries is made
+            raise ConnectivityError("graph is disconnected")
         i = np.minimum(pairs[:, 0], pairs[:, 1])
         j = np.maximum(pairs[:, 0], pairs[:, 1])
         loops = np.flatnonzero(i == j)
@@ -120,8 +127,6 @@ def _is_connected(n: int, edges: np.ndarray) -> bool:
     """
     if n == 1:
         return True
-    if len(edges) < n - 1:
-        return False
     root = np.arange(n)
     while True:
         ri, rj = root[edges[:, 0]], root[edges[:, 1]]
@@ -183,8 +188,8 @@ class ConsensusMatrix:
     def from_entries(cls, entries: np.ndarray,
                      graph: GraphTopology | None = None) -> "ConsensusMatrix":
         w = np.asarray(entries, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise WeightMatrixError(f"expected a square matrix, got shape {w.shape}")
+        if w.ndim != 2 or w.shape[0] != w.shape[1] or not w.size:
+            raise WeightMatrixError(f"expected a nonempty square matrix, got {w.shape}")
         rows, cols = np.nonzero(w)
         return _validated(_assemble_csr(len(w), rows, cols, w[rows, cols])[0],
                           graph)
@@ -320,17 +325,9 @@ def spectral_gap(w: ConsensusMatrix) -> float:
 # graph generators
 # ---------------------------------------------------------------------------
 
-def _check_size(count: int, what: str) -> None:
-    """GraphError when ``count`` entries do not fit in one numpy array."""
-    if count > MAX_ARRAY_ENTRIES:
-        raise GraphError(f"{what} = {count} exceeds the {MAX_ARRAY_ENTRIES} "
-                         "entries a numpy array can hold")
-
-
 def _retry_connected(build, seed: int, what: str) -> GraphTopology:
     """Call build(seed) until connected, bumping the seed up to the retry cap."""
-    if seed < 0:
-        raise GraphError(f"seed must be nonnegative, got {seed}")
+    seed = checked_int(seed, "seed", 0, error=GraphError)
     for attempt in range(MAX_CONNECTIVITY_RETRIES):
         edges, n = build(seed + attempt)
         try:
@@ -382,13 +379,13 @@ def generate_watts_strogatz(n: int, k: int, theta: float,
     seed : int
         Base RNG seed.
     """
-    if k < 2 or k % 2 != 0:
-        raise GraphError(f"mean degree k must be even and >= 2, got {k}")
-    if n <= k:
-        raise GraphError(f"need n > k, got n={n}, k={k}")
+    k = checked_int(k, "mean degree k", 2, error=GraphError)
+    if k % 2 != 0:
+        raise GraphError(f"mean degree k must be even, got {k}")
+    n = checked_int(n, "node count", k + 1, error=GraphError)
     if not 0.0 <= theta <= 1.0:
         raise GraphError(f"rewiring probability must be in [0, 1], got {theta}")
-    _check_size(n * k, "n * k")
+    check_size(n * k, "n * k", GraphError)
 
     half = k // 2
     offsets = range(1, half + 1)
@@ -431,9 +428,8 @@ def generate_erdos_renyi(n: int, p: float, seed: int = 0) -> GraphTopology:
     """Erdos-Renyi G(n, p): every pair included independently with probability p."""
     if not 0.0 < p <= 1.0:
         raise GraphError(f"edge probability must be in (0, 1], got {p}")
-    if n < 1:
-        raise GraphError(f"node count must be positive, got {n}")
-    _check_size(n * (n - 1) // 2, "node pair count")
+    n = checked_int(n, "node count", 1, error=GraphError)
+    check_size(n * (n - 1) // 2, "node pair count", GraphError)
 
     iu, ju = np.triu_indices(n, k=1)
 
@@ -447,9 +443,9 @@ def generate_erdos_renyi(n: int, p: float, seed: int = 0) -> GraphTopology:
 
 def generate_lattice8(rows: int, cols: int) -> GraphTopology:
     """Unwrapped lattice where each cell links to its <= 8 Moore neighbors."""
-    if rows < 2 or cols < 2:
-        raise GraphError(f"lattice needs rows, cols >= 2, got {rows}x{cols}")
-    _check_size(rows * cols, "rows * cols")
+    rows = checked_int(rows, "lattice rows", 2, error=GraphError)
+    cols = checked_int(cols, "lattice cols", 2, error=GraphError)
+    check_size(rows * cols, "rows * cols", GraphError)
     u = np.arange(rows * cols)
     r, c = np.divmod(u, cols)
     edges = []
@@ -466,15 +462,12 @@ def generate_barbell(n: int, bridge_count: int = 1) -> GraphTopology:
     Bridge b connects node b of the first clique with node n/2 + b of the
     second, for b = 0..bridge_count-1.
     """
+    n = checked_int(n, "node count", 4, error=GraphError)
     if n % 2 != 0:
         raise GraphError(f"barbell needs an even node count, got {n}")
-    _check_size(n, "node count")
+    check_size(n, "node count", GraphError)
     half = n // 2
-    if half < 2:
-        raise GraphError(f"clique size n/2 must be >= 2, got {half}")
-    if not 1 <= bridge_count <= half:
-        raise GraphError(
-            f"bridge count must be in [1, {half}], got {bridge_count}")
+    bridge_count = checked_int(bridge_count, "bridge count", 1, half + 1, GraphError)
     clique = np.stack(np.triu_indices(half, k=1), axis=1)
     bridges = np.arange(bridge_count)
     edges = [clique, clique + half, np.stack([bridges, bridges + half], axis=1)]

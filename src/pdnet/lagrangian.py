@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problems import ProblemSpec, ProblemError, checked_index
+from .problems import ProblemSpec, ProblemError, checked_int
 
 #: The regularization strengths eta accepted anywhere. The theory-bound
 #: formulas square eta and 1/eta, so a value outside this range overflows
@@ -20,12 +20,12 @@ ETA_RANGE = (1e-100, 1e100)
 
 
 def validate_dual(lam: np.ndarray) -> np.ndarray:
-    """Check that a multiplier vector lives in the nonnegative orthant."""
+    """Check that a multiplier vector is finite and in the nonnegative orthant."""
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 1:
         raise ProblemError(f"multiplier vector must be 1-D, got shape {lam.shape}")
-    if np.any(lam < 0.0):
-        raise ProblemError("multiplier vector has negative components")
+    if not np.all((0.0 <= lam) & (lam < np.inf)):
+        raise ProblemError("multiplier vector has negative or non-finite components")
     return lam
 
 
@@ -101,7 +101,7 @@ def stochastic_grad_x(p: ProblemSpec, agent: int, x: np.ndarray,
                       lam: np.ndarray, k: int) -> np.ndarray:
     """Sampled primal subgradient: grad f_i(x) + ||lam||_1 grad g_k(x)."""
     lam = _checked_dual(p, lam)
-    checked_index(k, p.n_constraints, "constraint index")
+    k = checked_int(k, "constraint index", 0, p.n_constraints)
     _, gf = p.objective(agent, x)
     return primal_directions(p, x[None, :], lam[None, :], gf[None, :],
                              np.array([k]))[0]

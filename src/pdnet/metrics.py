@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .problems import ProblemSpec, ReferenceSolution
+from .problems import ProblemSpec, ReferenceSolution, checked_int
 
 #: Normalizers smaller than this are treated as degenerate.
 DEGENERATE_NORMALIZER = 1e-14
@@ -304,10 +304,8 @@ def check_product_sum_inequality(alphas, eta: float) -> bool:
 
 def check_tau_inequality(tau: int, t: int) -> bool:
     """Check sum_{r=t-tau+1}^{t-1} sqrt((t+1)/(r+1)) <= tau^{3/2}."""
-    if tau < 1:
-        raise MetricError(f"tau must be a positive integer, got {tau}")
-    if t < tau - 1:
-        raise MetricError(f"need t >= tau - 1, got tau={tau}, t={t}")
+    tau = checked_int(tau, "tau", 1, error=MetricError)
+    t = checked_int(t, "t", tau - 1, error=MetricError)
     total = sum(math.sqrt((t + 1.0) / (r + 1.0))
                 for r in range(t - tau + 1, t))
     return total <= tau ** 1.5

@@ -52,6 +52,26 @@ class ReferenceError(RuntimeError):
     """The reference solver failed to certify the requested accuracy."""
 
 
+def checked_int(value, what: str, low: int, high: int | None = None,
+                error: type[ValueError] = ProblemError) -> int:
+    """``value`` as an int if it is a Python or numpy integer, not a bool,
+    in [low, high) (no upper bound when ``high`` is None); ``error`` if not."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        value = int(value)
+        if low <= value and (high is None or value < high):
+            return value
+    bound = f">= {low}" if high is None else f"in [{low}, {high})"
+    raise error(f"{what} {value!r} is not an integer {bound}")
+
+
+def check_size(count: int, what: str,
+               error: type[ValueError] = ProblemError) -> None:
+    """``error`` when ``count`` entries do not fit in one numpy array."""
+    if count > MAX_ARRAY_ENTRIES:
+        raise error(f"{what} = {count} exceeds the {MAX_ARRAY_ENTRIES} "
+                    "entries a numpy array can hold")
+
+
 @dataclass(frozen=True, eq=False)
 class SyntheticDataset:
     """Unit-sphere features with labels in {-1, +1}.
@@ -80,14 +100,9 @@ def generate_dataset(n: int, d: int, seed: int = 0) -> SyntheticDataset:
     probability 1/(1 + exp(<w, a_i>)) for a standard Gaussian w, else -1.
     Deterministic per seed.
     """
-    if n < 1 or d < 1:
-        raise ProblemError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    if n * d > MAX_ARRAY_ENTRIES:
-        raise ProblemError(f"n * d = {n * d} exceeds the {MAX_ARRAY_ENTRIES} "
-                           "entries a numpy array can hold")
-    if seed < 0:
-        raise ProblemError(f"seed must be nonnegative, got {seed}")
-    rng = np.random.default_rng(seed)
+    n, d = checked_int(n, "n", 1), checked_int(d, "d", 1)
+    check_size(n * d, "n * d")
+    rng = np.random.default_rng(checked_int(seed, "seed", 0))
     a = rng.normal(size=(n, d))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     w = rng.normal(size=d)
@@ -386,6 +401,10 @@ class ProblemSpec:
         if x.shape[-1] != self.dim:
             raise ProblemError(f"expected dimension {self.dim}, got {x.shape[-1]}")
 
+    def _check_point(self, x: np.ndarray):
+        if np.shape(x) != (self.dim,):
+            raise ProblemError(f"expected shape ({self.dim},), got {np.shape(x)}")
+
     # -- batched evaluation (row i of x_rows belongs to agent i) -------------
 
     def agent_objective_grads(self, x_rows: np.ndarray) -> np.ndarray:
@@ -436,25 +455,20 @@ class ProblemSpec:
 
     def objective(self, agent: int, x: np.ndarray) -> tuple[float, np.ndarray]:
         """(f_i(x), grad f_i(x)), from the batched kernels on agent i alone."""
-        checked_index(agent, self.n_agents, "agent")
-        self._check_dim(x)
+        agent = checked_int(agent, "agent", 0, self.n_agents)
+        self._check_point(x)
         ops, x_row = self.ops.for_agent(agent), x[None, :]
         return (float(ops.agent_objective_values(x_row)[0]),
                 ops.agent_objective_grads(x_row)[0])
 
     def constraint_values(self, x: np.ndarray) -> np.ndarray:
+        self._check_point(x)
         return self.constraint_values_many(x[None, :])[0]
 
     def constraint_grads(self, x: np.ndarray) -> np.ndarray:
         """grad g_k(x) as row k, for every constraint k."""
         m = self.n_constraints
         return self.agent_constraint_rows(np.tile(x, (m, 1)), np.arange(m))
-
-
-def checked_index(index, count: int, what: str) -> None:
-    """Raise ProblemError unless ``index`` is an integer in [0, count)."""
-    if not (isinstance(index, (int, np.integer)) and 0 <= index < count):
-        raise ProblemError(f"{what} {index!r} is not an integer in [0, {count})")
 
 
 def box_constraints(lower: np.ndarray, upper: np.ndarray) -> tuple[Oracle, ...]:
@@ -662,8 +676,7 @@ def reference_optimum(p: ProblemSpec, iterations: int = 10_000,
     """
     if p.box is None:
         raise ProblemError("reference solver requires box-structured constraints")
-    if iterations < 1:
-        raise ProblemError("iterations must be positive")
+    iterations = checked_int(iterations, "iterations", 1)
     lower, upper = p.box
 
     x = _clip_in_ball(np.zeros(p.dim), lower, upper, p.radius)

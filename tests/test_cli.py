@@ -256,7 +256,7 @@ def test_run_seed_must_fit_64_bits(setting, seed, code, out_root, capsys):
     if code == cli.EXIT_CONFIG:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
-        assert "seed must be in [0, 2**64)" in lines[0]
+        assert f"seed {2 ** 64} is not an integer in [0, {2 ** 64})" in lines[0]
 
 
 def test_sweep_legs_and_summary(out_root):

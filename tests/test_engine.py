@@ -59,6 +59,12 @@ def _norm_formula_projection(x, radius):
     return x * (radius / np.maximum(radius, norms))
 
 
+def test_project_ball_rejects_a_zero_dimensional_array():
+    # it has no last axis to take the dimension from: an IndexError before
+    with pytest.raises(en.EngineError, match="0-d array"):
+        en.project_ball(np.float64(2.0), 1.0)
+
+
 @pytest.mark.parametrize("scale", [1e-300, 0.1, 0.2236, 0.2237, 0.5, 1.0, 3.0])
 def test_project_ball_matches_the_norm_formula(scale):
     # rows of every size about the threshold sqrt(d) max|x_ij| = radius / 2
@@ -594,8 +600,45 @@ def test_resolve_config_bounds_the_seed(seed, ok, paper_logistic):
     if ok:
         assert en.resolve_config(cfg, paper_logistic).seed == seed
     else:
-        with pytest.raises(en.EngineError, match="seed must be in"):
+        with pytest.raises(en.EngineError,
+                           match=rf"seed .* is not an integer in \[0, {2 ** 64}\)"):
             en.resolve_config(cfg, paper_logistic)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", 1.5), ("seed", True), ("seed", np.nan), ("record_every", 2.5),
+    ("record_every", np.int64(0)), ("iterations", 2.5), ("iterations", -1)])
+def test_resolve_config_takes_integers_only(field, value, paper_logistic):
+    # a seed of 1.5 ran as seed 1, and record_every = 2.5 recorded at 0, 5, 10
+    cfg = en.RunConfig(variant="stochastic", eta=1.0, **{field: value})
+    with pytest.raises(en.EngineError, match=f"^{field} .* is not an integer"):
+        en.resolve_config(cfg, paper_logistic)
+
+
+def test_run_takes_numpy_integers():
+    p = build_logistic_problem(generate_dataset(6, 3, seed=2), 0.1, 0.1)
+    w = lazy_metropolis(generate_barbell(6))
+    cfg = en.RunConfig(variant="stochastic", iterations=7, seed=3, record_every=2)
+    numpy_cfg = dataclasses.replace(cfg, iterations=np.int64(7),
+                                    seed=np.uint64(3), record_every=np.int32(2))
+    assert en.run(p, w, numpy_cfg).to_csv_text() == en.run(p, w, cfg).to_csv_text()
+
+
+@pytest.mark.parametrize("cfg", [
+    en.RunConfig(variant="stochastic", init="random_feasible", iterations=5,
+                 seed=4, record_every=2),
+    en.RunConfig(variant=en.CENTRALIZED_UNREGULARIZED, iterations=5)])
+def test_run_leaves_the_initial_states_as_built(cfg):
+    # the trace keeps the t = 0 states themselves, with no copy: no step
+    # may write into the states it reads
+    p = build_logistic_problem(generate_dataset(6, 3, seed=2), 0.1, 0.1)
+    trace = en.run(p, lazy_metropolis(generate_barbell(6)), cfg)
+    want = en.initial_states(p, cfg)
+    for name in ("x", "lam", "avg_numerator"):
+        got = getattr(trace.initial_states, name)
+        assert got.tobytes() == getattr(want, name).tobytes()
+    assert trace.initial_states.weight_sum == want.weight_sum == 0.0
+    assert not np.array_equal(trace.final_states.x, want.x)
 
 
 def test_centralized_requires_matching_variant(paper_logistic,

@@ -389,7 +389,7 @@ def test_topology_single_node_and_no_edges():
     g = GraphTopology.from_edges(1, [])
     assert g.degrees == (0,) and g.edges == frozenset()
     assert g.edge_array.shape == (0, 2)
-    with pytest.raises(GraphError, match="node count must be positive"):
+    with pytest.raises(GraphError, match="node count 0 is not an integer >= 1"):
         GraphTopology.from_edges(0, [])
     with pytest.raises(ConnectivityError):
         GraphTopology.from_edges(2, [])
@@ -402,6 +402,63 @@ def test_topology_canonical_edge_array():
     assert g.edges == {(0, 1), (1, 2), (2, 3)}
     with pytest.raises(ValueError):
         g.edge_array[0, 0] = 5
+
+
+@pytest.mark.parametrize("endpoint,shown", [(1.5, "1.5"), (np.nan, "nan"),
+                                            (np.inf, "inf"), (-np.inf, "-inf")])
+def test_topology_rejects_endpoints_that_are_not_whole(endpoint, shown):
+    # an int cast would read 1.5 as 1, and fail on NaN with numpy's error
+    with pytest.raises(GraphError, match=re.escape(
+            f"edge endpoint {shown} is not a whole number")):
+        GraphTopology.from_edges(3, [(0, endpoint), (1, 2)])
+    with pytest.raises(GraphError, match="must be whole numbers, got object"):
+        GraphTopology.from_edges(3, [(0, None), (1, 2)])
+
+
+def test_topology_takes_whole_valued_endpoints():
+    g = GraphTopology.from_edges(np.int64(3), np.array([[1.0, 0.0], [1.0, 2.0]]))
+    assert g.edge_array.tolist() == [[0, 1], [1, 2]]
+    same = GraphTopology.from_edges(3, [(0, 1), (1, 2)])
+    assert g.to_edgelist_text() == same.to_edgelist_text()
+
+
+@pytest.mark.parametrize("n", [2 ** 40, 10 ** 20])
+def test_topology_with_too_few_edges_for_n_allocates_nothing(n):
+    # n - 1 edges at least join n nodes, so a huge n fails before any
+    # array of n entries is made, or an n * n index code overflows
+    with pytest.raises(ConnectivityError, match="graph is disconnected"):
+        GraphTopology.from_edges(n, [(0, 1)])
+
+
+@pytest.mark.parametrize("n", [2.0, 1.5, True, np.nan])
+def test_topology_node_count_must_be_an_integer(n):
+    with pytest.raises(GraphError, match=f"node count {n!r} is not an integer"):
+        GraphTopology.from_edges(n, [(0, 1)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_barbell(6.0),
+    lambda: generate_barbell(6, True),
+    lambda: generate_watts_strogatz(10, 4.0, 0.1),
+    lambda: generate_watts_strogatz(10.0, 4, 0.1),
+    lambda: generate_watts_strogatz(10, 4, 0.1, seed=1.5),
+    lambda: generate_erdos_renyi(True, 0.5),
+    lambda: generate_erdos_renyi(6, 0.5, seed=np.nan),
+    lambda: generate_lattice8(3, 2.5),
+], ids=["barbell-n", "barbell-bridges", "ws-k", "ws-n", "ws-seed", "er-n",
+        "er-seed", "lattice8-cols"])
+def test_generators_take_integers_only(make):
+    with pytest.raises(GraphError, match="is not an integer"):
+        make()
+
+
+def test_generators_take_numpy_integers():
+    for make in (lambda i: generate_watts_strogatz(i(20), i(4), 0.2, seed=i(3)),
+                 lambda i: generate_erdos_renyi(i(12), 0.3, seed=i(2)),
+                 lambda i: generate_lattice8(i(3), i(4)),
+                 lambda i: generate_barbell(i(8), i(2))):
+        for kind in (np.int64, np.uint16):
+            assert np.array_equal(make(kind).edge_array, make(int).edge_array)
 
 
 @pytest.mark.parametrize("order", ["ascending", "random"])
@@ -625,6 +682,13 @@ def test_consensus_matrix_validation():
     # NaN compares False with every tolerance, so it is rejected first
     with pytest.raises(WeightMatrixError, match="non-finite"):
         ConsensusMatrix.from_entries(np.array([[np.nan, 1.0], [1.0, np.nan]]))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3,), ()])
+def test_consensus_matrix_needs_a_nonempty_square(shape):
+    # a 0 x 0 matrix reached a max over no sums, a numpy error
+    with pytest.raises(WeightMatrixError, match="nonempty square matrix"):
+        ConsensusMatrix.from_entries(np.ones(shape))
 
 
 def test_consensus_matrix_immutable():

@@ -168,6 +168,39 @@ def test_agent_index_must_name_an_agent(call, agent, paper_logistic):
         call(paper_logistic, agent, np.zeros(5), np.zeros(10))
 
 
+@pytest.mark.parametrize("k", [True, np.float64(1.0), np.nan])
+def test_constraint_index_is_no_bool_or_float(k, paper_logistic):
+    with pytest.raises(ProblemError, match="constraint index .* is not an integer"):
+        lg.stochastic_grad_x(paper_logistic, 0, np.zeros(5), np.zeros(10), k)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", [
+    lambda p, lam: lg.lagrangian_value(p, 0, np.zeros(5), lam, ETA),
+    lambda p, lam: lg.grad_x(p, 0, np.zeros(5), lam),
+    lambda p, lam: lg.grad_lambda(p, np.zeros(5), lam, ETA),
+    lambda p, lam: lg.sampling_distribution(lam),
+    lambda p, lam: lg.stochastic_grad_x(p, 0, np.zeros(5), lam, 0)])
+def test_multipliers_must_be_finite(call, bad, paper_logistic):
+    # a NaN gave NaN probabilities and directions; inf gave NaN too
+    lam = np.zeros(10)
+    lam[3] = bad
+    with pytest.raises(ProblemError, match="negative or non-finite"):
+        call(paper_logistic, lam)
+
+
+@pytest.mark.parametrize("x", [np.zeros((1, 5)), np.float64(0.0), np.zeros(4)])
+@pytest.mark.parametrize("call", [
+    lambda p, x: lg.lagrangian_value(p, 0, x, np.zeros(10), ETA),
+    lambda p, x: lg.grad_x(p, 0, x, np.zeros(10)),
+    lambda p, x: lg.grad_lambda(p, x, np.zeros(10), ETA),
+    lambda p, x: lg.stochastic_grad_x(p, 0, x, np.zeros(10), 0)])
+def test_single_agent_point_is_one_vector(call, x, paper_logistic):
+    # a (1, d) point reached an einsum with one subscript too few
+    with pytest.raises(ProblemError, match=r"expected shape \(5,\)"):
+        call(paper_logistic, x)
+
+
 @pytest.mark.parametrize("family", ["logistic", "hinge"])
 def test_unbiasedness_exact_enumeration(family, paper_logistic, paper_hinge):
     p = paper_logistic if family == "logistic" else paper_hinge

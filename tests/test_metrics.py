@@ -227,6 +227,21 @@ def test_tau_inequality_preconditions():
         me.check_tau_inequality(5, 3)
 
 
+@pytest.mark.parametrize("tau,t,message", [
+    (1.5, 5, "tau 1.5 is not an integer >= 1"),
+    (True, 5, "tau True is not an integer >= 1"),
+    (2, 2.5, "t 2.5 is not an integer >= 1"),
+    (2, np.inf, "t inf is not an integer >= 1"),
+    (3, 1, "t 1 is not an integer >= 2")])
+def test_tau_inequality_takes_integers_only(tau, t, message):
+    with pytest.raises(me.MetricError, match=f"^{message}$"):
+        me.check_tau_inequality(tau, t)
+
+
+def test_tau_inequality_takes_numpy_integers():
+    assert me.check_tau_inequality(np.int64(3), np.uint8(7))
+
+
 # -- rate fitting ------------------------------------------------------------------
 
 def fake_records(ts, values):

@@ -73,6 +73,28 @@ def test_dataset_invalid_sizes():
         generate_dataset(0, 3)
 
 
+@pytest.mark.parametrize("args", [(2.5, 3), (4, 3.0), (True, 3), (4, 3, 1.5),
+                                  (4, 3, np.nan), (4, 3, -1), (np.int64(-1), 3)])
+def test_dataset_takes_integers_only(args):
+    with pytest.raises(ProblemError, match="is not an integer"):
+        generate_dataset(*args)
+
+
+def test_dataset_takes_numpy_integers():
+    got = generate_dataset(np.int64(6), np.uint8(3), seed=np.uint64(4))
+    want = generate_dataset(6, 3, seed=4)
+    assert np.array_equal(got.features, want.features)
+    assert np.array_equal(got.labels, want.labels)
+
+
+@pytest.mark.parametrize("iterations", [2.5, 10.0, True, 0, np.nan])
+def test_reference_iterations_must_be_an_integer(iterations):
+    p = build_logistic_problem(generate_dataset(4, 2, seed=1), 0.5, 0.5)
+    with pytest.raises(ProblemError,
+                       match=f"iterations {iterations!r} is not an integer >= 1"):
+        reference_optimum(p, iterations=iterations)
+
+
 @pytest.mark.parametrize("n,d", [(10 ** 20, 5), (5, 10 ** 20),
                                  (2 ** 31, 2 ** 31)])
 def test_dataset_rejects_sizes_no_array_can_hold(n, d):
