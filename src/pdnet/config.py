@@ -114,9 +114,8 @@ def apply_overrides(config: dict[str, object],
 # ---------------------------------------------------------------------------
 
 def build_dataset(config: dict) -> problems.SyntheticDataset:
-    return problems.generate_dataset(int(config["problem.n"]),
-                                     int(config["problem.d"]),
-                                     seed=int(config["problem.data_seed"]))
+    return problems.generate_dataset(config["problem.n"], config["problem.d"],
+                                     seed=config["problem.data_seed"])
 
 
 def build_problem(config: dict) -> problems.ProblemSpec:
@@ -135,18 +134,18 @@ def build_graph(config: dict) -> graphs.GraphTopology:
     family = config["graph.family"]
     if family == "watts_strogatz":
         return graphs.generate_watts_strogatz(
-            int(config["graph.n"]), int(config["graph.k"]),
-            float(config["graph.theta"]), seed=int(config["graph.seed"]))
+            config["graph.n"], config["graph.k"],
+            float(config["graph.theta"]), seed=config["graph.seed"])
     if family == "erdos_renyi":
         return graphs.generate_erdos_renyi(
-            int(config["graph.n"]), float(config["graph.p"]),
-            seed=int(config["graph.seed"]))
+            config["graph.n"], float(config["graph.p"]),
+            seed=config["graph.seed"])
     if family == "lattice8":
-        return graphs.generate_lattice8(int(config["graph.rows"]),
-                                        int(config["graph.cols"]))
+        return graphs.generate_lattice8(config["graph.rows"],
+                                        config["graph.cols"])
     if family == "barbell":
-        return graphs.generate_barbell(int(config["graph.n"]),
-                                       int(config["graph.bridges"]))
+        return graphs.generate_barbell(config["graph.n"],
+                                       config["graph.bridges"])
     raise ConfigError(f"unknown graph family {family!r}")
 
 
@@ -163,12 +162,12 @@ def build_weights(config: dict,
 def build_run_config(config: dict) -> engine.RunConfig:
     return engine.RunConfig(
         variant=str(config["run.variant"]),
-        iterations=int(config["run.T"]),
+        iterations=config["run.T"],
         eta=float(config["run.eta"]),
         step_scale=config["run.step_scale"],
-        seed=int(config["run.seed"]),
+        seed=config["run.seed"],
         init=str(config["run.init"]),
-        record_every=int(config["run.record_every"]),
+        record_every=config["run.record_every"],
         monitor_bounds=bool(config["run.monitor_bounds"]),
     )
 

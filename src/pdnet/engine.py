@@ -100,10 +100,15 @@ def resolve_config(cfg: RunConfig, p: ProblemSpec) -> RunConfig:
 
 def stepsize(t: int, cfg: RunConfig) -> float:
     """alpha(t) = step_scale / sqrt(t + 1)."""
-    if t < 0:
-        raise EngineError("iteration index must be nonnegative")
+    # t keys the stochastic variant's Philox stream, whose key words are 64-bit
+    t = checked_int(t, "t", 0, 2 ** 64, EngineError)
     if cfg.step_scale is None:
         raise EngineError("step_scale unresolved; call resolve_config first")
+    return _alpha(t, cfg)
+
+
+def _alpha(t: int, cfg: RunConfig) -> float:
+    """``stepsize`` without its checks, for the run loop's checked t."""
     return cfg.step_scale / math.sqrt(t + 1.0)
 
 
@@ -242,8 +247,8 @@ def _directions(p: ProblemSpec, states: AgentStates, cfg: RunConfig,
 def _advance(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix, t: int,
              cfg: RunConfig, grad_x: np.ndarray,
              grad_lam: np.ndarray) -> AgentStates:
-    alpha = stepsize(t, cfg)
-    alpha_next = stepsize(t + 1, cfg)
+    alpha = _alpha(t, cfg)
+    alpha_next = _alpha(t + 1, cfg)
     n, d = grad_x.shape
     z = np.empty((n, d + grad_lam.shape[1]))
     y, gamma = z[:, :d], z[:, d:]
@@ -308,7 +313,7 @@ def step(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix | None,
     baseline does not read ``w`` and takes exactly one row.
     """
     w, cfg = _checked_call(p, w, cfg, states)
-    stepsize(t, cfg)  # a bad t fails before the stochastic sample
+    t = checked_int(t, "t", 0, 2 ** 64, EngineError)  # before the sample
     return _advance(states, p, w, t, cfg, *_directions(p, states, cfg, t))
 
 
@@ -356,7 +361,8 @@ class Trace:
     ``weights`` is the run's mixing matrix. ``warnings`` holds one line
     per theory bound that a monitored run exceeded: how many records
     exceeded it, the first t, and the worst value against its bound.
-    ``records_s`` is the wall time spent in ``metrics.compute_record``.
+    ``records_s`` is the wall time spent in ``metrics.compute_record``,
+    which the run calls once per chunk of records, not once per record.
     """
 
     records: list[IterationRecord]
@@ -413,32 +419,42 @@ def _run_loop(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
     exceeded: dict[str, list] = {}
     # only the rate bound, which needs the reference, reads sigma2
     sigma2 = math.nan if reference is None else w.sigma2
+    # snapshots are references: no step writes into the arrays it reads
+    per_chunk = max(1, metrics.RECORD_CHUNK_BYTES
+                    // (3 * states.x.nbytes + 2 * states.lam.nbytes))
+    pending: list[metrics.Snapshot] = []
 
-    def record_now(t: int, grad_x, grad_lam):
+    def flush():
         start = time.perf_counter()
-        rec = metrics.compute_record(
-            p, states, t, cfg.eta, sigma2, ref=reference,
-            initial_fgaps=initial_fgaps, initial_gnorms=initial_gnorms,
-            grad_x_rows=grad_x, grad_lambda_rows=grad_lam)
+        trace.records += metrics.compute_record(
+            p, pending, cfg.eta, sigma2, ref=reference,
+            initial_fgaps=initial_fgaps, initial_gnorms=initial_gnorms)
         trace.records_s += time.perf_counter() - start
-        trace.records.append(rec)
-        if cfg.monitor_bounds:
-            _monitor_record(exceeded, p, cfg, w, rec, reference)
+        pending.clear()
+
+    def keep(*snapshot):
+        pending.append(metrics.Snapshot(*snapshot))
+        if len(pending) == per_chunk:
+            flush()
 
     stream = uniform_stream() if cfg.variant == STOCHASTIC else None
     try:
         for t in range(cfg.iterations):
             grad_x, grad_lam = _directions(p, states, cfg, t, stream)
             if t % cfg.record_every == 0:
-                record_now(t, grad_x, grad_lam)
+                keep(t, states, grad_x, grad_lam)
             states = _advance(states, p, w, t, cfg, grad_x, grad_lam)
     except DivergenceError as exc:
         trace.aborted = str(exc)
         log.error("run aborted: %s", exc)
     else:
         # no constraint is sampled at the horizon: record the full directions
-        record_now(cfg.iterations, *_directions(p, states, cfg))
+        keep(cfg.iterations, states, *_directions(p, states, cfg))
+    if pending:
+        flush()
     trace.final_states = states
+    for rec in trace.records if cfg.monitor_bounds else ():
+        _monitor_record(exceeded, p, cfg, w, rec, reference)
     for name, (count, first_t, value, bound) in exceeded.items():
         msg = (f"{name} exceeded at {count} records from t={first_t}, "
                f"worst {value:.6g} > {bound:.6g}")

@@ -64,6 +64,11 @@ class GraphTopology:
         raw = np.asarray(self.edge_array)
         if raw.dtype.kind not in "iuf":
             raise GraphError(f"edge endpoints must be whole numbers, got {raw.dtype}")
+        if not isinstance(self.edge_array, np.ndarray):
+            # numpy reads a bool next to ints as 0 or 1; only a list can mix them
+            for v in np.asarray(self.edge_array, dtype=object).flat:
+                if isinstance(v, (bool, np.bool_)):
+                    raise GraphError(f"edge endpoint {v!r} is a bool, not a node")
         with np.errstate(invalid="ignore"):  # NaN, inf and overflow cast to junk
             pairs = raw.astype(np.int64)
         if (bad := raw[pairs != raw]).size:

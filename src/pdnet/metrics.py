@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +22,10 @@ DEGENERATE_NORMALIZER = 1e-14
 
 #: Rows per block of the pairwise-distance scan in ``outputs_diameter``.
 DIAMETER_BLOCK = 64
+
+#: Snapshot bytes a run keeps before it computes their records as one
+#: ``compute_record`` call (always at least one snapshot).
+RECORD_CHUNK_BYTES = 256 * 1024
 
 
 class MetricError(ValueError):
@@ -87,37 +92,47 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(rows * rows, axis=-1))
 
 
-def _max_ratio(values: np.ndarray, normalizers: np.ndarray) -> float | None:
-    """max_i |values_i / normalizers_i|, or None if a normalizer is degenerate."""
+def _max_ratio(values: np.ndarray, normalizers: np.ndarray):
+    """max_i |values_i / normalizers_i| per row, or None if degenerate."""
     if np.minimum.reduce(np.abs(normalizers)) < DEGENERATE_NORMALIZER:
         return None
-    return float(np.maximum.reduce(np.abs(values / normalizers)))
+    return np.maximum.reduce(np.abs(values / normalizers), axis=-1)
 
 
-def objective_values(p: ProblemSpec, points: np.ndarray) -> np.ndarray:
-    """f at each row of ``points``, with the bits of
-    ``p.mean_objective_many``. Rows that are all equal, such as every row
-    at t = 0 from the origin, are evaluated once."""
-    if len(points) > 1 and not (points != points[0]).any():
-        return np.full(len(points), p.mean_objective_many(points[:1])[0])
-    return p.mean_objective_many(points)
+def objective_values(p: ProblemSpec, points: np.ndarray,
+                     keep: np.ndarray | None = None) -> np.ndarray:
+    """f at each row of ``points``, or of each (n, d) block of a stack,
+    with the bits of ``p.mean_objective_many`` in one call; rows where
+    ``keep`` is False may read 0. A block of equal rows, such as every row
+    at t = 0 from the origin, is evaluated once."""
+    stack = points if points.ndim == 3 else points[None]
+    equal = ~(stack != stack[:, :1]).any(axis=(1, 2))
+    evaluate = np.ones(stack.shape[:2], bool) if keep is None else keep.copy()
+    evaluate[equal] = np.arange(stack.shape[1]) == 0
+    values = np.zeros(stack.shape[:2])
+    values[evaluate] = p.mean_objective_many(stack[evaluate])
+    values[equal] = values[equal, :1]
+    return values if stack is points else values[0]
 
 
 def _objective_maxima(p: ProblemSpec, points: np.ndarray, f_star: float,
-                      normalizers: np.ndarray | None) -> tuple[float, float]:
-    """(max_gap, eps): max_i (f_i - f*) and max_i |(f_i - f*) / normalizers_i|
-    over the rows of ``points``, or max_i |f_i - f*| when ``normalizers``
-    is None. Bit-equal to evaluating f at every row.
+                      normalizers: np.ndarray | None):
+    """(max_gap, eps) per (n, d) block of the stack ``points``: max_i
+    (f_i - f*) and max_i |(f_i - f*) / normalizers_i| over its rows, or
+    max_i |f_i - f*| when ``normalizers`` is None. Bit-equal to evaluating
+    f at every row.
 
     ``p.mean_objective_bracket`` bounds every f_i in O(nd). Rounding is
     monotone, so the bounds carry through f - f*, its absolute value and
     the division as bounds on the computed values, and a row whose upper
     bound falls below another row's lower bound cannot attain a maximum.
-    f is evaluated exactly only at the rows left. The absolute value makes
-    eps's bracket differ from max_gap's: a regularized run's outputs can
-    sit below f*, as its saddle point is infeasible.
+    f is evaluated exactly only at the rows left, once in a block of equal
+    rows. The absolute value makes eps's bracket differ from max_gap's: a
+    regularized run's outputs can sit below f*, as its saddle point is
+    infeasible.
     """
-    bracket = p.mean_objective_bracket(points) if len(points) > 1 else None
+    keep = np.ones(points.shape[:2], bool)
+    bracket = p.mean_objective_bracket(points) if points.shape[1] > 1 else None
     if bracket is not None:
         lower, upper = bracket
         # |f - f*| lies between max(lower - f*, f* - upper), which is
@@ -128,21 +143,18 @@ def _objective_maxima(p: ProblemSpec, points: np.ndarray, f_star: float,
             size = np.abs(normalizers)
             abs_lo /= size
             abs_hi /= size
-        keep = ((upper >= np.maximum.reduce(lower))
-                | (abs_hi >= np.maximum.reduce(abs_lo)))
-        points = points[keep]
-        if normalizers is not None:
-            normalizers = normalizers[keep]
-    gaps = objective_values(p, points) - f_star
-    ratios = gaps if normalizers is None else gaps / normalizers
-    return (float(np.maximum.reduce(gaps)),
-            float(np.maximum.reduce(np.abs(ratios))))
+        keep = ((upper >= np.maximum.reduce(lower, axis=1)[:, None])
+                | (abs_hi >= np.maximum.reduce(abs_lo, axis=1)[:, None]))
+    gaps = objective_values(p, points, keep) - f_star
+    sizes = np.abs(gaps if normalizers is None else gaps / normalizers)
+    gaps[~keep] = sizes[~keep] = -np.inf
+    return np.maximum.reduce(gaps, axis=1), np.maximum.reduce(sizes, axis=1)
 
 
-def _violation_sq(gvals: np.ndarray) -> float:
-    """||[mean of the rows of gvals]_+||^2."""
-    mean = np.add.reduce(gvals, axis=0) / len(gvals)  # np.mean's bits
-    return float(np.add.reduce(np.maximum(mean, 0.0) ** 2))
+def _violation_sq(gvals: np.ndarray) -> np.ndarray:
+    """||[mean of the rows of gvals]_+||^2, per (n, m) block of a stack."""
+    mean = np.add.reduce(gvals, axis=-2) / gvals.shape[-2]  # np.mean's bits
+    return np.add.reduce(np.maximum(mean, 0.0) ** 2, axis=-1)
 
 
 def initial_normalizers(p: ProblemSpec, initial_states,
@@ -169,7 +181,8 @@ def epsilon_G(p: ProblemSpec, ref: ReferenceSolution, states,
     normalizers = initial_normalizers(p, initial_states, ref)[0]
     if np.min(np.abs(normalizers)) < DEGENERATE_NORMALIZER:
         raise MetricError("initial objective gap is degenerate")
-    return _objective_maxima(p, outputs, ref.f_star, normalizers)[1]
+    return float(_objective_maxima(p, outputs[None], ref.f_star,
+                                   normalizers)[1][0])
 
 
 def delta_G(p: ProblemSpec, states, initial_states) -> float:
@@ -183,12 +196,13 @@ def delta_G(p: ProblemSpec, states, initial_states) -> float:
                        initial_normalizers(p, initial_states)[1])
     if delta is None:
         raise MetricError("initial constraint norm is zero")
-    return delta
+    return float(delta)
 
 
 def violation_functional(p: ProblemSpec, states) -> float:
     """|| [ (1/n) sum_i g(xhat_i) ]_+ ||^2, the violation bound's subject."""
-    return _violation_sq(p.constraint_values_many(_require_outputs(states)))
+    return float(_violation_sq(
+        p.constraint_values_many(_require_outputs(states))))
 
 
 # ---------------------------------------------------------------------------
@@ -358,59 +372,56 @@ def rate_fit(trace, column: str, window: tuple[float, float]) -> RateFit:
 # record assembly (used by the engine at sampled iterations)
 # ---------------------------------------------------------------------------
 
-def compute_record(p: ProblemSpec, states, t: int, eta: float, sigma2: float,
-                   *, ref: ReferenceSolution | None,
+class Snapshot(NamedTuple):
+    """The states at iteration t and the directions of the step from them."""
+
+    t: int
+    states: object
+    grad_x: np.ndarray
+    grad_lam: np.ndarray
+
+
+def compute_record(p: ProblemSpec, snapshots: list[Snapshot], eta: float,
+                   sigma2: float, *, ref: ReferenceSolution | None,
                    initial_fgaps: np.ndarray | None,
-                   initial_gnorms: np.ndarray, grad_x_rows: np.ndarray,
-                   grad_lambda_rows: np.ndarray) -> IterationRecord:
-    """Assemble the metric record for the current states.
+                   initial_gnorms: np.ndarray) -> list[IterationRecord]:
+    """The records of ``snapshots``, each quantity computed once over
+    their stacked (R, n, .) rows: bit for bit those of one call each.
 
     At t = 0 (empty averages) the current iterates stand in for the
     averages, which pins eps and delta to exactly 1. ``initial_fgaps``
     (None exactly when ``ref`` is) and ``initial_gnorms`` are the
-    per-agent normalizers from ``initial_normalizers``; the gradient rows
-    are the directions of the step from these states.
-    ``sigma2`` enters only the rate bound, which is evaluated only with
-    ``ref``; without one any value may be passed.
+    per-agent normalizers from ``initial_normalizers``. ``sigma2`` enters
+    only the rate bound, which is evaluated only with ``ref``; without one
+    any value may be passed.
     """
-    outputs = states.output_points()
-    lam_norms = row_norms(states.lam)
-    diffs = outputs_diameter(states.x)
-
-    gvals = p.constraint_values_many(outputs)
-    violation_sq = _violation_sq(gvals)
-
-    eps = math.nan
-    max_gap = math.nan
-    eps_absolute = False
-    if ref is not None:
-        eps_absolute = bool(np.minimum.reduce(np.abs(initial_fgaps))
-                            < DEGENERATE_NORMALIZER)
-        max_gap, eps = _objective_maxima(
-            p, outputs, ref.f_star, None if eps_absolute else initial_fgaps)
-
+    lam_norms = row_norms(np.stack([s.states.lam for s in snapshots]))
+    grad_x_norms = row_norms(np.stack([s.grad_x for s in snapshots]))
+    glam_sq = np.add.reduce(np.stack([s.grad_lam for s in snapshots]) ** 2,
+                            axis=2)
+    diameters = outputs_diameter(np.stack([s.states.x for s in snapshots]))
+    outputs = np.stack([s.states.output_points() for s in snapshots])
+    blocks, n, _ = outputs.shape
+    nan = np.full(blocks, math.nan)
+    eps_absolute = ref is not None and bool(
+        np.minimum.reduce(np.abs(initial_fgaps)) < DEGENERATE_NORMALIZER)
+    max_gap, eps = (nan, nan) if ref is None else _objective_maxima(
+        p, outputs, ref.f_star, None if eps_absolute else initial_fgaps)
+    gvals = p.constraint_values_many(outputs.reshape(blocks * n, -1)
+                                     ).reshape(blocks, n, p.n_constraints)
     delta = _max_ratio(row_norms(gvals), initial_gnorms)
-    if delta is None:
-        delta = math.nan
-
-    thm2 = math.nan
-    if ref is not None and t >= 2 and eta > 0.0 and sigma2 < 1.0:
-        thm2 = rate_bound(p, sigma2, eta, t)
-
-    glam_sq = np.add.reduce(grad_lambda_rows ** 2, axis=1)
-    max_glam_excess = float(np.maximum.reduce(
-        glam_sq - 2.0 * eta ** 2 * lam_norms ** 2))
-
-    return IterationRecord(
-        t=t, eps=eps, delta=delta,
-        max_lambda_norm=float(np.maximum.reduce(lam_norms)),
-        consensus_diameter=diffs,
-        thm2_bound=thm2, violation_sq=violation_sq, max_gap=max_gap,
-        sum_lambda_sq=float(np.add.reduce(lam_norms ** 2)),
-        max_grad_x_norm=float(np.maximum.reduce(row_norms(grad_x_rows))),
-        max_grad_lambda_excess=max_glam_excess,
-        eps_absolute=eps_absolute,
-    )
+    thm2 = [rate_bound(p, sigma2, eta, s.t)
+            if ref is not None and s.t >= 2 and eta > 0.0 and sigma2 < 1.0
+            else math.nan for s in snapshots]
+    columns = (
+        eps, nan if delta is None else delta,
+        np.maximum.reduce(lam_norms, axis=1), diameters, thm2,
+        _violation_sq(gvals), max_gap, np.add.reduce(lam_norms ** 2, axis=1),
+        np.maximum.reduce(grad_x_norms, axis=1),
+        np.maximum.reduce(glam_sq - 2.0 * eta ** 2 * lam_norms ** 2, axis=1))
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return [IterationRecord(s.t, *row, eps_absolute)
+            for s, row in zip(snapshots, rows)]
 
 
 def _block_max_sq(points: np.ndarray) -> list:
@@ -423,8 +434,9 @@ def _block_max_sq(points: np.ndarray) -> list:
             for s in range(0, points.shape[0], DIAMETER_BLOCK)]
 
 
-def outputs_diameter(points: np.ndarray) -> float:
-    """Largest pairwise Euclidean distance among the rows of ``points``.
+def outputs_diameter(points: np.ndarray):
+    """Largest pairwise Euclidean distance among the rows of ``points``
+    (n, d), or one per (n, d) block of a stack (R, n, d).
 
     Exact, and bit-equal to the one-shot n x n x d formula: every per-pair
     value is ``np.sum((x_i - x_j) ** 2)`` over the last axis, and one sqrt
@@ -435,18 +447,17 @@ def outputs_diameter(points: np.ndarray) -> float:
     r > L - max(r), and only those rows are scanned. Identical rows return
     0 after O(nd) work; non-finite values fall back to the full scan.
     """
-    center = np.add.reduce(points, axis=0) / len(points)  # np.mean's bits
-    r = np.sqrt(np.add.reduce((points - center) ** 2, axis=1))
-    a = int(r.argmax())
-    from_a = np.add.reduce((points - points[a]) ** 2, axis=1)
-    if np.maximum.reduce(from_a) == 0.0 and not np.any(points != points[a]):
-        return 0.0
-    b = int(from_a.argmax())
-    lower_sq = np.maximum(from_a[b], np.maximum.reduce(
-        np.add.reduce((points - points[b]) ** 2, axis=1)))
-    lower, r_max = float(np.sqrt(lower_sq)), float(r[a])
-    if not math.isfinite(lower + r_max):
-        return float(np.sqrt(np.maximum.reduce(_block_max_sq(points))))
+    stack = points if points.ndim == 3 else points[None]
+    blocks, n, d = stack.shape
+    each = np.arange(blocks)
+    center = np.add.reduce(stack, axis=1) / n  # np.mean's bits
+    r = np.sqrt(np.add.reduce((stack - center[:, None]) ** 2, axis=2))
+    a = r.argmax(axis=1)
+    from_a = np.add.reduce((stack - stack[each, a][:, None]) ** 2, axis=2)
+    b = from_a.argmax(axis=1)
+    lower_sq = np.maximum(from_a[each, b], np.maximum.reduce(np.add.reduce(
+        (stack - stack[each, b][:, None]) ** 2, axis=2), axis=1))
+    lower, r_max = np.sqrt(lower_sq), r[each, a]
     # r and each per-pair value carry at most d + 2 roundings (difference,
     # square, d - 1 additions, sqrt), a relative error below (d + 2) eps
     # of L + max(r), the size of the point cloud about c; the factor 4
@@ -455,9 +466,12 @@ def outputs_diameter(points: np.ndarray) -> float:
     # points (up to 1e8 in the tests) adds nothing. Squares that underflow
     # add an absolute error below sqrt((d + 2) tiny).
     finfo = np.finfo(r.dtype)
-    d = points.shape[1]
     slack = (4.0 * (d + 2) * float(finfo.eps) * (lower + r_max)
              + math.sqrt((d + 2) * float(finfo.tiny)))
-    survivors = points[r >= lower - r_max - slack]
-    return float(np.sqrt(np.maximum.reduce([lower_sq,
-                                            *_block_max_sq(survivors)])))
+    # a non-finite threshold keeps every row, which is the full scan
+    survive = ~(r < (lower - r_max - slack)[:, None])
+    out = [0.0 if not from_a[k].any() and not np.any(stack[k] != stack[k, a[k]])
+           else np.sqrt(np.maximum.reduce(
+               [lower_sq[k], *_block_max_sq(stack[k][survive[k]])]))
+           for k in range(blocks)]
+    return float(out[0]) if points.ndim == 2 else np.array(out)

@@ -234,56 +234,62 @@ class _LossBoxOps:
             self.features.T @ self._signed_slopes(t) / len(t)
 
     def mean_objective_bracket(self, points: np.ndarray):
-        """(lower, upper) around ``mean_objective_many(points)``, in O(nd).
+        """(lower, upper) around ``mean_objective_many`` at each row of
+        ``points`` (n, d), or of each (n, d) block of a stack (R, n, d).
 
-        With c the mean point and (f(c), g) from one ``mean_objective_grad``
-        call, f(y) >= f(c) + <g, y - c> by convexity. Above, the logistic
-        loss adds beta/2 ||y - c||^2 with beta from ``_curvature``, at most
-        A^2 / 4 for A >= max ||b_j a_j||. The hinge is affine where
-        every margin b_j <a_j, y> is at most 1, so it adds only
-        max(0, A ||y|| - 1), which is 0 on the unit ball when A <= 1. Its
-        g is the affine gradient only when every margin at c is below 1,
-        so a center too close to the sphere gives None, as do non-finite
-        bounds.
+        With c a block's mean point, and f(c) and its gradient g, f(y) >=
+        f(c) + <g, y - c> by convexity. Above, the logistic loss adds
+        beta/2 ||y - c||^2 with beta from ``_curvature``, at most A^2 / 4
+        for A >= max ||b_j a_j||. The hinge is affine where every margin
+        b_j <a_j, y> is at most 1, so it adds only max(0, A ||y|| - 1),
+        which is 0 on the unit ball when A <= 1. Its g is the affine
+        gradient only when every margin at c is below 1, so a center too
+        close to the sphere gives None, or (-inf, inf) in a stack, as do
+        non-finite bounds.
 
         Both bounds then widen by a rounding slack. Each sum in the kernel
-        and in the gradient carries at most n + d + 2 roundings, with n the
+        and in f(c) and g carries at most n + d + 2 roundings, with n the
         data count: the d products and sums of a margin, the label, the
         loss (a few ulps, with slope at most 1), an n-term sum in any order
-        (so BLAS may compute the gradient) and its division; the bracket
-        adds its own d-term products and sums. Each is a relative error of
-        the magnitudes involved: the value, the linear and quadratic terms
-        and the margins, at most A (||c|| + max r) (1 + A max r). The factor
-        4 covers the sum of these terms and their own rounding; products
+        (so BLAS may compute them) and its division; the bracket adds its
+        own d-term products and sums. Each is a relative error of the
+        magnitudes involved: the value, the linear and quadratic terms and
+        the margins, at most A (||c|| + max r) (1 + A max r). The factor 4
+        covers the sum of these terms and their own rounding; products
         that underflow add an absolute error below (n + d + 8) tiny.
         """
         n, d = len(self.labels), self.dim
+        stack = points if points.ndim == 3 else points[None]
         finfo = np.finfo(points.dtype)
-        center = np.add.reduce(points, axis=0) / len(points)
-        c_norm = math.sqrt(float(center @ center))
-        logistic = self.loss == "logistic"
-        if not logistic and not self._reach * c_norm < 1.0 - 4 * (d + 2) * finfo.eps:
-            return None
-        value, grad = self.mean_objective_grad(center)
-        diff = points - center
-        r_sq = np.einsum("ij,ij->i", diff, diff)
-        r_max = math.sqrt(float(r_sq.max()))
+        centers = np.add.reduce(stack, axis=1) / stack.shape[1]
+        c_norm = np.sqrt(np.add.reduce(centers * centers, axis=1))
+        t = centers @ self._neg_signed.T
+        value = np.add.reduce(self._loss_values(-t), axis=1) / n
+        grad = self._signed_slopes(t) @ self.features / n
+        diff = stack - centers[:, None]
+        linear = np.einsum("rnd,rd->rn", diff, grad) + value[:, None]
+        r_sq = np.add.reduce(np.multiply(diff, diff, out=diff), axis=2)
+        r_max = np.sqrt(np.maximum.reduce(r_sq, axis=1))
         y_max = c_norm + r_max
+        logistic = self.loss == "logistic"
         beta = self._curvature if logistic else 0.0
-        scale = (abs(value) + math.sqrt(float(grad @ grad)) * r_max
-                 + beta * r_max * r_max
+        scale = (np.abs(value) + np.sqrt(np.add.reduce(grad * grad, axis=1))
+                 * r_max + beta * r_max * r_max
                  + self._reach * y_max * (1.0 + self._reach * r_max))
-        if not math.isfinite(scale * (n + d + 8)):
-            return None
         slack = (4.0 * (n + d + 8) * float(finfo.eps) * scale
-                 + (n + d + 8) * float(finfo.tiny))
-        linear = diff @ grad
-        linear += value
+                 + (n + d + 8) * float(finfo.tiny))[:, None]
         if logistic:
             curvature = 0.5 * beta * r_sq
         else:
-            curvature = max(0.0, self._reach * y_max - 1.0)
-        return linear - slack, linear + curvature + slack
+            curvature = np.maximum(0.0, self._reach * y_max - 1.0)[:, None]
+        lower, upper = linear - slack, linear + curvature + slack
+        none = ~np.isfinite(scale * (n + d + 8))
+        if not logistic:
+            none |= ~(self._reach * c_norm < 1.0 - 4 * (d + 2) * finfo.eps)
+        if stack is not points:
+            return None if none[0] else (lower[0], upper[0])
+        lower[none], upper[none] = -np.inf, np.inf
+        return lower, upper
 
     def constraint_values_many(self, points: np.ndarray) -> np.ndarray:
         d = self.dim
@@ -447,7 +453,7 @@ class ProblemSpec:
     def mean_objective_bracket(self, points: np.ndarray):
         """(lower, upper) arrays bracketing ``mean_objective_many(points)``
         bit for bit, rounding included, in O(nd); None when the problem
-        has no bracket for these points."""
+        has no bracket for these points, (-inf, inf) in a stack's block."""
         self._check_dim(points)
         return self.ops.mean_objective_bracket(points)
 

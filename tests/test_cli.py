@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -61,6 +62,32 @@ def test_config_file_and_overrides(tmp_path):
     for raw, value in (("0.5", 0.5), ("none", None), ("", None)):
         config = cfgmod.apply_overrides(config, [f"run.step_scale={raw}"])
         assert config["run.step_scale"] == value
+
+
+@pytest.mark.parametrize("key,value", [
+    ("problem.n", 2.5), ("problem.d", 2.5), ("problem.data_seed", 2.5),
+    ("graph.n", 2.5), ("graph.k", 2.5), ("graph.seed", 2.5),
+    ("graph.n", True), ("run.T", 2.5), ("run.seed", 2.5),
+    ("run.record_every", 2.5), ("run.T", True)])
+def test_builders_pass_counts_uncast(key, value):
+    # a mapping that skipped parse_config gets the module's error for 2.5,
+    # not a silent 2 from an int() cast in the builder
+    config = {**cfgmod.parse_config(), key: value}
+    message = re.escape(f"{value!r} is not an integer")
+    problem = pdnet.build_logistic_problem(
+        pdnet.generate_dataset(4, 2, seed=1), 0.5, 0.5)
+    if key.startswith("problem."):
+        with pytest.raises(pdnet.problems.ProblemError, match=message):
+            cfgmod.build_dataset(config)
+    elif key.startswith("graph."):
+        with pytest.raises(graphs.GraphError, match=message):
+            cfgmod.build_graph(config)
+    else:
+        run_cfg = cfgmod.build_run_config(config)
+        assert getattr(run_cfg, {"run.T": "iterations", "run.seed": "seed",
+                                 "run.record_every": "record_every"}[key]) is value
+        with pytest.raises(pdnet.engine.EngineError, match=message):
+            pdnet.engine.resolve_config(run_cfg, problem)
 
 
 def test_config_rejects_unknown_key():

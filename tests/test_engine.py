@@ -129,8 +129,23 @@ def test_step_checks_its_stepsize(variant, paper_logistic, ws_matrix):
     if baseline:
         # lam + alpha(0) g(0) with g(0) = -0.1, undamped by eta
         assert_allclose(out.lam, 0.95, rtol=1e-15)
-    with pytest.raises(en.EngineError, match="nonnegative"):
+    with pytest.raises(en.EngineError, match=r"t -1 is not an integer"):
         en.step(states, paper_logistic, ws_matrix, -1, resolved)
+
+
+@pytest.mark.parametrize("t", [2.5, 2.0, True, 2 ** 64, math.nan, math.inf])
+def test_step_and_stepsize_take_only_an_integer_t(t, paper_logistic,
+                                                  ws_matrix):
+    # a stochastic step at t = 2.5 would step with alpha(2.5) but sample
+    # the stream keyed by t = 2; t keys a 64-bit Philox word
+    cfg = en.resolve_config(en.RunConfig(variant="stochastic", seed=3),
+                            paper_logistic)
+    states = en.initial_states(paper_logistic, cfg)
+    with pytest.raises(en.EngineError, match="is not an integer"):
+        en.step(states, paper_logistic, ws_matrix, t, cfg)
+    with pytest.raises(en.EngineError, match="is not an integer"):
+        en.stepsize(t, cfg)
+    assert en.stepsize(2 ** 64 - 1, cfg) > 0.0
 
 
 @pytest.mark.parametrize("cfg", [
@@ -798,9 +813,9 @@ def test_run_is_a_loop_of_steps(variant, init, record_every, paper_logistic,
         initial_gnorms=np.linalg.norm(p.constraint_values_many(outputs0), axis=1))
 
     def record(t, grad_x, grad_lam):
-        return metrics.compute_record(p, states, t, cfg.eta, trace.sigma2,
-                                      grad_x_rows=grad_x,
-                                      grad_lambda_rows=grad_lam, **normalizers)
+        return metrics.compute_record(
+            p, [metrics.Snapshot(t, states, grad_x, grad_lam)], cfg.eta,
+            trace.sigma2, **normalizers)[0]
 
     records = []
     for t in range(cfg.iterations):
@@ -820,3 +835,136 @@ def test_run_is_a_loop_of_steps(variant, init, record_every, paper_logistic,
     for name in ("x", "lam", "avg_numerator"):
         assert np.array_equal(getattr(final, name), getattr(states, name))
     assert final.weight_sum == states.weight_sum
+
+
+# -- records in chunks ----------------------------------------------------------
+
+def records_one_at_a_time(p, w, cfg, reference, sigma2):
+    """(records, aborted) of ``run(p, w, cfg, reference)``, stepping by hand
+    and calling compute_record once per record."""
+    cfg = en.resolve_config(cfg, p)
+    states = en.initial_states(p, cfg)
+    fgaps, gnorms = metrics.initial_normalizers(p, states, reference)
+
+    def record(t, states, grad_x, grad_lam):
+        return metrics.compute_record(
+            p, [metrics.Snapshot(t, states, grad_x, grad_lam)], cfg.eta,
+            sigma2, ref=reference, initial_fgaps=fgaps,
+            initial_gnorms=gnorms)[0]
+
+    records, aborted = [], None
+    try:
+        for t in range(cfg.iterations):
+            if t % cfg.record_every == 0:
+                records.append(record(t, states,
+                                      *en._directions(p, states, cfg, t)))
+            states = en.step(states, p, w, t, cfg)
+    except en.DivergenceError as exc:
+        aborted = str(exc)
+    else:
+        records.append(record(cfg.iterations, states,
+                              *en._directions(p, states, cfg)))
+    return records, aborted
+
+
+def chunked_run(monkeypatch, p, w, cfg, reference, per_chunk):
+    """The trace of ``run`` with a budget of ``per_chunk`` snapshots (all
+    of them when None), and the record count of each compute_record call."""
+    states = en.initial_states(p, en.resolve_config(cfg, p))
+    snapshot_bytes = 3 * states.x.nbytes + 2 * states.lam.nbytes
+    monkeypatch.setattr(metrics, "RECORD_CHUNK_BYTES", 10 ** 12
+                        if per_chunk is None else int(per_chunk * snapshot_bytes))
+    chunks = []
+    compute = metrics.compute_record
+
+    def counted(p, snapshots, *args, **kwargs):
+        chunks.append(len(snapshots))
+        return compute(p, snapshots, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "compute_record", counted)
+    trace = en.run(p, w, cfg, reference=reference)
+    monkeypatch.setattr(metrics, "compute_record", compute)
+    return trace, chunks
+
+
+def csv_rows(records):
+    return [metrics.record_csv_row(r) for r in records]
+
+
+@pytest.mark.parametrize("per_chunk,chunks", [
+    (1, [1] * 31), (4.5, [4] * 7 + [3]), (None, [31])])
+@pytest.mark.parametrize("with_reference", [True, False])
+@pytest.mark.parametrize("variant,init", [
+    ("deterministic", "origin"), ("stochastic", "origin"),
+    ("centralized_unregularized", "origin"),
+    ("deterministic", "random_feasible"), ("stochastic", "random_feasible")])
+def test_chunked_records_equal_records_taken_one_at_a_time(
+        variant, init, with_reference, per_chunk, chunks, monkeypatch,
+        paper_logistic, ws_matrix, paper_reference):
+    # a chunk of one record, chunks split mid-run, and one chunk for all
+    # 31 records give the bits of one compute_record call per record
+    p = paper_logistic
+    w = None if variant == en.CENTRALIZED_UNREGULARIZED else ws_matrix
+    reference = paper_reference if with_reference else None
+    cfg = en.RunConfig(variant=variant, init=init, eta=1.0, iterations=30,
+                       seed=4, record_every=1)
+    trace, sizes = chunked_run(monkeypatch, p, w, cfg, reference, per_chunk)
+    expected, aborted = records_one_at_a_time(p, w, cfg, reference,
+                                              trace.sigma2)
+    assert sizes == chunks
+    assert aborted is None and trace.aborted is None
+    assert csv_rows(trace.records) == csv_rows(expected)
+
+
+@pytest.mark.parametrize("variant", ["deterministic", "stochastic"])
+def test_aborted_run_flushes_its_last_chunk(variant, monkeypatch,
+                                            paper_logistic, ws_matrix,
+                                            paper_reference):
+    # the run aborts at t = 13 with records 12 and 13 pending in a chunk
+    # of four: they are still computed, and the abort reads as before
+    original = en._directions
+
+    def poisoned(p, states, cfg, t=None, stream=None):
+        grad_x, grad_lam = original(p, states, cfg, t, stream)
+        if t == 13:
+            grad_lam = grad_lam.copy()
+            grad_lam[3, 0] = np.nan
+        return grad_x, grad_lam
+
+    monkeypatch.setattr(en, "_directions", poisoned)
+    cfg = en.RunConfig(variant=variant, eta=1.0, iterations=30, seed=4,
+                       record_every=1)
+    expected, aborted = records_one_at_a_time(
+        paper_logistic, ws_matrix, cfg, paper_reference, ws_matrix.sigma2)
+    trace, sizes = chunked_run(monkeypatch, paper_logistic, ws_matrix, cfg,
+                               paper_reference, 4)
+    assert sizes == [4, 4, 4, 2]
+    assert aborted == trace.aborted == "non-finite lam at t=13, agent 3"
+    assert csv_rows(trace.records) == csv_rows(expected)
+    assert [r.t for r in trace.records] == list(range(14))
+
+
+def test_chunked_monitor_warns_as_one_record_at_a_time(monkeypatch,
+                                                       paper_logistic,
+                                                       ws_matrix):
+    # the flipped dual direction of the mutation test above fires monitors;
+    # they read the records in t order whatever the chunks
+    original = en._directions
+
+    def flipped(p, states, cfg, t=None, stream=None):
+        gx, glam = original(p, states, cfg, t, stream)
+        return gx, -glam
+
+    monkeypatch.setattr(en, "_directions", flipped)
+    cfg = en.RunConfig(eta=1.0, iterations=400, record_every=20,
+                       monitor_bounds=True)
+    traces = []
+    for per_chunk in (1, 3, None):
+        traces.append(chunked_run(monkeypatch, paper_logistic, ws_matrix,
+                                  cfg, None, per_chunk)[0])
+    one = traces[0]
+    assert one.warnings
+    for trace in traces[1:]:
+        assert trace.warnings == one.warnings
+        assert trace.aborted == one.aborted
+        assert csv_rows(trace.records) == csv_rows(one.records)

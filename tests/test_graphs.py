@@ -415,6 +415,18 @@ def test_topology_rejects_endpoints_that_are_not_whole(endpoint, shown):
         GraphTopology.from_edges(3, [(0, None), (1, 2)])
 
 
+@pytest.mark.parametrize("endpoint", [True, False, np.True_])
+def test_topology_rejects_a_bool_endpoint_among_ints(endpoint):
+    # numpy reads [(True, 2), (0, 1)] as int64, which would make True node 1
+    edges = [(endpoint, 2), (0, 1), (1, 2)]
+    assert np.asarray(edges).dtype.kind == "i"
+    with pytest.raises(GraphError, match=re.escape(
+            f"edge endpoint {endpoint!r} is a bool, not a node")):
+        GraphTopology.from_edges(3, edges)
+    with pytest.raises(GraphError, match="whole numbers, got bool"):
+        GraphTopology.from_edges(3, np.array([(True, False)]))
+
+
 def test_topology_takes_whole_valued_endpoints():
     g = GraphTopology.from_edges(np.int64(3), np.array([[1.0, 0.0], [1.0, 2.0]]))
     assert g.edge_array.tolist() == [[0, 1], [1, 2]]

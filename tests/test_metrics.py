@@ -286,10 +286,10 @@ def test_rate_fit_rejects_an_unknown_column():
         me.rate_fit(fake_records(ts, np.ones(len(ts))), "eps_G", (10, 500))
 
 
-def zero_directions(states, m=2):
-    """Zero primal and dual step directions for ``states``' agents."""
+def snapshot(t, states, m=2):
+    """The one snapshot of ``states`` at t, with zero step directions."""
     n, d = states.x.shape
-    return dict(grad_x_rows=np.zeros((n, d)), grad_lambda_rows=np.zeros((n, m)))
+    return [me.Snapshot(t, states, np.zeros((n, d)), np.zeros((n, m)))]
 
 
 def test_compute_record_degenerate_normalizer_reports_absolute():
@@ -297,10 +297,9 @@ def test_compute_record_degenerate_normalizer_reports_absolute():
     ref = ReferenceSolution(f_star=0.0, x_star=np.zeros(1),
                             method="grid-search", residual=0.0)
     states = states_at([[0.2]])
-    rec = me.compute_record(p, states, t=0, eta=1.0, sigma2=0.5, ref=ref,
-                            initial_fgaps=np.array([1e-16]),
-                            initial_gnorms=np.array([1.0]),
-                            **zero_directions(states))
+    rec = me.compute_record(p, snapshot(0, states), eta=1.0, sigma2=0.5,
+                            ref=ref, initial_fgaps=np.array([1e-16]),
+                            initial_gnorms=np.array([1.0]))[0]
     assert rec.eps_absolute
     assert rec.eps == pytest.approx(0.2)
 
@@ -308,9 +307,9 @@ def test_compute_record_degenerate_normalizer_reports_absolute():
 def test_compute_record_degenerate_constraint_normalizer_gives_nan_delta():
     p = linear_problem()
     states = states_at([[0.2]])
-    rec = me.compute_record(p, states, t=0, eta=1.0, sigma2=0.5, ref=None,
-                            initial_fgaps=None, initial_gnorms=np.array([1e-16]),
-                            **zero_directions(states))
+    rec = me.compute_record(p, snapshot(0, states), eta=1.0, sigma2=0.5,
+                            ref=None, initial_fgaps=None,
+                            initial_gnorms=np.array([1e-16]))[0]
     assert math.isnan(rec.delta)
     assert rec.violation_sq == 0.0
 
@@ -320,11 +319,12 @@ def test_compute_record_rate_bound_needs_a_reference():
     ref = ReferenceSolution(f_star=0.0, x_star=np.zeros(1),
                             method="grid-search", residual=0.0)
     states = states_at([[0.2]])
-    common = dict(initial_gnorms=np.array([1.0]), **zero_directions(states))
-    with_ref = me.compute_record(p, states, t=5, eta=1.0, sigma2=0.5, ref=ref,
-                                 initial_fgaps=np.array([0.5]), **common)
-    without = me.compute_record(p, states, t=5, eta=1.0, sigma2=0.5, ref=None,
-                                initial_fgaps=None, **common)
+    common = dict(initial_gnorms=np.array([1.0]))
+    with_ref = me.compute_record(p, snapshot(5, states), eta=1.0, sigma2=0.5,
+                                 ref=ref, initial_fgaps=np.array([0.5]),
+                                 **common)[0]
+    without = me.compute_record(p, snapshot(5, states), eta=1.0, sigma2=0.5,
+                                ref=None, initial_fgaps=None, **common)[0]
     assert math.isfinite(with_ref.thm2_bound)
     assert math.isnan(without.thm2_bound) and math.isnan(without.max_gap)
 
@@ -396,10 +396,9 @@ def test_pruned_objective_record_equals_the_full_record(family, monkeypatch):
         expected = full_objective_maxima(p, outputs, f_star, normalizers)
         evaluated.clear()
         states = states_at(outputs)
-        rec = me.compute_record(p, states, t=5, eta=1.0,
+        rec = me.compute_record(p, snapshot(5, states), eta=1.0,
                                 sigma2=0.5, ref=ref, initial_fgaps=normalizers,
-                                initial_gnorms=np.ones(len(outputs)),
-                                **zero_directions(states))
+                                initial_gnorms=np.ones(len(outputs)))[0]
         rows += sum(evaluated)
         got = (rec.eps, rec.max_gap, rec.eps_absolute)
         assert repr(got) == repr(expected), (trial, got, expected)
