@@ -52,7 +52,6 @@ from .problems import (
     build_hinge_problem,
     build_logistic_problem,
     generate_dataset,
-    grid_search_optimum,
     reference_optimum,
 )
 

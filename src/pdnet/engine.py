@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .graphs import ConsensusMatrix
+from .graphs import ConsensusMatrix, sparse
 from .lagrangian import (checked_eta, iteration_uniforms, primal_directions,
                          rekeyed, sample_constraint_indices, uniform_stream)
 from .metrics import IterationRecord
@@ -125,7 +125,8 @@ def project_ball(x: np.ndarray, radius: float) -> np.ndarray:
         raise EngineError("ball radius must be positive")
     if not x.ndim:
         raise EngineError("project_ball needs a vector or rows, got a 0-d array")
-    if np.abs(x).max(initial=0.0) * math.sqrt(x.shape[-1]) <= 0.5 * radius:
+    if (np.maximum.reduce(np.abs(x), axis=None, initial=0.0)
+            * math.sqrt(x.shape[-1]) <= 0.5 * radius):
         # every norm is at most sqrt(d) max |x_ij|, so even with rounding
         # each computed norm is inside the ball and each scale is exactly 1
         return x.copy()
@@ -175,9 +176,14 @@ class AgentStates:
 
 
 def _mix(csr, rows: np.ndarray) -> np.ndarray:
-    # scipy's CSR kernel sums each row's nonzeros in a fixed order without
-    # BLAS, so results do not depend on the thread count
-    return csr @ rows
+    # the kernel that ``csr @ rows`` ends in, without the operator's
+    # dispatch: it sums each row's nonzeros in a fixed order without BLAS,
+    # so results do not depend on the thread count
+    n, k = rows.shape
+    out = np.zeros((n, k))
+    sparse._sparsetools.csr_matvecs(n, n, k, csr.indptr, csr.indices,
+                                    csr.data, rows.ravel(), out.ravel())
+    return out
 
 
 def initial_states(p: ProblemSpec, cfg: RunConfig) -> AgentStates:
@@ -236,11 +242,12 @@ def _directions(p: ProblemSpec, states: AgentStates, cfg: RunConfig,
         grad_f = p.mean_objective_grad(x[0])[1][None, :]
     else:
         grad_f = p.agent_objective_grads(x)
-    ks = None
+    ks = totals = None
     if cfg.variant == STOCHASTIC and t is not None:
+        totals = np.add.reduce(lam, axis=1)
         uniforms = iteration_uniforms(cfg.seed, t, states.n_agents, stream)
-        ks = sample_constraint_indices(lam, uniforms)
-    return (primal_directions(p, x, lam, grad_f, ks),
+        ks = sample_constraint_indices(lam, uniforms, totals)
+    return (primal_directions(p, x, lam, grad_f, ks, totals),
             p.constraint_values_many(x) - cfg.eta * lam)
 
 
@@ -249,16 +256,15 @@ def _advance(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix, t: int,
              grad_lam: np.ndarray) -> AgentStates:
     alpha = _alpha(t, cfg)
     alpha_next = _alpha(t + 1, cfg)
-    n, d = grad_x.shape
-    z = np.empty((n, d + grad_lam.shape[1]))
-    y, gamma = z[:, :d], z[:, d:]
-    np.multiply(grad_x, alpha, out=y)
-    np.subtract(states.x, y, out=y)
-    np.multiply(grad_lam, alpha, out=gamma)
-    np.add(states.lam, gamma, out=gamma)
-    if not np.isfinite(z).all():
+    y = states.x - alpha * grad_x
+    gamma = states.lam + alpha * grad_lam
+    z = np.concatenate((y, gamma), axis=1)
+    # a non-finite entry, or an overflow, makes the sum non-finite
+    if not math.isfinite(np.add.reduce(z, axis=None)):
         _check_finite(y, gamma, t)
-    mixed = _mix(w.csr, z)
+    # the baseline's 1x1 identity computes 0.0 + 1.0 z, which is z + 0.0
+    mixed = z + 0.0 if w is _IDENTITY_1X1 else _mix(w.csr, z)
+    d = y.shape[1]
     new_x = project_ball(mixed[:, :d], p.radius)
     new_lam = project_orthant(mixed[:, d:])
     _check_dual_guard(new_lam, t)
@@ -280,7 +286,8 @@ def _check_dual_guard(lam: np.ndarray, t: int) -> None:
     # a row norm is at most sqrt(m) times the largest entry, so the norms
     # are needed only when that bound comes near the guard; with the guard
     # at 1e6 every step of a converging run returns here
-    if lam.max(initial=0.0) * math.sqrt(lam.shape[1]) <= 0.5 * LAMBDA_GUARD:
+    if (np.maximum.reduce(lam, axis=None, initial=0.0)
+            * math.sqrt(lam.shape[1]) <= 0.5 * LAMBDA_GUARD):
         return
     norms = metrics.row_norms(lam)
     over = norms > LAMBDA_GUARD
@@ -324,9 +331,10 @@ def _checked_call(p: ProblemSpec, w: ConsensusMatrix | None, cfg: RunConfig,
                   states: AgentStates | None = None
                   ) -> tuple[ConsensusMatrix, RunConfig]:
     """The matrix that mixes the call's rows, and ``cfg`` resolved: the
-    baseline's one row mixes with the 1x1 identity, the networked variants'
-    one row per agent with ``w``. The ``states`` that ``step`` passes must
-    have x and avg_numerator of shape (rows, d) and lam of (rows, m)."""
+    baseline's one row takes the 1x1 identity, whose mix ``_advance``
+    skips, the networked variants' one row per agent ``w``. The ``states``
+    that ``step`` passes must have x and avg_numerator of shape (rows, d)
+    and lam of (rows, m)."""
     cfg = resolve_config(cfg, p)
     rows = p.n_agents
     if cfg.variant == CENTRALIZED_UNREGULARIZED:

@@ -57,17 +57,19 @@ def lagrangian_value(p: ProblemSpec, agent: int, x: np.ndarray,
 
 def primal_directions(p: ProblemSpec, x_rows: np.ndarray,
                       lam_rows: np.ndarray, grad_f: np.ndarray,
-                      ks: np.ndarray | None = None) -> np.ndarray:
+                      ks: np.ndarray | None = None,
+                      totals: np.ndarray | None = None) -> np.ndarray:
     """Primal subgradients of the Lagrangians, one row per agent.
 
     Row i is grad_f[i] + sum_k lam[i, k] grad g_k(x_i). Given sampled
     indices ``ks``, the sum becomes ||lam_i||_1 grad g_{k_i}(x_i), its
     unbiased estimate when k_i is drawn from ``sampling_distribution``.
+    ``totals`` are the row sums of ``lam_rows`` if the caller has them.
     """
     if ks is None:
         return grad_f + p.agent_constraint_combo(x_rows, lam_rows)
-    return (grad_f + lam_rows.sum(axis=1)[:, None]
-            * p.agent_constraint_rows(x_rows, ks))
+    totals = np.add.reduce(lam_rows, axis=1) if totals is None else totals
+    return grad_f + totals[:, None] * p.agent_constraint_rows(x_rows, ks)
 
 
 def grad_x(p: ProblemSpec, agent: int, x: np.ndarray,
@@ -94,7 +96,7 @@ def sampling_distribution(lam: np.ndarray) -> np.ndarray:
     lam = validate_dual(lam)
     if len(lam) == 0:
         raise ProblemError("no constraint to sample: the multiplier vector is empty")
-    return _sampling_probabilities(lam[None, :])[0]
+    return _sampling_probabilities(lam[None, :], np.add.reduce(lam)[None])[0]
 
 
 def stochastic_grad_x(p: ProblemSpec, agent: int, x: np.ndarray,
@@ -143,21 +145,26 @@ def iteration_uniforms(seed: int, t: int, n: int,
     return rekeyed(stream or uniform_stream(), seed, t).random(n)
 
 
-def _sampling_probabilities(lam_rows: np.ndarray) -> np.ndarray:
-    """Each row's multipliers over their sum, or uniform where the row is 0."""
-    totals = lam_rows.sum(axis=1, keepdims=True)
-    if totals.min() > 0.0:
+def _sampling_probabilities(lam_rows: np.ndarray,
+                            totals: np.ndarray) -> np.ndarray:
+    """Each row's multipliers over their sum ``totals``, or uniform where
+    the row is 0."""
+    totals = totals[:, None]
+    if np.minimum.reduce(totals, axis=None) > 0.0:
         return lam_rows / totals
     positive = totals > 0.0
     return np.where(positive, lam_rows / np.where(positive, totals, 1.0),
                     1.0 / lam_rows.shape[1])
 
 
-def sample_constraint_indices(lam_rows: np.ndarray,
-                              uniforms: np.ndarray) -> np.ndarray:
-    """Draw one constraint index per agent from its sampling distribution."""
-    m = lam_rows.shape[1]
+def sample_constraint_indices(lam_rows: np.ndarray, uniforms: np.ndarray,
+                              totals: np.ndarray | None = None) -> np.ndarray:
+    """Draw one constraint index per agent from its sampling distribution;
+    ``totals`` are the row sums of ``lam_rows``, if the caller has them."""
+    totals = np.add.reduce(lam_rows, axis=1) if totals is None else totals
     # np.add.accumulate is what np.cumsum calls, without its wrapper
-    cumulative = np.add.accumulate(_sampling_probabilities(lam_rows), axis=1)
-    ks = (cumulative <= uniforms[:, None]).sum(axis=1)
-    return np.minimum(ks, m - 1)
+    cumulative = np.add.accumulate(_sampling_probabilities(lam_rows, totals),
+                                   axis=1)
+    # the sums are nondecreasing, so the entries <= u are a prefix and a
+    # count over the first m - 1 columns is the index capped at m - 1
+    return np.add.reduce(cumulative[:, :-1] <= uniforms[:, None], axis=1)

@@ -395,12 +395,14 @@ def compute_record(p: ProblemSpec, snapshots: list[Snapshot], eta: float,
     only the rate bound, which is evaluated only with ``ref``; without one
     any value may be passed.
     """
-    lam_norms = row_norms(np.stack([s.states.lam for s in snapshots]))
-    grad_x_norms = row_norms(np.stack([s.grad_x for s in snapshots]))
-    glam_sq = np.add.reduce(np.stack([s.grad_lam for s in snapshots]) ** 2,
+    # one record's arrays are viewed, not copied
+    stack = np.stack if len(snapshots) > 1 else lambda arrays: arrays[0][None]
+    lam_norms = row_norms(stack([s.states.lam for s in snapshots]))
+    grad_x_norms = row_norms(stack([s.grad_x for s in snapshots]))
+    glam_sq = np.add.reduce(stack([s.grad_lam for s in snapshots]) ** 2,
                             axis=2)
-    diameters = outputs_diameter(np.stack([s.states.x for s in snapshots]))
-    outputs = np.stack([s.states.output_points() for s in snapshots])
+    diameters = outputs_diameter(stack([s.states.x for s in snapshots]))
+    outputs = stack([s.states.output_points() for s in snapshots])
     blocks, n, _ = outputs.shape
     nan = np.full(blocks, math.nan)
     eps_absolute = ref is not None and bool(

@@ -713,27 +713,3 @@ def reference_optimum(p: ProblemSpec, iterations: int = 10_000,
     return ReferenceSolution(f_star=float(val), x_star=x,
                              method="projected-gradient",
                              residual=float(residual))
-
-
-def grid_search_optimum(p: ProblemSpec, resolution: float = 1e-3) -> ReferenceSolution:
-    """Brute-force grid reference for d <= 2 cross-checks.
-
-    Scans the box at the given resolution, keeps feasible (in-ball) points,
-    and reports the best value. The residual is the Lipschitz bound on the
-    error of the grid spacing.
-    """
-    if p.box is None or p.dim > 2:
-        raise ProblemError("grid search needs a box problem with d <= 2")
-    lower, upper = p.box
-    axes = [np.arange(lower[k], upper[k] + resolution / 2, resolution)
-            for k in range(p.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    points = points[np.linalg.norm(points, axis=1) <= p.radius]
-    if len(points) == 0:
-        raise ProblemError("grid is empty: box does not intersect the ball")
-    vals = p.mean_objective_many(points)
-    k = int(np.argmin(vals))
-    residual = 2.0 * p.lipschitz * resolution * math.sqrt(p.dim)
-    return ReferenceSolution(f_star=float(vals[k]), x_star=points[k],
-                             method="grid-search", residual=residual)

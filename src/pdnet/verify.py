@@ -63,7 +63,8 @@ def _unbiasedness_check(rng) -> CheckResult:
             lam = rng.random((n, m)) * 2
             lam[rng.random(n) < 0.1] = 0.0
             grad_f = p.agent_objective_grads(x)
-            probs = lagrangian._sampling_probabilities(lam)
+            probs = lagrangian._sampling_probabilities(
+                lam, np.add.reduce(lam, axis=1))
             mix = sum(probs[:, k, None] * lagrangian.primal_directions(
                 p, x, lam, grad_f, np.full(n, k)) for k in range(m))
             worst = max(worst, float(np.max(np.abs(

@@ -177,3 +177,71 @@ def test_single_agent_functions(agent, k, x, lam, eta):
     _returns_or_raises_pdnet_error(lg.grad_lambda, p, x, lam, eta)
     _returns_or_raises_pdnet_error(lg.sampling_distribution, lam)
     _returns_or_raises_pdnet_error(lg.stochastic_grad_x, p, agent, x, lam, k)
+
+
+# -- the step's projections, stepsize and t -----------------------------------
+
+@st.composite
+def float_rows(draw):
+    """Arrays of hostile floats: 0-d, a vector, rows, and empty rows."""
+    shape = draw(st.sampled_from([(), (3,), (1, 2), (4, 5), (0, 3), (3, 0)]))
+    values = draw(st.lists(floats(), min_size=math.prod(shape),
+                           max_size=math.prod(shape)))
+    return np.array(values, dtype=float).reshape(shape)
+
+
+RADII = FLOATS + [True, np.int64(2), 2, np.float64(0.3)]
+
+
+@EXAMPLES
+@given(float_rows(), st.sampled_from(RADII))
+def test_project_ball(x, radius):
+    with np.errstate(all="ignore"):  # 1e300 rows overflow their norms
+        _returns_or_raises_pdnet_error(en.project_ball, x, radius)
+
+
+@EXAMPLES
+@given(st.integers(0, 6), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1e-300, 1e-3, 0.2, 0.45, 1.0, 3.0, 1e3]),
+       st.sampled_from([0.5, 1.0, 2.0]))
+def test_project_ball_matches_the_norm_formula_on_valid_rows(n, d, seed, scale,
+                                                             radius):
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, d)) * scale
+    want = x * (radius / np.maximum(
+        radius, np.linalg.norm(x, axis=-1, keepdims=True)))
+    for rows, expected in [(x, want)] + ([(x[0], want[0])] if n else []):
+        got = en.project_ball(rows, radius)
+        assert got.tobytes() == expected.tobytes()
+        assert not np.shares_memory(got, rows)
+
+
+@EXAMPLES
+@given(float_rows())
+def test_project_orthant(v):
+    out = en.project_orthant(v)
+    assert out.shape == v.shape
+    finite = np.isfinite(v)
+    assert np.array_equal(out[finite], np.where(v > 0.0, v, 0.0)[finite])
+    assert np.all(np.isnan(out[np.isnan(v)]))
+
+
+@EXAMPLES
+@given(counts(), st.sampled_from([None, *FLOATS]))
+def test_stepsize(t, scale):
+    cfg = en.RunConfig(step_scale=scale)
+    try:
+        alpha = en.stepsize(t, cfg)
+    except PDNET_ERRORS:
+        return
+    assert alpha == scale / math.sqrt(int(t) + 1.0) or math.isnan(alpha)
+
+
+@EXAMPLES
+@given(st.sampled_from(en.VARIANTS), counts())
+def test_step_t(variant, t):
+    baseline = variant == en.CENTRALIZED_UNREGULARIZED
+    cfg = en.RunConfig(variant=variant, seed=3, step_scale=0.5 if baseline
+                       else None)
+    states = en.initial_states(PROBLEM, cfg)
+    states.lam[:] = 0.5
+    _returns_or_raises_pdnet_error(en.step, states, PROBLEM, WEIGHTS, t, cfg)

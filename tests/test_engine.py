@@ -13,6 +13,10 @@ from pdnet.graphs import (
     ConsensusMatrix,
     GraphTopology,
     generate_barbell,
+    generate_erdos_renyi,
+    generate_lattice8,
+    generate_watts_strogatz,
+    laplacian_weights,
     lazy_metropolis,
 )
 from pdnet.problems import build_logistic_problem, generate_dataset
@@ -274,7 +278,7 @@ def test_enumerated_stochastic_mean_matches_deterministic(monkeypatch,
     mean_gx = np.zeros_like(gx_det)
     for k in range(10):
         monkeypatch.setattr(en, "sample_constraint_indices",
-                            lambda lam, uniforms: np.full(n, k))
+                            lambda lam, uniforms, totals: np.full(n, k))
         stoch, glam = en._directions(paper_logistic, states, cfg, t=3)
         assert np.array_equal(glam, glam_det)
         probs = np.array([sampling_distribution(l)[k] for l in states.lam])
@@ -302,8 +306,8 @@ def test_single_agent_directions_are_rows_of_the_step(variant, family, request,
     samples = []
     sample = en.sample_constraint_indices
 
-    def recorded(lam_rows, uniforms):
-        samples.append(sample(lam_rows, uniforms))
+    def recorded(lam_rows, uniforms, totals):
+        samples.append(sample(lam_rows, uniforms, totals))
         return samples[-1]
 
     monkeypatch.setattr(en, "sample_constraint_indices", recorded)
@@ -404,16 +408,152 @@ def test_non_finite_iterate_names_agent_and_component(monkeypatch,
     assert trace.aborted == "non-finite lam at t=1, agent 37"
 
 
-@pytest.mark.parametrize("which", ["ws", "barbell"])
-def test_csr_mix_matches_dense_einsum(which, ws_matrix):
-    # a dense einsum is the reference: the sparse product must give the
-    # same bits
-    w = ws_matrix if which == "ws" else lazy_metropolis(generate_barbell(100, 1))
+MIX_GRAPHS = {
+    "ws": lambda: generate_watts_strogatz(100, 20, 0.02, seed=7),
+    "barbell": lambda: generate_barbell(100, 1),
+    "erdos_renyi": lambda: generate_erdos_renyi(100, 0.06, seed=7),
+    "lattice": lambda: generate_lattice8(10, 10),
+}
+
+
+@pytest.mark.parametrize("scheme", [lazy_metropolis, laplacian_weights])
+@pytest.mark.parametrize("which", sorted(MIX_GRAPHS))
+def test_csr_mix_matches_dense_einsum(which, scheme):
+    # _mix calls the kernel that ``csr @ z`` ends in, so it gives that
+    # product's bits, -0.0 included; a dense einsum is the reference for both
+    w = scheme(MIX_GRAPHS[which]())
     rng = np.random.default_rng(11)
-    for scale in (1e-3, 1.0, 1e3):
-        z = rng.normal(size=(w.n, 7)) * scale
-        assert np.array_equal(en._mix(w.csr, z),
-                              np.einsum("ij,jd->id", w.entries, z))
+    for width in (1, 5, 15):
+        for scale in (1e-3, 1.0, 1e3):
+            z = rng.normal(size=(w.n, width)) * scale
+            mixed = en._mix(w.csr, z)
+            assert mixed.tobytes() == (w.csr @ z).tobytes()
+            # at width 1 einsum reduces over j in its own order
+            assert width == 1 or np.array_equal(
+                mixed, np.einsum("ij,jd->id", w.entries, z))
+        z[rng.random(z.shape) < 0.5] = -0.0
+        z[::3] = -0.0
+        assert en._mix(w.csr, z).tobytes() == (w.csr @ z).tobytes()
+        wide = rng.normal(size=(w.n, 2 * width + 1))
+        wide[::4] = -0.0
+        view = wide[:, 1::2]
+        assert not view.flags.c_contiguous
+        assert en._mix(w.csr, view).tobytes() == (w.csr @ view).tobytes()
+
+
+def test_baseline_step_adds_zero_in_place_of_the_identity_mix(
+        paper_logistic):
+    # the 1x1 identity kernel computes 0.0 + 1.0 z: that is z + 0.0, which
+    # turns -0.0 into +0.0
+    identity = en._IDENTITY_1X1.csr
+    for z in (np.array([[0.0, -0.0, 1.5, -2.0, 5e-324, -5e-324, 1e308,
+                         -1e308, 2.2e-308]]), np.full((1, 15), -0.0)):
+        assert (z + 0.0).tobytes() == (identity @ z).tobytes()
+        assert (z + 0.0).tobytes() == en._mix(identity, z).tobytes()
+    # a baseline step from x = -0.0 with zero directions lands on +0.0
+    p = paper_logistic
+    cfg = en.resolve_config(en.RunConfig(variant=en.CENTRALIZED_UNREGULARIZED),
+                            p)
+    states = en.AgentStates(x=np.full((1, 5), -0.0), lam=np.zeros((1, 10)),
+                            avg_numerator=np.zeros((1, 5)), weight_sum=0.0)
+    args = (states, p, en._IDENTITY_1X1, 0, cfg, np.zeros((1, 5)),
+            np.zeros((1, 10)))
+    lean = en._advance(*args)
+    assert_same_states(lean, reference_advance(*args))
+    assert not np.signbit(lean.x).any()
+
+
+def counted_mix(monkeypatch):
+    """Replace ``en._mix`` with a wrapper; return the list of its calls."""
+    calls = []
+    mix = en._mix
+
+    def counted(csr, rows):
+        calls.append(rows.shape)
+        return mix(csr, rows)
+
+    monkeypatch.setattr(en, "_mix", counted)
+    return calls
+
+
+@pytest.mark.parametrize("variant", en.VARIANTS)
+def test_only_networked_steps_mix(variant, monkeypatch, paper_logistic,
+                                  ws_matrix):
+    calls = counted_mix(monkeypatch)
+    en.run(paper_logistic, ws_matrix,
+           en.RunConfig(variant=variant, iterations=7, record_every=7))
+    baseline = variant == en.CENTRALIZED_UNREGULARIZED
+    assert calls == ([] if baseline else [(100, 15)] * 7)
+
+
+def test_one_agent_networked_run_still_mixes(monkeypatch):
+    # a valid 1x1 matrix need not be the identity: only the baseline's
+    # own identity skips the mix
+    p = build_logistic_problem(generate_dataset(1, 3, seed=2), 0.2, 0.2)
+    w = ConsensusMatrix.from_entries(np.array([[1.0 - 5e-13]]))
+    assert w.csr.data[0] == 1.0 - 5e-13
+    cfg = en.RunConfig(eta=1.0, iterations=5, record_every=5)
+    calls = counted_mix(monkeypatch)
+    lean = en.run(p, w, cfg)
+    assert calls == [(1, 3 + p.n_constraints)] * 5
+    monkeypatch.setattr(en, "_advance", reference_advance)
+    assert_same_states(lean.final_states, en.run(p, w, cfg).final_states)
+
+
+def reference_advance(states, p, w, t, cfg, grad_x, grad_lam):
+    """The step as it was before the direct kernel call: column-slice
+    writes into one buffer, ``csr @ z`` for every variant, and the
+    projection's ``.max`` bound."""
+    alpha = en._alpha(t, cfg)
+    alpha_next = en._alpha(t + 1, cfg)
+    n, d = grad_x.shape
+    z = np.empty((n, d + grad_lam.shape[1]))
+    y, gamma = z[:, :d], z[:, d:]
+    np.multiply(grad_x, alpha, out=y)
+    np.subtract(states.x, y, out=y)
+    np.multiply(grad_lam, alpha, out=gamma)
+    np.add(states.lam, gamma, out=gamma)
+    if not np.isfinite(z).all():
+        en._check_finite(y, gamma, t)
+    mixed = w.csr @ z
+    rows = mixed[:, :d]
+    if np.abs(rows).max(initial=0.0) * math.sqrt(d) <= 0.5 * p.radius:
+        new_x = rows.copy()
+    else:
+        new_x = rows * (p.radius / np.maximum(
+            p.radius, metrics.row_norms(rows)))[:, None]
+    new_lam = np.maximum(mixed[:, d:], 0.0)
+    en._check_dual_guard(new_lam, t)
+    num = states.avg_numerator
+    wsum = states.weight_sum
+    if wsum == 0.0:
+        num = num + alpha * states.x
+        wsum += alpha
+    num = num + alpha_next * new_x
+    wsum += alpha_next
+    return en.AgentStates(x=new_x, lam=new_lam, avg_numerator=num,
+                          weight_sum=wsum)
+
+
+def assert_same_states(a, b):
+    for name in ("x", "lam", "avg_numerator"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.weight_sum == b.weight_sum
+
+
+@pytest.mark.parametrize("init", [en.INIT_ORIGIN, en.INIT_RANDOM_FEASIBLE])
+@pytest.mark.parametrize("variant", en.VARIANTS)
+def test_steps_equal_the_reference_step(variant, init, monkeypatch,
+                                        paper_logistic, ws_matrix):
+    cfg = en.RunConfig(variant=variant, eta=1.0, iterations=300,
+                       record_every=300, seed=5, init=init)
+    lean = en.run(paper_logistic, ws_matrix, cfg)
+    monkeypatch.setattr(en, "_advance", reference_advance)
+    expected = en.run(paper_logistic, ws_matrix, cfg)
+    assert lean.aborted is None and expected.aborted is None
+    assert np.any(lean.final_states.lam != 0.0)
+    assert_same_states(lean.final_states, expected.final_states)
+    assert lean.to_csv_text() == expected.to_csv_text()
 
 
 def test_random_feasible_initialization(paper_logistic):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from pdnet import lagrangian as lg
@@ -331,6 +332,48 @@ def test_sample_constraint_indices_match_the_where_formula(rows):
               np.full(200, 1.0 / 6.0), np.full(200, 0.5)):
         assert np.array_equal(lg.sample_constraint_indices(lam, u),
                               _where_sample(lam, u))
+
+
+#: multipliers a row may hold: zeros, subnormals, and sums that overflow
+SAMPLED_LAMBDAS = [0.0, 5e-324, 1e-300, 0.125, 0.3, 1.0, 7.0, 1e300, 1e308]
+
+
+@st.composite
+def sampler_cases(draw):
+    """Rows of multipliers (some all zero) and one uniform per row: drawn,
+    0, just below 1, 1, or at and just above the row's last cumulative sum."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    lam = np.array(draw(st.lists(st.sampled_from(SAMPLED_LAMBDAS),
+                                 min_size=n * m, max_size=n * m))).reshape(n, m)
+    lam[np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = 0.0
+    totals = np.add.reduce(lam, axis=1)
+    last = np.add.accumulate(lg._sampling_probabilities(lam, totals),
+                             axis=1)[:, -1]
+    modes = draw(st.lists(st.sampled_from(["drawn", "zero", "below_one",
+                                           "one", "last", "above_last"]),
+                          min_size=n, max_size=n))
+    drawn = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                          min_size=n, max_size=n))
+    u = np.array([{"drawn": drawn[i], "zero": 0.0,
+                   "below_one": np.nextafter(1.0, 0.0), "one": 1.0,
+                   "last": last[i],
+                   "above_last": np.nextafter(last[i], np.inf)}[mode]
+                  for i, mode in enumerate(modes)])
+    return lam, u
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sampler_cases())
+def test_sampler_count_over_m_minus_1_columns_is_the_capped_count(case):
+    # the cumulative sums are nondecreasing, so counting the first m - 1
+    # columns gives np.minimum(count over all m, m - 1), as first written
+    lam, u = case
+    ks = lg.sample_constraint_indices(lam, u)
+    assert ks.dtype == np.intp
+    assert np.array_equal(ks, _where_sample(lam, u))
+    totals = np.add.reduce(lam, axis=1)
+    assert np.array_equal(lg.sample_constraint_indices(lam, u, totals), ks)
 
 
 def test_sample_constraint_indices_rows():
