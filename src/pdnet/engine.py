@@ -125,12 +125,21 @@ def project_ball(x: np.ndarray, radius: float) -> np.ndarray:
         raise EngineError("ball radius must be positive")
     if not x.ndim:
         raise EngineError("project_ball needs a vector or rows, got a 0-d array")
-    if (np.maximum.reduce(np.abs(x), axis=None, initial=0.0)
-            * math.sqrt(x.shape[-1]) <= 0.5 * radius):
+    top = np.maximum.reduce(np.abs(x), axis=None, initial=0.0)
+    root_d = math.sqrt(x.shape[-1])
+    if top * root_d <= 0.5 * radius:
         # every norm is at most sqrt(d) max |x_ij|, so even with rounding
         # each computed norm is inside the ball and each scale is exactly 1
         return x.copy()
-    return x * (radius / np.maximum(radius, metrics.row_norms(x)))[..., None]
+    # the d squares of entries up to ``limit`` sum to below max float / 4
+    limit = 6.7e153 / root_d
+    if top <= limit:
+        norms = metrics.row_norms(x)
+    else:  # a finite row past it takes its norm over its largest entry
+        peaks = np.maximum.reduce(np.abs(x), axis=-1, keepdims=True)
+        peaks[~((limit < peaks) & (peaks < math.inf))] = 1.0
+        norms = metrics.row_norms(x / peaks) * peaks[..., 0]
+    return x * (radius / np.maximum(radius, norms))[..., None]
 
 
 def project_orthant(v: np.ndarray) -> np.ndarray:
@@ -428,8 +437,7 @@ def _run_loop(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
     # only the rate bound, which needs the reference, reads sigma2
     sigma2 = math.nan if reference is None else w.sigma2
     # snapshots are references: no step writes into the arrays it reads
-    per_chunk = max(1, metrics.RECORD_CHUNK_BYTES
-                    // (3 * states.x.nbytes + 2 * states.lam.nbytes))
+    per_chunk = metrics.snapshots_per_chunk(states)
     pending: list[metrics.Snapshot] = []
 
     def flush():

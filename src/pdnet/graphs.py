@@ -50,14 +50,14 @@ class GraphTopology:
 
     ``edge_array`` holds each edge once as a row (i, j) with i < j, rows in
     ascending order; the constructor accepts the edges as (i, j) rows in
-    any order and orientation, with repeats. ``edges`` is the same set as
-    a frozenset of tuples. Instances are immutable after construction and
-    safe to share across threads.
+    any order and orientation, with repeats. ``degrees`` holds each node's
+    edge count (int64). Both arrays are read-only: instances are immutable
+    after construction and safe to share across threads.
     """
 
     n: int
     edge_array: np.ndarray
-    degrees: tuple[int, ...] = field(init=False)
+    degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
         n = checked_int(self.n, "node count", 1, error=GraphError)
@@ -97,7 +97,8 @@ class GraphTopology:
         edges.setflags(write=False)
         object.__setattr__(self, "edge_array", edges)
         degrees = np.bincount(edges.ravel(), minlength=n)
-        object.__setattr__(self, "degrees", tuple(degrees.tolist()))
+        degrees.setflags(write=False)
+        object.__setattr__(self, "degrees", degrees)
         if not _is_connected(n, edges):
             raise ConnectivityError("graph is disconnected")
 
@@ -108,11 +109,6 @@ class GraphTopology:
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
         return cls(n=n, edge_array=edges)
-
-    @cached_property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """The edges as (i, j) tuples, i < j."""
-        return frozenset(map(tuple, self.edge_array.tolist()))
 
     def to_edgelist_text(self) -> str:
         """Serialize as: first line ``n``, then one ``i j`` pair per line."""
@@ -152,16 +148,16 @@ class ConsensusMatrix:
     """Doubly stochastic mixing matrix in CSR form, with its sigma_2.
 
     ``csr`` holds the nonzero entries, column indices sorted within each
-    row; it is the only copy of the matrix, and ``n`` is read off its
-    shape. ``sigma2`` is the second-largest singular value; 1 - sigma2 is
-    the spectral gap. ``sigma2_method`` names how it was computed
-    (``eigvalsh``, ``eigsh`` or ``svd``). Both are computed together the
-    first time either is read, and kept: only the theory bounds need
-    them, so a run that checks none never pays for the eigensolve. The
-    constructors validate the entries: finite, nonnegative, row and
-    column sums within STOCHASTIC_TOL of 1, and (when a topology is
-    supplied) zero off the graph edges. The weight file
-    (``to_csv_text``) lists the stored entries: O(nnz) bytes.
+    row, in read-only arrays; it is the only copy of the matrix, and ``n``
+    is read off its shape. ``sigma2`` is the second-largest singular
+    value; 1 - sigma2 is the spectral gap. ``sigma2_method`` names how it
+    was computed (``eigvalsh``, ``eigsh`` or ``svd``). Both are computed
+    together the first time either is read, and kept: only the theory
+    bounds need them, so a run that checks none never pays for the
+    eigensolve. The constructors validate the entries: finite,
+    nonnegative, row and column sums within STOCHASTIC_TOL of 1, and
+    (when a topology is supplied) zero off the graph edges. The weight
+    file (``to_csv_text``) lists the stored entries: O(nnz) bytes.
     """
 
     csr: sparse.csr_array = field(repr=False)
@@ -183,11 +179,9 @@ class ConsensusMatrix:
         return self.csr.shape[0]
 
     @property
-    def entries(self) -> np.ndarray:
-        """A fresh read-only dense copy: n x n floats, for tests and small n."""
-        dense = self.csr.toarray()
-        dense.setflags(write=False)
-        return dense
+    def entries(self) -> sparse.csr_array:
+        """``csr`` under the name the benchmark's tracer reads."""
+        return self.csr
 
     @classmethod
     def from_entries(cls, entries: np.ndarray,
@@ -263,6 +257,8 @@ def _validated(csr: sparse.csr_array,
         raise WeightMatrixError("graph size does not match matrix size")
     if graph is not None and not _pattern_on_edges(csr, graph):
         raise WeightMatrixError("nonzero entry off the graph structure")
+    for array in (csr.data, csr.indices, csr.indptr):
+        array.setflags(write=False)
     return ConsensusMatrix(csr=csr)
 
 
@@ -514,7 +510,7 @@ def lazy_metropolis(g: GraphTopology) -> ConsensusMatrix:
     spectral gap satisfies 1/(1 - sigma_2) <= 71 n^2.
     """
     i, j = g.edge_array.T
-    sizes = np.array(g.degrees, dtype=np.int64) + 1
+    sizes = g.degrees + 1
     return _edge_weighted(g, 1.0 / (2.0 * np.maximum(sizes[i], sizes[j])))
 
 
@@ -526,7 +522,7 @@ def laplacian_weights(g: GraphTopology) -> ConsensusMatrix:
     every edge and the diagonal that completes each row. For a regular
     graph of degree d this is I - d/(d+1) Lap.
     """
-    if min(g.degrees) == 0:
+    if g.degrees.min() == 0:
         raise GraphError("isolated node: Laplacian weights undefined")
-    v = 1.0 / (max(g.degrees) + 1)
+    v = 1.0 / (g.degrees.max() + 1)
     return _edge_weighted(g, np.full(len(g.edge_array), v))

@@ -158,10 +158,9 @@ def _sampling_probabilities(lam_rows: np.ndarray,
 
 
 def sample_constraint_indices(lam_rows: np.ndarray, uniforms: np.ndarray,
-                              totals: np.ndarray | None = None) -> np.ndarray:
+                              totals: np.ndarray) -> np.ndarray:
     """Draw one constraint index per agent from its sampling distribution;
-    ``totals`` are the row sums of ``lam_rows``, if the caller has them."""
-    totals = np.add.reduce(lam_rows, axis=1) if totals is None else totals
+    ``totals`` are the row sums of ``lam_rows``."""
     # np.add.accumulate is what np.cumsum calls, without its wrapper
     cumulative = np.add.accumulate(_sampling_probabilities(lam_rows, totals),
                                    axis=1)

@@ -28,6 +28,14 @@ DIAMETER_BLOCK = 64
 RECORD_CHUNK_BYTES = 256 * 1024
 
 
+def snapshots_per_chunk(states) -> int:
+    """How many snapshots of ``states``' shapes fill RECORD_CHUNK_BYTES (at
+    least one). Only their x, avg_numerator, grad_x, lam and grad_lam count,
+    not the objects or the chunk's temporaries: the baseline keeps all 201
+    records of a canonical run in one chunk, and peaks at about 0.7 MB."""
+    return max(1, RECORD_CHUNK_BYTES // (3 * states.x.nbytes + 2 * states.lam.nbytes))
+
+
 class MetricError(ValueError):
     """Metric undefined for the supplied states (degenerate or empty)."""
 
@@ -80,10 +88,17 @@ def record_csv_row(r: IterationRecord) -> str:
 # run metrics
 # ---------------------------------------------------------------------------
 
-def _require_outputs(states) -> np.ndarray:
-    if states.weight_sum <= 0.0:
-        raise MetricError("running averages undefined (weight sum is zero)")
-    return states.averages()
+def _outputs(states, rows: int | None = None, start: bool = False):
+    """The running averages of ``states`` (or, at the ``start``, its
+    iterates while it has no averages) if they are one block of ``rows``
+    rows, or of one row or more if None; ProblemSpec checks the columns."""
+    if not (start or states.weight_sum > 0.0):  # NaN included
+        raise MetricError("running averages undefined (weight sum is not positive)")
+    points = states.output_points()
+    if points.ndim != 2 or not len(points) or rows not in (None, len(points)):
+        raise MetricError(f"outputs have shape {points.shape}, "
+                          f"not {rows or 'one or more'} rows")
+    return points
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
@@ -101,26 +116,25 @@ def _max_ratio(values: np.ndarray, normalizers: np.ndarray):
 
 def objective_values(p: ProblemSpec, points: np.ndarray,
                      keep: np.ndarray | None = None) -> np.ndarray:
-    """f at each row of ``points``, or of each (n, d) block of a stack,
+    """f at each row of each (n, d) block of the stack ``points`` (R, n, d),
     with the bits of ``p.mean_objective_many`` in one call; rows where
     ``keep`` is False may read 0. A block of equal rows, such as every row
     at t = 0 from the origin, is evaluated once."""
-    stack = points if points.ndim == 3 else points[None]
-    equal = ~(stack != stack[:, :1]).any(axis=(1, 2))
-    evaluate = np.ones(stack.shape[:2], bool) if keep is None else keep.copy()
-    evaluate[equal] = np.arange(stack.shape[1]) == 0
-    values = np.zeros(stack.shape[:2])
-    values[evaluate] = p.mean_objective_many(stack[evaluate])
+    equal = ~(points != points[:, :1]).any(axis=(1, 2))
+    evaluate = np.ones(points.shape[:2], bool) if keep is None else keep.copy()
+    evaluate[equal] = np.arange(points.shape[1]) == 0
+    values = np.zeros(points.shape[:2])
+    values[evaluate] = p.mean_objective_many(points[evaluate])
     values[equal] = values[equal, :1]
-    return values if stack is points else values[0]
+    return values
 
 
 def _objective_maxima(p: ProblemSpec, points: np.ndarray, f_star: float,
-                      normalizers: np.ndarray | None):
+                      normalizers: np.ndarray):
     """(max_gap, eps) per (n, d) block of the stack ``points``: max_i
-    (f_i - f*) and max_i |(f_i - f*) / normalizers_i| over its rows, or
-    max_i |f_i - f*| when ``normalizers`` is None. Bit-equal to evaluating
-    f at every row.
+    (f_i - f*) and max_i |(f_i - f*) / normalizers_i| over its rows, which
+    is the absolute gap for normalizers of 1. Bit-equal to evaluating f at
+    every row.
 
     ``p.mean_objective_bracket`` bounds every f_i in O(nd). Rounding is
     monotone, so the bounds carry through f - f*, its absolute value and
@@ -131,22 +145,15 @@ def _objective_maxima(p: ProblemSpec, points: np.ndarray, f_star: float,
     regularized run's outputs can sit below f*, as its saddle point is
     infeasible.
     """
-    keep = np.ones(points.shape[:2], bool)
-    bracket = p.mean_objective_bracket(points) if points.shape[1] > 1 else None
-    if bracket is not None:
-        lower, upper = bracket
-        # |f - f*| lies between max(lower - f*, f* - upper), which is
-        # negative when the bracket holds f*, and max(f* - lower, upper - f*)
-        abs_lo = np.maximum(lower - f_star, f_star - upper)
-        abs_hi = np.maximum(f_star - lower, upper - f_star)
-        if normalizers is not None:
-            size = np.abs(normalizers)
-            abs_lo /= size
-            abs_hi /= size
-        keep = ((upper >= np.maximum.reduce(lower, axis=1)[:, None])
-                | (abs_hi >= np.maximum.reduce(abs_lo, axis=1)[:, None]))
+    lower, upper = p.mean_objective_bracket(points)
+    # |f - f*| lies between max(lower - f*, f* - upper), which is negative
+    # when the bracket holds f*, and max(f* - lower, upper - f*)
+    abs_lo = np.maximum(lower - f_star, f_star - upper) / np.abs(normalizers)
+    abs_hi = np.maximum(f_star - lower, upper - f_star) / np.abs(normalizers)
+    keep = ((upper >= np.maximum.reduce(lower, axis=1)[:, None])
+            | (abs_hi >= np.maximum.reduce(abs_lo, axis=1)[:, None]))
     gaps = objective_values(p, points, keep) - f_star
-    sizes = np.abs(gaps if normalizers is None else gaps / normalizers)
+    sizes = np.abs(gaps / normalizers)
     gaps[~keep] = sizes[~keep] = -np.inf
     return np.maximum.reduce(gaps, axis=1), np.maximum.reduce(sizes, axis=1)
 
@@ -162,9 +169,10 @@ def initial_normalizers(p: ProblemSpec, initial_states,
     """(fgaps, gnorms): f(xhat_i(0)) - f* and ||g(xhat_i(0))|| per agent,
     the normalizers of eps and delta, at the t = 0 iterates (the averages
     if ``initial_states`` has any). fgaps is None without ``ref``."""
-    outputs0 = initial_states.output_points()
+    outputs0 = _outputs(initial_states, start=True)
     gnorms = row_norms(p.constraint_values_many(outputs0))
-    fgaps = None if ref is None else objective_values(p, outputs0) - ref.f_star
+    fgaps = (None if ref is None
+             else objective_values(p, outputs0[None])[0] - ref.f_star)
     return fgaps, gnorms
 
 
@@ -177,8 +185,8 @@ def epsilon_G(p: ProblemSpec, ref: ReferenceSolution, states,
     average of ``states`` is undefined or an initial gap falls below the
     degenerate-normalizer threshold.
     """
-    outputs = _require_outputs(states)
     normalizers = initial_normalizers(p, initial_states, ref)[0]
+    outputs = _outputs(states, len(normalizers))
     if np.min(np.abs(normalizers)) < DEGENERATE_NORMALIZER:
         raise MetricError("initial objective gap is degenerate")
     return float(_objective_maxima(p, outputs[None], ref.f_star,
@@ -191,9 +199,9 @@ def delta_G(p: ProblemSpec, states, initial_states) -> float:
     Uses the full constraint-vector norm (not its positive part), so a
     strictly feasible trajectory keeps delta bounded away from zero.
     """
-    outputs = _require_outputs(states)
-    delta = _max_ratio(row_norms(p.constraint_values_many(outputs)),
-                       initial_normalizers(p, initial_states)[1])
+    normalizers = initial_normalizers(p, initial_states)[1]
+    outputs = _outputs(states, len(normalizers))
+    delta = _max_ratio(row_norms(p.constraint_values_many(outputs)), normalizers)
     if delta is None:
         raise MetricError("initial constraint norm is zero")
     return float(delta)
@@ -202,7 +210,7 @@ def delta_G(p: ProblemSpec, states, initial_states) -> float:
 def violation_functional(p: ProblemSpec, states) -> float:
     """|| [ (1/n) sum_i g(xhat_i) ]_+ ||^2, the violation bound's subject."""
     return float(_violation_sq(
-        p.constraint_values_many(_require_outputs(states))))
+        p.constraint_values_many(_outputs(states))))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +416,7 @@ def compute_record(p: ProblemSpec, snapshots: list[Snapshot], eta: float,
     eps_absolute = ref is not None and bool(
         np.minimum.reduce(np.abs(initial_fgaps)) < DEGENERATE_NORMALIZER)
     max_gap, eps = (nan, nan) if ref is None else _objective_maxima(
-        p, outputs, ref.f_star, None if eps_absolute else initial_fgaps)
+        p, outputs, ref.f_star, np.ones(n) if eps_absolute else initial_fgaps)
     gvals = p.constraint_values_many(outputs.reshape(blocks * n, -1)
                                      ).reshape(blocks, n, p.n_constraints)
     delta = _max_ratio(row_norms(gvals), initial_gnorms)
@@ -436,9 +444,9 @@ def _block_max_sq(points: np.ndarray) -> list:
             for s in range(0, points.shape[0], DIAMETER_BLOCK)]
 
 
-def outputs_diameter(points: np.ndarray):
-    """Largest pairwise Euclidean distance among the rows of ``points``
-    (n, d), or one per (n, d) block of a stack (R, n, d).
+def outputs_diameter(points: np.ndarray) -> np.ndarray:
+    """Largest pairwise Euclidean distance among the rows of each (n, d)
+    block of the stack ``points`` (R, n, d).
 
     Exact, and bit-equal to the one-shot n x n x d formula: every per-pair
     value is ``np.sum((x_i - x_j) ** 2)`` over the last axis, and one sqrt
@@ -449,16 +457,15 @@ def outputs_diameter(points: np.ndarray):
     r > L - max(r), and only those rows are scanned. Identical rows return
     0 after O(nd) work; non-finite values fall back to the full scan.
     """
-    stack = points if points.ndim == 3 else points[None]
-    blocks, n, d = stack.shape
+    blocks, n, d = points.shape
     each = np.arange(blocks)
-    center = np.add.reduce(stack, axis=1) / n  # np.mean's bits
-    r = np.sqrt(np.add.reduce((stack - center[:, None]) ** 2, axis=2))
+    center = np.add.reduce(points, axis=1) / n  # np.mean's bits
+    r = np.sqrt(np.add.reduce((points - center[:, None]) ** 2, axis=2))
     a = r.argmax(axis=1)
-    from_a = np.add.reduce((stack - stack[each, a][:, None]) ** 2, axis=2)
+    from_a = np.add.reduce((points - points[each, a][:, None]) ** 2, axis=2)
     b = from_a.argmax(axis=1)
     lower_sq = np.maximum(from_a[each, b], np.maximum.reduce(np.add.reduce(
-        (stack - stack[each, b][:, None]) ** 2, axis=2), axis=1))
+        (points - points[each, b][:, None]) ** 2, axis=2), axis=1))
     lower, r_max = np.sqrt(lower_sq), r[each, a]
     # r and each per-pair value carry at most d + 2 roundings (difference,
     # square, d - 1 additions, sqrt), a relative error below (d + 2) eps
@@ -472,8 +479,8 @@ def outputs_diameter(points: np.ndarray):
              + math.sqrt((d + 2) * float(finfo.tiny)))
     # a non-finite threshold keeps every row, which is the full scan
     survive = ~(r < (lower - r_max - slack)[:, None])
-    out = [0.0 if not from_a[k].any() and not np.any(stack[k] != stack[k, a[k]])
+    out = [0.0 if not from_a[k].any() and not np.any(points[k] != points[k, a[k]])
            else np.sqrt(np.maximum.reduce(
-               [lower_sq[k], *_block_max_sq(stack[k][survive[k]])]))
+               [lower_sq[k], *_block_max_sq(points[k][survive[k]])]))
            for k in range(blocks)]
-    return float(out[0]) if points.ndim == 2 else np.array(out)
+    return np.array(out)

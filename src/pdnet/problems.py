@@ -235,7 +235,7 @@ class _LossBoxOps:
 
     def mean_objective_bracket(self, points: np.ndarray):
         """(lower, upper) around ``mean_objective_many`` at each row of
-        ``points`` (n, d), or of each (n, d) block of a stack (R, n, d).
+        each (n, d) block of the stack ``points`` (R, n, d).
 
         With c a block's mean point, and f(c) and its gradient g, f(y) >=
         f(c) + <g, y - c> by convexity. Above, the logistic loss adds
@@ -244,8 +244,8 @@ class _LossBoxOps:
         b_j <a_j, y> is at most 1, so it adds only max(0, A ||y|| - 1),
         which is 0 on the unit ball when A <= 1. Its g is the affine
         gradient only when every margin at c is below 1, so a center too
-        close to the sphere gives None, or (-inf, inf) in a stack, as do
-        non-finite bounds.
+        close to the sphere gives that block (-inf, inf), as do non-finite
+        bounds.
 
         Both bounds then widen by a rounding slack. Each sum in the kernel
         and in f(c) and g carries at most n + d + 2 roundings, with n the
@@ -259,14 +259,13 @@ class _LossBoxOps:
         that underflow add an absolute error below (n + d + 8) tiny.
         """
         n, d = len(self.labels), self.dim
-        stack = points if points.ndim == 3 else points[None]
         finfo = np.finfo(points.dtype)
-        centers = np.add.reduce(stack, axis=1) / stack.shape[1]
+        centers = np.add.reduce(points, axis=1) / points.shape[1]
         c_norm = np.sqrt(np.add.reduce(centers * centers, axis=1))
         t = centers @ self._neg_signed.T
         value = np.add.reduce(self._loss_values(-t), axis=1) / n
         grad = self._signed_slopes(t) @ self.features / n
-        diff = stack - centers[:, None]
+        diff = points - centers[:, None]
         linear = np.einsum("rnd,rd->rn", diff, grad) + value[:, None]
         r_sq = np.add.reduce(np.multiply(diff, diff, out=diff), axis=2)
         r_max = np.sqrt(np.maximum.reduce(r_sq, axis=1))
@@ -286,8 +285,6 @@ class _LossBoxOps:
         none = ~np.isfinite(scale * (n + d + 8))
         if not logistic:
             none |= ~(self._reach * c_norm < 1.0 - 4 * (d + 2) * finfo.eps)
-        if stack is not points:
-            return None if none[0] else (lower[0], upper[0])
         lower[none], upper[none] = -np.inf, np.inf
         return lower, upper
 
@@ -347,9 +344,9 @@ class OracleOps:
         n = len(self.objectives)
         return total / n, grad / n
 
-    def mean_objective_bracket(self, points: np.ndarray) -> None:
-        """No bracket: bare oracles come with no curvature bound."""
-        return None
+    def mean_objective_bracket(self, points: np.ndarray):
+        """(-inf, inf) everywhere: bare oracles have no curvature bound."""
+        return np.full(points.shape[:2], -np.inf), np.full(points.shape[:2], np.inf)
 
     def constraint_values_many(self, points: np.ndarray) -> np.ndarray:
         return np.array([[g(x)[0] for g in self.constraints] for x in points])
@@ -451,10 +448,13 @@ class ProblemSpec:
         return self.ops.mean_objective_grad(x)
 
     def mean_objective_bracket(self, points: np.ndarray):
-        """(lower, upper) arrays bracketing ``mean_objective_many(points)``
-        bit for bit, rounding included, in O(nd); None when the problem
-        has no bracket for these points, (-inf, inf) in a stack's block."""
+        """(lower, upper) arrays (R, n) bracketing ``mean_objective_many``
+        bit for bit, rounding included, at each row of the stack
+        ``points`` (R, n, d), in O(nd); (-inf, inf) in a block that the
+        problem has no bracket for."""
         self._check_dim(points)
+        if points.ndim != 3:
+            raise ProblemError(f"expected an (R, n, d) stack, got {points.shape}")
         return self.ops.mean_objective_bracket(points)
 
     # -- single-point evaluation ----------------------------------------------

@@ -171,15 +171,16 @@ def test_criterion_02_mixing_matrix_suite():
             allowed = np.eye(g.n)
             allowed[i, j] = allowed[j, i] = 1.0
             for w in (lazy_metropolis(g), laplacian_weights(g)):
-                e = w.entries
+                e = w.csr.toarray()
                 assert np.all(e >= 0.0)
                 assert float(np.max(np.abs(e.sum(0) - 1.0))) <= 1e-12
                 assert float(np.max(np.abs(e.sum(1) - 1.0))) <= 1e-12
                 assert not np.any((e != 0.0) & (allowed == 0.0))
                 assert np.allclose(e, e.T, atol=1e-15)
             lazy = lazy_metropolis(g)
-            diag = np.diag(lazy.entries)
-            assert np.all(diag + 1e-12 >= lazy.entries.sum(1) - diag)
+            dense = lazy.csr.toarray()
+            diag = np.diag(dense)
+            assert np.all(diag + 1e-12 >= dense.sum(1) - diag)
             assert 1.0 / (1.0 - lazy.sigma2) <= 71.0 * g.n ** 2
             checked += 1
     elapsed = time.time() - start

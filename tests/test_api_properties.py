@@ -4,15 +4,16 @@ Every count, seed and index the library takes goes through
 ``problems.checked_int``. Each test here drives one entry point with
 counts, seeds and indices that break a naive integer check (negative,
 huge and bool values, whole and fractional floats, NaN, inf and numpy
-integers) next to small valid ones, and with hostile multipliers, points
-and matrix entries. Whatever the input, the call must return or raise one
-of pdnet's error classes. The examples are derandomized, so a failure
-replays.
+integers) next to small valid ones, and with hostile multipliers, points,
+matrix entries and agent states. Whatever the input, the call must return
+or raise one of pdnet's error classes. The examples are derandomized, so
+a failure replays.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdnet import engine as en
@@ -193,11 +194,31 @@ def float_rows(draw):
 RADII = FLOATS + [True, np.int64(2), 2, np.float64(0.3)]
 
 
+def _norm(row) -> float:
+    """The Euclidean norm of ``row``, without overflow or underflow."""
+    return math.hypot(*row.tolist())
+
+
 @EXAMPLES
 @given(float_rows(), st.sampled_from(RADII))
 def test_project_ball(x, radius):
-    with np.errstate(all="ignore"):  # 1e300 rows overflow their norms
-        _returns_or_raises_pdnet_error(en.project_ball, x, radius)
+    # finite input may not overflow, divide by zero or make a NaN; finite
+    # rows come back inside the ball, and on its sphere if they were outside
+    errors = "raise" if np.all(np.isfinite(x)) else "ignore"
+    try:
+        with np.errstate(over=errors, invalid=errors, divide=errors):
+            out = en.project_ball(x, radius)
+    except PDNET_ERRORS:
+        return
+    rows, out = np.atleast_2d(x), np.atleast_2d(out)
+    # a result in the subnormal range rounds in steps of the least subnormal
+    slack = math.sqrt(x.shape[-1]) * 5e-324
+    for row, got in zip(rows, out):
+        if not np.all(np.isfinite(row)):
+            continue
+        assert _norm(got) <= radius * (1.0 + 1e-12) + slack
+        if _norm(row) > radius:
+            assert abs(_norm(got) - radius) <= radius * 1e-12 + slack
 
 
 @EXAMPLES
@@ -245,3 +266,57 @@ def test_step_t(variant, t):
     states = en.initial_states(PROBLEM, cfg)
     states.lam[:] = 0.5
     _returns_or_raises_pdnet_error(en.step, states, PROBLEM, WEIGHTS, t, cfg)
+
+
+# -- the record-layer metrics ------------------------------------------------
+
+#: an f* to normalize epsilon_G by
+REFERENCE = pr.ReferenceSolution(f_star=0.6, x_star=np.zeros(PROBLEM.dim),
+                                 method="fixed", residual=0.0)
+
+#: the same problem as bare oracles: its objective bracket is (-inf, inf)
+ORACLE_PROBLEM = pr.ProblemSpec.from_oracles(
+    [lambda x, i=i: PROBLEM.objective(i, x) for i in range(PROBLEM.n_agents)],
+    [lambda x, k=k: (float(PROBLEM.constraint_values(x)[k]),
+                     PROBLEM.constraint_grads(x)[k])
+     for k in range(PROBLEM.n_constraints)],
+    dim=PROBLEM.dim, lipschitz=PROBLEM.lipschitz, radius=PROBLEM.radius)
+
+WEIGHT_SUMS = [1.0, 0.5, 5e-324, 1e300, math.inf, 0.0, -0.0, -1.0, math.nan]
+
+
+def _rows_of(draw, shape):
+    """Valid-looking points with some entries made hostile."""
+    rows = np.random.default_rng(draw(st.integers(0, 3))).uniform(
+        -0.5, 0.5, size=shape)
+    if rows.size and draw(st.booleans()):
+        rows.flat[draw(st.integers(0, rows.size - 1))] = draw(floats())
+    return rows
+
+
+@st.composite
+def record_states(draw):
+    """AgentStates with hostile rows, weight sums and shapes: one row per
+    agent, the baseline's one row, too many or no rows, a wrong width, a
+    vector or a stack in place of rows."""
+    n, d, m = PROBLEM.n_agents, PROBLEM.dim, PROBLEM.n_constraints
+    shapes = st.sampled_from([(n, d), (1, d), (n + 1, d), (0, d), (n, d + 1),
+                              (n, 0), (d,), (1, n, d)])
+    x, avg = _rows_of(draw, draw(shapes)), _rows_of(draw, draw(shapes))
+    lam = np.zeros((len(x) if x.ndim else 0, m))
+    return en.AgentStates(x=x, lam=lam, avg_numerator=avg,
+                          weight_sum=draw(st.sampled_from(WEIGHT_SUMS)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([PROBLEM, ORACLE_PROBLEM]), record_states(),
+       record_states())
+def test_record_metrics(p, states, initial):
+    with np.errstate(all="ignore"):  # hostile rows overflow and make NaNs
+        _returns_or_raises_pdnet_error(me.epsilon_G, p, REFERENCE, states,
+                                       initial)
+        _returns_or_raises_pdnet_error(me.delta_G, p, states, initial)
+        _returns_or_raises_pdnet_error(me.violation_functional, p, states)
+    if not states.weight_sum > 0.0:  # NaN included: no averages
+        with pytest.raises(me.MetricError, match="weight sum"):
+            me.violation_functional(p, states)

@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
+from scipy import sparse
 
 import pdnet
 import pdnet.cli  # noqa: F401  (the cli_sweep workload calls pdnet.cli.main)
@@ -99,3 +100,23 @@ def test_traced_workloads_count_each_step_once(name, steps, tmp_path,
     assert layers["graphs.w_nnz"] == nnz
     assert [op["violations"] for op in result["ops"]] == [
         [] for _ in result["ops"]]
+
+
+def test_sparse_graph_makes_no_dense_matrix(monkeypatch):
+    # in the paper's iteration each agent mixes with its neighbours only,
+    # so a 1%-dense graph's W never needs its 2000 x 2000 dense form: not
+    # to build or validate the weights, not for the tracer's weights note,
+    # and not for a run that reads no reference (and so no sigma2)
+    def no_dense(self, *args, **kwargs):
+        raise AssertionError("W was expanded to a dense n x n array")
+
+    monkeypatch.setattr(sparse.csr_array, "toarray", no_dense)
+    w = pdnet.lazy_metropolis(pdnet.generate_watts_strogatz(2000, 20, 0.02,
+                                                            seed=7))
+    assert w.entries is w.csr
+    note = load_perfbench("tracer")._NOTES["graphs.weights"]
+    assert note(w) == w.csr.nnz
+    problem = pdnet.build_logistic_problem(
+        pdnet.generate_dataset(2000, 5, seed=1), 0.1, 0.1)
+    trace = pdnet.run(problem, w, pdnet.RunConfig(iterations=20))
+    assert trace.aborted is None and trace.records[-1].t == 20

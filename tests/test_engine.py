@@ -430,7 +430,7 @@ def test_csr_mix_matches_dense_einsum(which, scheme):
             assert mixed.tobytes() == (w.csr @ z).tobytes()
             # at width 1 einsum reduces over j in its own order
             assert width == 1 or np.array_equal(
-                mixed, np.einsum("ij,jd->id", w.entries, z))
+                mixed, np.einsum("ij,jd->id", w.csr.toarray(), z))
         z[rng.random(z.shape) < 0.5] = -0.0
         z[::3] = -0.0
         assert en._mix(w.csr, z).tobytes() == (w.csr @ z).tobytes()

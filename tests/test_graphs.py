@@ -92,6 +92,16 @@ def assert_edge_array_is(g, edges):
     assert g.edge_array.tobytes() == expected.tobytes()
 
 
+def edge_set(g):
+    """The edges of ``g`` as a set of (i, j) tuples, i < j."""
+    return set(map(tuple, g.edge_array.tolist()))
+
+
+def as_dense(w):
+    """The n x n array of ``w``'s entries."""
+    return w.csr.toarray()
+
+
 def complete_edges(nodes):
     nodes = list(nodes)
     return {(min(a, b), max(a, b))
@@ -126,7 +136,7 @@ def dense_lazy_metropolis(g):
     """Independent oracle: the lazy Metropolis weights as a dense n x n
     array, with the diagonal completed by ``complete_diagonal``."""
     i, j = g.edge_array.T
-    sizes = np.array(g.degrees, dtype=np.int64) + 1
+    sizes = g.degrees + 1
     v = 1.0 / (2.0 * np.maximum(sizes[i], sizes[j]))
     w = np.zeros((g.n, g.n))
     w[i, j] = v
@@ -137,7 +147,7 @@ def dense_lazy_metropolis(g):
 def dense_laplacian_closed_form(g):
     """Independent oracle: I - (D - A) / (d_max + 1) as a dense n x n
     array, with the diagonal completed by ``complete_diagonal``."""
-    return complete_diagonal(dense_adjacency(g) * (1.0 / (max(g.degrees) + 1)))
+    return complete_diagonal(dense_adjacency(g) * (1.0 / (g.degrees.max() + 1)))
 
 
 def dense_laplacian_weights(g):
@@ -146,7 +156,7 @@ def dense_laplacian_weights(g):
     I - D^{1/2} Lap D^{1/2} / (d_max + 1) otherwise."""
     n = g.n
     a = dense_adjacency(g)
-    degrees = np.array(g.degrees, dtype=float)
+    degrees = g.degrees.astype(float)
     d_inv_sqrt = 1.0 / np.sqrt(degrees)
     lap = np.eye(n) - (d_inv_sqrt[:, None] * a * d_inv_sqrt[None, :])
     if np.all(degrees == degrees[0]):
@@ -161,14 +171,14 @@ def dense_laplacian_weights(g):
 def test_watts_strogatz_zero_rewiring_is_ring():
     g = generate_watts_strogatz(6, 2, 0.0)
     ring = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)}
-    assert set(g.edges) == ring
-    assert g.degrees == (2,) * 6
+    assert edge_set(g) == ring
+    assert g.degrees.tolist() == [2] * 6
 
 
 def test_watts_strogatz_preserves_edge_count():
     g = generate_watts_strogatz(100, 20, 0.02, seed=7)
-    assert len(g.edges) == 100 * 20 // 2
-    assert bfs_connected(g.n, g.edges)
+    assert len(g.edge_array) == 100 * 20 // 2
+    assert bfs_connected(g.n, g.edge_array.tolist())
 
 
 @pytest.mark.parametrize("n,k", [(4, 4), (5, 6), (10, 3), (10, 0)])
@@ -187,7 +197,7 @@ def test_watts_strogatz_matches_candidate_list_oracle(n, k, theta):
         edges = candidate_list_watts_strogatz(n, k, theta, seed)
         assert_edge_array_is(g, edges)
         ends = np.array(sorted(edges)).ravel()
-        assert g.degrees == tuple(np.bincount(ends, minlength=n))
+        assert np.array_equal(g.degrees, np.bincount(ends, minlength=n))
 
 
 @pytest.mark.parametrize("n,k,theta,seed,retried", [
@@ -244,12 +254,12 @@ def test_rewire_stream_replays_generator_calls(seed, theta):
 def test_watts_strogatz_deterministic():
     a = generate_watts_strogatz(40, 6, 0.3, seed=11)
     b = generate_watts_strogatz(40, 6, 0.3, seed=11)
-    assert set(a.edges) == set(b.edges)
+    assert edge_set(a) == edge_set(b)
 
 
 def test_erdos_renyi_p_one_is_complete():
     g = generate_erdos_renyi(5, 1.0, seed=123)
-    assert set(g.edges) == complete_edges(range(5))
+    assert edge_set(g) == complete_edges(range(5))
 
 
 def test_erdos_renyi_edge_count_within_binomial_band():
@@ -257,13 +267,13 @@ def test_erdos_renyi_edge_count_within_binomial_band():
     pairs = 100 * 99 // 2
     mean = 0.06 * pairs
     sigma = np.sqrt(pairs * 0.06 * 0.94)
-    assert abs(len(g.edges) - mean) < 4 * sigma
-    assert bfs_connected(g.n, g.edges)
+    assert abs(len(g.edge_array) - mean) < 4 * sigma
+    assert bfs_connected(g.n, g.edge_array.tolist())
 
 
 def test_erdos_renyi_two_nodes():
     g = generate_erdos_renyi(2, 0.5, seed=0)
-    assert set(g.edges) == {(0, 1)}
+    assert edge_set(g) == {(0, 1)}
 
 
 def test_erdos_renyi_invalid_probability():
@@ -273,19 +283,19 @@ def test_erdos_renyi_invalid_probability():
 
 def test_lattice8_2x2_is_complete():
     g = generate_lattice8(2, 2)
-    assert set(g.edges) == complete_edges(range(4))
+    assert edge_set(g) == complete_edges(range(4))
 
 
 def test_lattice8_3x3_degrees():
     g = generate_lattice8(3, 3)
     # corners see 3 Moore neighbors, edge-centers 5, the center 8
-    assert g.degrees == (3, 5, 3, 5, 8, 5, 3, 5, 3)
+    assert g.degrees.tolist() == [3, 5, 3, 5, 8, 5, 3, 5, 3]
 
 
 def test_lattice8_10x10_connected():
     g = generate_lattice8(10, 10)
     assert g.n == 100
-    assert bfs_connected(g.n, g.edges)
+    assert bfs_connected(g.n, g.edge_array.tolist())
 
 
 def loop_lattice8_edges(rows, cols):
@@ -315,13 +325,13 @@ def test_lattice8_rejects_degenerate():
 
 def test_barbell_single_bridge_small():
     g = generate_barbell(4, 1)
-    assert set(g.edges) == {(0, 1), (2, 3), (0, 2)}
-    assert bfs_connected(g.n, g.edges)
+    assert edge_set(g) == {(0, 1), (2, 3), (0, 2)}
+    assert bfs_connected(g.n, g.edge_array.tolist())
 
 
 def test_barbell_edge_count():
     g = generate_barbell(100, 1)
-    assert len(g.edges) == 2 * (50 * 49 // 2) + 1
+    assert len(g.edge_array) == 2 * (50 * 49 // 2) + 1
 
 
 def loop_barbell_edges(n, bridge_count):
@@ -387,7 +397,7 @@ def test_topology_rejects_out_of_range_edge(edge, shown):
 
 def test_topology_single_node_and_no_edges():
     g = GraphTopology.from_edges(1, [])
-    assert g.degrees == (0,) and g.edges == frozenset()
+    assert g.degrees.tolist() == [0] and edge_set(g) == set()
     assert g.edge_array.shape == (0, 2)
     with pytest.raises(GraphError, match="node count 0 is not an integer >= 1"):
         GraphTopology.from_edges(0, [])
@@ -398,10 +408,12 @@ def test_topology_single_node_and_no_edges():
 def test_topology_canonical_edge_array():
     g = GraphTopology.from_edges(4, [(3, 2), (1, 0), (2, 1), (0, 1), (2, 3)])
     assert g.edge_array.tolist() == [[0, 1], [1, 2], [2, 3]]
-    assert g.degrees == (1, 2, 2, 1)
-    assert g.edges == {(0, 1), (1, 2), (2, 3)}
+    assert g.degrees.tolist() == [1, 2, 2, 1]
+    assert g.degrees.dtype == np.int64
     with pytest.raises(ValueError):
         g.edge_array[0, 0] = 5
+    with pytest.raises(ValueError):
+        g.degrees[0] = 5
 
 
 @pytest.mark.parametrize("endpoint,shown", [(1.5, "1.5"), (np.nan, "nan"),
@@ -484,7 +496,7 @@ def test_topology_long_path_is_connected_and_fast(order):
     g = GraphTopology.from_edges(n, path)
     assert time.perf_counter() - start < 2.0
     assert len(g.edge_array) == n - 1
-    assert max(g.degrees) == 2
+    assert g.degrees.max() == 2
     # cut in the middle, plus a chord so that E = n - 1 still
     cut = np.delete(path, n // 2, axis=0)
     chord = [[nodes[0], nodes[2]]]
@@ -497,7 +509,7 @@ def test_topology_long_path_is_connected_and_fast(order):
 def test_lazy_metropolis_two_node_path():
     g = GraphTopology.from_edges(2, [(0, 1)])
     w = lazy_metropolis(g)
-    assert_allclose(w.entries, [[0.75, 0.25], [0.25, 0.75]], atol=1e-15)
+    assert_allclose(as_dense(w), [[0.75, 0.25], [0.25, 0.75]], atol=1e-15)
 
 
 def test_lazy_metropolis_complete_graph():
@@ -507,7 +519,7 @@ def test_lazy_metropolis_complete_graph():
         off = 1.0 / (2 * n)
         expected = np.full((n, n), off)
         np.fill_diagonal(expected, (n + 1) / (2 * n))
-        assert_allclose(w.entries, expected, atol=1e-15)
+        assert_allclose(as_dense(w), expected, atol=1e-15)
         assert_allclose(w.sigma2, 0.5, atol=1e-12)
         assert_allclose(spectral_gap(w), 0.5, atol=1e-12)
 
@@ -542,15 +554,15 @@ def test_mixing_matrix_invariants(family):
         g = _random_graph(family, rng)
         allowed = allowed_mask(g)
         for w in (lazy_metropolis(g), laplacian_weights(g)):
-            entries = w.entries
+            entries = as_dense(w)
             assert np.all(entries >= 0)
             assert np.max(np.abs(entries.sum(axis=0) - 1)) <= 1e-12
             assert np.max(np.abs(entries.sum(axis=1) - 1)) <= 1e-12
             assert not np.any((entries != 0) & (allowed == 0))
             assert_allclose(entries, entries.T, atol=1e-15)
         wm = lazy_metropolis(g)
-        diag = np.diag(wm.entries)
-        assert np.all(diag >= (wm.entries.sum(axis=1) - diag) - 1e-12)
+        diag = np.diag(as_dense(wm))
+        assert np.all(diag >= (as_dense(wm).sum(axis=1) - diag) - 1e-12)
         assert 1.0 / (1.0 - wm.sigma2) <= 71.0 * g.n ** 2
 
 
@@ -591,7 +603,7 @@ def test_weights_match_dense_oracle_bit_for_bit(name, scheme):
     assert (w.sigma2, w.sigma2_method) == (oracle.sigma2, oracle.sigma2_method)
     if g.n <= graphs.DENSE_SIGMA2_MAX_N:
         assert w.sigma2 == np.sort(np.abs(np.linalg.eigvalsh(dense)))[-2]
-    assert np.array_equal(w.entries, dense)
+    assert np.array_equal(as_dense(w), dense)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
@@ -600,7 +612,7 @@ def test_laplacian_weights_match_the_normalized_formula(name):
     # same nonzero pattern, every entry within 2 eps
     g = ORACLE_GRAPHS[name]()
     textbook = dense_laplacian_weights(g)
-    w = laplacian_weights(g).entries
+    w = as_dense(laplacian_weights(g))
     assert np.array_equal(w != 0, textbook != 0)
     assert np.max(np.abs(w - textbook)) <= 2 * np.finfo(float).eps
 
@@ -632,34 +644,33 @@ def test_laplacian_weights_allocate_no_dense_matrix():
     assert_no_dense_matrix(laplacian_weights)
 
 
-def test_entries_is_a_fresh_read_only_copy():
+def test_entries_is_the_read_only_csr():
     w = lazy_metropolis(generate_watts_strogatz(30, 4, 0.2, seed=3))
-    first, second = w.entries, w.entries
-    assert first is not second and np.array_equal(first, second)
-    assert np.array_equal(first, w.csr.toarray())
-    with pytest.raises(ValueError):
-        first[0, 0] = 0.0
+    assert w.entries is w.csr
+    for array in (w.csr.data, w.csr.indices, w.csr.indptr):
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_laplacian_weights_three_cycle():
     g = GraphTopology.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    assert_allclose(laplacian_weights(g).entries, np.full((3, 3), 1 / 3),
+    assert_allclose(as_dense(laplacian_weights(g)), np.full((3, 3), 1 / 3),
                     atol=1e-15)
 
 
 def test_laplacian_weights_k2():
     g = GraphTopology.from_edges(2, [(0, 1)])
-    assert_allclose(laplacian_weights(g).entries, np.full((2, 2), 0.5),
+    assert_allclose(as_dense(laplacian_weights(g)), np.full((2, 2), 0.5),
                     atol=1e-15)
 
 
 def test_laplacian_weights_star_graph():
     g = GraphTopology.from_edges(5, [(0, i) for i in range(1, 5)])
     w = laplacian_weights(g)
-    assert_allclose(w.entries.sum(axis=0), 1.0, atol=1e-12)
-    assert_allclose(w.entries.sum(axis=1), 1.0, atol=1e-12)
+    assert_allclose(as_dense(w).sum(axis=0), 1.0, atol=1e-12)
+    assert_allclose(as_dense(w).sum(axis=1), 1.0, atol=1e-12)
     # every edge, hub-leaf included, carries 1 / (d_max + 1)
-    assert w.entries[0, 1] == 1 / 5
+    assert as_dense(w)[0, 1] == 1 / 5
 
 
 def test_spectral_gap_rank_one():
@@ -680,7 +691,7 @@ def test_sigma2_matches_svd_oracle():
         if g.n > 50:
             continue
         for w in (lazy_metropolis(g), laplacian_weights(g)):
-            singular = np.linalg.svd(w.entries, compute_uv=False)
+            singular = np.linalg.svd(as_dense(w), compute_uv=False)
             assert abs(w.sigma2 - singular[1]) < 1e-8
 
 
@@ -737,7 +748,7 @@ def ws_past_threshold():
 def test_sparse_sigma2_above_threshold(ws_past_threshold):
     w = lazy_metropolis(ws_past_threshold)
     assert w.sigma2_method == "eigsh"
-    dense = np.sort(np.abs(np.linalg.eigvalsh(w.entries)))[-2]
+    dense = np.sort(np.abs(np.linalg.eigvalsh(as_dense(w))))[-2]
     assert abs(w.sigma2 - dense) <= 1e-12
     again = graphs._second_singular_value(w.csr)
     assert again == (w.sigma2, "eigsh")
@@ -762,7 +773,7 @@ def test_sparse_sigma2_falls_back_to_dense(monkeypatch, ws_past_threshold):
     monkeypatch.setattr(linalg, "eigsh", no_convergence)
     w = lazy_metropolis(ws_past_threshold)
     assert w.sigma2_method == "eigvalsh"
-    dense = np.sort(np.abs(np.linalg.eigvalsh(w.entries)))[-2]
+    dense = np.sort(np.abs(np.linalg.eigvalsh(as_dense(w))))[-2]
     assert w.sigma2 == dense
 
 

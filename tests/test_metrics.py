@@ -421,13 +421,13 @@ def test_objective_values_evaluate_equal_rows_once(paper_logistic, monkeypatch):
                         lambda self, pts: evaluated.append(len(pts))
                         or evaluate(self, pts))
     zeros = np.zeros((100, 5))
-    values = me.objective_values(paper_logistic, zeros)
+    values = me.objective_values(paper_logistic, zeros[None])[0]
     assert evaluated == [1]
     assert values.tobytes() == evaluate(paper_logistic, zeros).tobytes()
     # signed zeros compare equal and give the same bits
     mixed = zeros.copy()
     mixed[::3, 1] = -0.0
-    assert (me.objective_values(paper_logistic, mixed).tobytes()
+    assert (me.objective_values(paper_logistic, mixed[None])[0].tobytes()
             == evaluate(paper_logistic, mixed).tobytes())
 
 
@@ -441,6 +441,11 @@ def test_record_csv_row_is_plain_floats():
 def one_shot_diameter(points):
     diffs = points[:, None, :] - points[None, :, :]
     return float(np.sqrt(np.max(np.sum(diffs ** 2, axis=2))))
+
+
+def diameter(points):
+    """``outputs_diameter`` of the one block ``points``."""
+    return me.outputs_diameter(points[None])[0]
 
 
 def scanned_rows(monkeypatch):
@@ -473,12 +478,12 @@ def test_outputs_diameter_matches_one_shot_formula(n):
     for d in (1, 5, 17):
         for offset in (0.0, 1e4, -1e8, 1e8):
             points = rng.normal(size=(n, d)) * 3.0 + offset
-            assert me.outputs_diameter(points) == one_shot_diameter(points)
+            assert diameter(points) == one_shot_diameter(points)
             # duplicated rows, and ties from a small integer grid
             dup = np.repeat(points[: n // 2 + 1], 2, axis=0)[:n]
             grid = rng.integers(-2, 3, size=(n, d)) + offset
             for p in (dup, grid):
-                assert me.outputs_diameter(p) == one_shot_diameter(p)
+                assert diameter(p) == one_shot_diameter(p)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 17])
@@ -490,7 +495,7 @@ def test_outputs_diameter_on_spheres(d):
         points = on_sphere(rng, int(rng.integers(1, 40)), d)
         points = (points * rng.uniform(0.1, 10.0)
                   + rng.normal(size=d) * 10.0 ** rng.integers(0, 9))
-        assert me.outputs_diameter(points) == one_shot_diameter(points)
+        assert diameter(points) == one_shot_diameter(points)
 
 
 def test_outputs_diameter_sphere_keeps_every_row(monkeypatch):
@@ -498,7 +503,7 @@ def test_outputs_diameter_sphere_keeps_every_row(monkeypatch):
     # the farthest one, so every row is scanned
     sizes = scanned_rows(monkeypatch)
     points = on_sphere(np.random.default_rng(5), 40, 5)
-    assert me.outputs_diameter(points) == one_shot_diameter(points)
+    assert diameter(points) == one_shot_diameter(points)
     assert sizes == [80]
 
 
@@ -507,14 +512,14 @@ def test_outputs_diameter_identical_rows_skip_the_scan(monkeypatch):
     sizes = scanned_rows(monkeypatch)
     for points in (np.zeros((2000, 5)), np.full((7, 3), 0.1),
                    np.full((1, 17), -2.5)):
-        assert me.outputs_diameter(points) == 0.0
+        assert diameter(points) == 0.0
     assert sizes == []
 
 
 def test_outputs_diameter_prunes_a_spread_cloud(monkeypatch):
     sizes = scanned_rows(monkeypatch)
     points = np.random.default_rng(3).normal(size=(2000, 5))
-    assert me.outputs_diameter(points) == one_shot_diameter(points)
+    assert diameter(points) == one_shot_diameter(points)
     assert sum(sizes) < 200
 
 
@@ -524,5 +529,14 @@ def test_outputs_diameter_non_finite_matches_full_scan():
         points = base.copy()
         points[5, 1] = bad
         with np.errstate(over="ignore", invalid="ignore"):
-            np.testing.assert_equal(me.outputs_diameter(points),
+            np.testing.assert_equal(diameter(points),
                                     one_shot_diameter(points))
+
+
+@pytest.mark.parametrize("n,m,per_chunk", [(1, 10, 936), (100, 10, 9),
+                                           (2000, 10, 1)])
+def test_snapshots_per_chunk_counts_the_snapshot_arrays(n, m, per_chunk):
+    # x, avg_numerator and grad_x are n x 5, lam and grad_lam n x m
+    states = AgentStates(x=np.zeros((n, 5)), lam=np.zeros((n, m)),
+                         avg_numerator=np.zeros((n, 5)), weight_sum=0.0)
+    assert me.snapshots_per_chunk(states) == per_chunk

@@ -34,6 +34,15 @@ def ball_points(rng, n, d, radius=1.0):
     return pts
 
 
+def block_bracket(p, pts):
+    """The bracket of the one block ``pts``, or None where it is (-inf, inf)."""
+    lower, upper = p.mean_objective_bracket(pts[None])
+    assert lower.shape == upper.shape == (1, len(pts))
+    if np.all(lower == -np.inf) and np.all(upper == np.inf):
+        return None
+    return lower[0], upper[0]
+
+
 # -- dataset -----------------------------------------------------------------
 
 def test_dataset_features_on_unit_sphere():
@@ -254,7 +263,10 @@ def test_fast_paths_match_oracles(paper_dataset, paper_logistic, paper_hinge):
         assert_allclose(p.agent_constraint_rows(x_rows, ks),
                         ref.agent_constraint_rows(x_rows, ks))
         # bare oracles come with no curvature bound, so with no bracket
-        assert ref.mean_objective_bracket(pts) is None
+        assert block_bracket(ref, pts) is None
+        for q in (p, ref):
+            with pytest.raises(ProblemError, match="stack"):
+                q.mean_objective_bracket(pts)
 
 
 def test_mean_objective_rows_keep_their_bits_alone_and_in_any_block(monkeypatch):
@@ -330,7 +342,7 @@ def test_mean_objective_bracket_holds_the_kernel_values():
         pts = center + spread * rng.normal(size=(int(rng.integers(2, 40)), d))
         for build in (build_logistic_problem, build_hinge_problem):
             p = build(data, 0.1, 0.1)
-            bracket = p.mean_objective_bracket(pts)
+            bracket = block_bracket(p, pts)
             if bracket is None:
                 assert build is build_hinge_problem
                 continue
@@ -342,12 +354,12 @@ def test_hinge_bracket_needs_a_center_inside_the_ball(paper_hinge):
     # the hinge's gradient at c is its affine gradient only while every
     # margin at c is below 1; the logistic bracket has no such condition
     inside = np.array([[0.6, 0.0, 0.0, 0.0, 0.0], [0.0, 0.6, 0.0, 0.0, 0.0]])
-    assert paper_hinge.mean_objective_bracket(inside) is not None
+    assert block_bracket(paper_hinge, inside) is not None
     on_sphere = np.array([[1.0, 1e-3, 0.0, 0.0, 0.0], [1.0, -1e-3, 0.0, 0.0, 0.0]])
-    assert paper_hinge.mean_objective_bracket(on_sphere) is None
+    assert block_bracket(paper_hinge, on_sphere) is None
     paper_logistic = build_logistic_problem(generate_dataset(100, 5, seed=1),
                                             0.1, 0.1)
-    assert paper_logistic.mean_objective_bracket(on_sphere) is not None
+    assert block_bracket(paper_logistic, on_sphere) is not None
 
 
 # -- hinge -------------------------------------------------------------------

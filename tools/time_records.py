@@ -6,7 +6,7 @@ For n in {10^2, 2 * 10^3, 10^4} agents (logistic, d = 5, l = u = 0.1, on a
 Watts-Strogatz(n, 20, 0.02) graph with lazy Metropolis weights, with a
 reference optimum), steps the deterministic variant by hand for 20 steps
 and keeps the snapshots of the last steps, as many as a run puts in one
-chunk (``metrics.RECORD_CHUNK_BYTES`` of snapshots, at least one). It then
+chunk (``metrics.snapshots_per_chunk``). It then
 times ``metrics.compute_record`` on them, 15 times each way: one call per
 snapshot, as a run computed records before they were chunked, and one
 call for the chunk, as a run computes them now. BLAS and OpenMP are
@@ -42,8 +42,7 @@ def record_costs(n: int) -> tuple[int, float, float]:
     cfg = engine.resolve_config(pdnet.RunConfig(eta=1.0, seed=1), problem)
     states = engine.initial_states(problem, cfg)
     fgaps, gnorms = metrics.initial_normalizers(problem, states, reference)
-    per_chunk = max(1, metrics.RECORD_CHUNK_BYTES
-                    // (3 * states.x.nbytes + 2 * states.lam.nbytes))
+    per_chunk = metrics.snapshots_per_chunk(states)
     snapshots = []
     for t in range(STEPS):
         snapshots.append(metrics.Snapshot(
