@@ -106,11 +106,11 @@ def cmd_generate_graph(args) -> int:
     config = _load_config(args)
     g = cfgmod.build_graph(config)
     w = cfgmod.build_weights(config, g)
+    gap = spectral_gap(w)
     out_dir = _resolve_out_dir(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(out_dir / "graph_edges.txt", g.to_edgelist_text())
     _write_atomic(out_dir / "weight_matrix.csv", w.to_csv_text())
-    gap = spectral_gap(w)
     report = {
         "family": config["graph.family"],
         "scheme": config["weights.scheme"],
@@ -165,8 +165,9 @@ def execute_run(config: dict, out_dir: Path):
     ``derived.timings`` holds the wall seconds of the reference solve,
     of building the graph and weights, of the run, and of the run's
     records, so it differs between reruns while the other artifacts do
-    not.
+    not. A config whose agent counts disagree fails before any work.
     """
+    cfgmod.agent_count(config)
     p = cfgmod.build_problem(config)
     start = time.perf_counter()
     ref = problems.reference_optimum(
@@ -248,24 +249,25 @@ def cmd_run(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-#: Sweep parameter -> the config keys its value sets. ``r`` is typed as
+#: Sweep parameter -> the config key its value sets. ``r`` is typed as
 #: run.eta is, then sets run.eta = T^-r.
-SWEEP_PARAMS = {"eta": ("run.eta",), "n": ("problem.n", "graph.n"),
-                "T": ("run.T",), "graph.family": ("graph.family",),
-                "variant": ("run.variant",), "r": ("run.eta",)}
+SWEEP_PARAMS = {"eta": "run.eta", "n": "problem.n", "T": "run.T",
+                "graph.family": "graph.family", "variant": "run.variant",
+                "r": "run.eta"}
 
 
 def _apply_sweep_value(config: dict, param: str, raw: str) -> dict:
+    """The leg's config, typed and with its agent count checked."""
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"sweep parameter must be one of "
                           f"{', '.join(SWEEP_PARAMS)}")
-    out = cfgmod.apply_overrides(config,
-                                 [f"{key}={raw}" for key in SWEEP_PARAMS[param]])
+    out = cfgmod.apply_overrides(config, [f"{SWEEP_PARAMS[param]}={raw}"])
     if param == "r":
         try:
             out["run.eta"] = math.pow(out["run.T"], -out["run.eta"])
         except (OverflowError, ValueError):
             raise ConfigError(f"r = {raw}: T^-r is undefined or overflows") from None
+    cfgmod.agent_count(out)
     return out
 
 

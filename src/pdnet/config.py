@@ -13,7 +13,7 @@ from pathlib import Path
 from . import engine, graphs, problems
 
 #: Canonical keys with their default (and type-defining) values. A None
-#: default means optional float.
+#: default means unset, and OPTIONAL gives the type of a set value.
 DEFAULTS: dict[str, object] = {
     "problem.family": "logistic",
     "problem.n": 100,
@@ -22,7 +22,7 @@ DEFAULTS: dict[str, object] = {
     "problem.u": 0.1,
     "problem.data_seed": 1,
     "graph.family": "watts_strogatz",
-    "graph.n": 100,
+    "graph.n": None,
     "graph.k": 20,
     "graph.theta": 0.02,
     "graph.p": 0.06,
@@ -43,6 +43,10 @@ DEFAULTS: dict[str, object] = {
     "output_dir": "run",
 }
 
+#: The keys that may be unset, with the type of a set value. graph.n is
+#: the node count, which is the agent count problem.n (see agent_count).
+OPTIONAL = {"graph.n": int, "run.step_scale": float}
+
 
 class ConfigError(ValueError):
     """Malformed configuration input."""
@@ -61,18 +65,18 @@ def _coerce(key: str, raw) -> object:
         if text in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    kind = OPTIONAL.get(key, type(default))
+    if key in OPTIONAL and (
+            raw is None or (isinstance(raw, str) and raw.lower() in ("", "none"))):
+        return None
     try:
-        if default is None:
-            if raw is None or (isinstance(raw, str) and raw.lower() in ("", "none")):
-                return None
-            return float(raw)
-        if isinstance(default, int):
+        if kind is int:
             return int(str(raw))
-        if isinstance(default, float):
+        if kind is float:
             return float(raw)
     except ValueError:
-        kind = "an integer" if isinstance(default, int) else "a number"
-        raise ConfigError(f"{key}: expected {kind}, got {raw!r}") from None
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
     return str(raw)
 
 
@@ -109,6 +113,23 @@ def apply_overrides(config: dict[str, object],
     return out
 
 
+def agent_count(config: dict) -> int:
+    """problem.n, the one agent count: each agent holds one data point and
+    sits on one graph node. Raises ConfigError, naming both values, when
+    graph.n is set to another value or, for lattice8, when graph.rows x
+    graph.cols differs from it."""
+    n = config["problem.n"]
+    if config["graph.n"] is not None and config["graph.n"] != n:
+        raise ConfigError(f"graph.n = {config['graph.n']!r} must equal "
+                          f"problem.n = {n!r} (one agent per node)")
+    if config["graph.family"] == "lattice8":
+        rows, cols = config["graph.rows"], config["graph.cols"]
+        if rows * cols != n:
+            raise ConfigError(f"graph.rows x graph.cols = {rows!r} x {cols!r} "
+                              f"must equal problem.n = {n!r} (one agent per node)")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -132,20 +153,19 @@ def build_problem(config: dict) -> problems.ProblemSpec:
 
 def build_graph(config: dict) -> graphs.GraphTopology:
     family = config["graph.family"]
+    n = agent_count(config)
     if family == "watts_strogatz":
         return graphs.generate_watts_strogatz(
-            config["graph.n"], config["graph.k"],
-            float(config["graph.theta"]), seed=config["graph.seed"])
-    if family == "erdos_renyi":
-        return graphs.generate_erdos_renyi(
-            config["graph.n"], float(config["graph.p"]),
+            n, config["graph.k"], float(config["graph.theta"]),
             seed=config["graph.seed"])
+    if family == "erdos_renyi":
+        return graphs.generate_erdos_renyi(n, float(config["graph.p"]),
+                                           seed=config["graph.seed"])
     if family == "lattice8":
         return graphs.generate_lattice8(config["graph.rows"],
                                         config["graph.cols"])
     if family == "barbell":
-        return graphs.generate_barbell(config["graph.n"],
-                                       config["graph.bridges"])
+        return graphs.generate_barbell(n, config["graph.bridges"])
     raise ConfigError(f"unknown graph family {family!r}")
 
 

@@ -294,27 +294,35 @@ def _second_singular_value(csr: sparse.csr_array) -> tuple[float, str]:
     """sigma_2 of ``csr`` and the name of the method that computed it.
 
     Symmetric matrices use a dense eigendecomposition up to
-    DENSE_SIGMA2_MAX_N and Lanczos on the CSR form above it (falling back
-    to the dense one if Lanczos does not converge); asymmetric ones use a
-    dense SVD. The dense methods expand the matrix once, for that call.
+    DENSE_SIGMA2_MAX_N and Lanczos on the CSR form above it; asymmetric
+    ones (only ever built from dense entries) use a dense SVD. The dense
+    methods expand the matrix once, for that call. If Lanczos does not
+    converge it is retried once with a wider basis and more restarts, and
+    then a WeightMatrixError names n: the matrix is never expanded to
+    dense above DENSE_SIGMA2_MAX_N.
     """
     n = csr.shape[0]
     if n == 1:
         return 0.0, "eigvalsh"
     if not _is_symmetric(csr):
         return float(np.linalg.svd(csr.toarray(), compute_uv=False)[1]), "svd"
-    if n > DENSE_SIGMA2_MAX_N:
-        # imported here: scipy.sparse.linalg adds about 8 MB to a process
-        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    if n <= DENSE_SIGMA2_MAX_N:
+        sigmas = np.sort(np.abs(np.linalg.eigvalsh(csr.toarray())))[::-1]
+        return float(sigmas[1]), "eigvalsh"
+    # imported here: scipy.sparse.linalg adds about 8 MB to a process
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    # eigsh's defaults first (ncv = 20, maxiter = 10 n), then a retry
+    for options in ({}, {"ncv": min(n, 80), "maxiter": 50 * n}):
         try:
             vals = eigsh(csr, k=2, which="LM", tol=0, v0=v0,
-                         return_eigenvectors=False)
+                         return_eigenvectors=False, **options)
             return float(np.sort(np.abs(vals))[0]), "eigsh"
         except ArpackNoConvergence:
             pass
-    sigmas = np.sort(np.abs(np.linalg.eigvalsh(csr.toarray())))[::-1]
-    return float(sigmas[1]), "eigvalsh"
+    raise WeightMatrixError(
+        f"sigma_2 of the {n}x{n} weight matrix: Lanczos did not converge, "
+        f"and n is above DENSE_SIGMA2_MAX_N = {DENSE_SIGMA2_MAX_N}")
 
 
 def spectral_gap(w: ConsensusMatrix) -> float:

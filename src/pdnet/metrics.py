@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .lagrangian import checked_eta
 from .problems import ProblemSpec, ReferenceSolution, checked_int
 
 #: Normalizers smaller than this are treated as degenerate.
@@ -218,14 +219,18 @@ def violation_functional(p: ProblemSpec, states) -> float:
 # ---------------------------------------------------------------------------
 
 def _log_term(p: ProblemSpec, sigma2: float, horizon: int) -> float:
-    """log(T sqrt(n T)) / (1 - sigma2), the mixing-time factor of the bounds."""
-    if sigma2 >= 1.0:
-        raise MetricError("sigma2 must be below 1 (connected mixing matrix)")
+    """log(T sqrt(n T)) / (1 - sigma2), the mixing-time factor of the
+    bounds, for sigma2 in [0, 1) and an integer horizon T >= 2."""
+    if not 0.0 <= sigma2 < 1.0:  # NaN included
+        raise MetricError(f"sigma2 = {sigma2!r} is not in [0, 1) "
+                          "(a connected mixing matrix)")
+    horizon = checked_int(horizon, "horizon", 2, error=MetricError)
     return math.log(horizon * math.sqrt(p.n_agents * horizon)) / (1.0 - sigma2)
 
 
 def _amplification(p: ProblemSpec, eta: float) -> float:
     """1 + n m^{3/2} L R / eta, the multiplier-driven growth factor."""
+    eta = checked_eta(eta, MetricError)
     return 1.0 + p.n_agents * p.n_constraints ** 1.5 * p.lipschitz * p.radius / eta
 
 
@@ -237,8 +242,6 @@ def _rate(scale: float, horizon: int) -> float:
 def thm2_constant(p: ProblemSpec, sigma2: float, eta: float,
                   horizon: int) -> float:
     """The convergence-rate constant C of the deterministic rate bound."""
-    if horizon < 2:
-        raise MetricError("the rate constant is defined for horizons >= 2")
     log_term = _log_term(p, sigma2, horizon)
     lip, radius = p.lipschitz, p.radius
     return (1.0 + 2.5 * p.n_constraints * lip ** 2 * radius ** 2
@@ -259,10 +262,26 @@ def stochastic_rate_bound(p: ProblemSpec, sigma2: float, eta: float,
     return _rate(p.radius * c + extra, horizon)
 
 
+def _constraint_norm_sq_bound(p: ProblemSpec) -> float:
+    """G^2 >= ||g(x)||^2 on the radius-R ball: the assumed m L^2 R^2, or
+    the box's maximum where it is larger. A box's g(x) = (lower - x,
+    x - upper) has ||g||^2 = 2||x||^2 - 2 <x, lower + upper> + ||lower||^2
+    + ||upper||^2, which peaks at x = -R (lower + upper) / ||lower + upper||."""
+    assumed = p.n_constraints * p.lipschitz ** 2 * p.radius ** 2
+    if p.box is None:
+        return assumed
+    (lower, upper), radius = p.box, p.radius
+    shift = float(np.linalg.norm(lower + upper))
+    return max(assumed, 2.0 * radius * (radius + shift)
+               + float(lower @ lower + upper @ upper))
+
+
 def lambda_norm_bound(p: ProblemSpec, eta: float) -> float:
-    """Envelope for sum_i ||lam_i(t)||^2 under eta * alpha(t) <= 1."""
-    return (p.n_agents * p.n_constraints * p.lipschitz ** 2 * p.radius ** 2
-            / eta ** 2)
+    """Envelope for sum_i ||lam_i(t)||^2 under eta * alpha(t) <= 1: each
+    ||lam_i|| stays below G / eta, as a step mixes (1 - alpha eta) lam +
+    alpha g and projects onto the orthant."""
+    return (p.n_agents * _constraint_norm_sq_bound(p)
+            / checked_eta(eta, MetricError) ** 2)
 
 
 def grad_x_norm_bound(p: ProblemSpec, eta: float) -> float:
@@ -271,8 +290,9 @@ def grad_x_norm_bound(p: ProblemSpec, eta: float) -> float:
 
 
 def grad_lambda_excess_bound(p: ProblemSpec) -> float:
-    """Envelope for ||grad_lam||^2 - 2 eta^2 ||lam||^2, namely 2 m L^2 R^2."""
-    return 2.0 * p.n_constraints * p.lipschitz ** 2 * p.radius ** 2
+    """Envelope for ||grad_lam||^2 - 2 eta^2 ||lam||^2, namely 2 G^2, as
+    ||g - eta lam||^2 <= 2 ||g||^2 + 2 eta^2 ||lam||^2."""
+    return 2.0 * _constraint_norm_sq_bound(p)
 
 
 def consensus_bound(p: ProblemSpec, sigma2: float, eta: float, horizon: int,
@@ -310,12 +330,14 @@ def strict_violation_bound(p: ProblemSpec, sigma2: float, eta: float,
 def check_product_sum_inequality(alphas, eta: float) -> bool:
     """Check sum_l a(l) eta prod_{k>l} (1 - a(k) eta) <= 1 for every prefix.
 
-    Requires a(t) * eta <= 1 throughout; evaluated by the stable forward
-    recursion S(t) = (1 - a(t) eta) S(t-1) + a(t) eta.
+    Requires eta in ETA_RANGE and 0 <= a(t) * eta <= 1 throughout;
+    evaluated by the stable forward recursion S(t) = (1 - a(t) eta) S(t-1)
+    + a(t) eta.
     """
+    eta = checked_eta(eta, MetricError)
     thetas = [float(a) * eta for a in alphas]
-    if any(th > 1.0 + 1e-15 or th < 0.0 for th in thetas):
-        raise MetricError("precondition alpha(t) * eta <= 1 violated")
+    if not all(0.0 <= th <= 1.0 + 1e-15 for th in thetas):  # NaN included
+        raise MetricError("precondition 0 <= alpha(t) * eta <= 1 violated")
     s = 0.0
     for th in thetas:
         s = (1.0 - th) * s + th
@@ -354,13 +376,16 @@ def rate_fit(trace, column: str, window: tuple[float, float]) -> RateFit:
     if column not in names:
         raise MetricError(f"unknown record field {column!r}; one of "
                           f"{', '.join(names)}")
-    records = getattr(trace, "records", trace)
-    lo, hi = window
-    ts, ys = [], []
-    for r in records:
-        if lo <= r.t <= hi and r.t > 0:
-            ts.append(float(r.t))
-            ys.append(float(getattr(r, column)))
+    try:
+        lo, hi = (float(v) for v in window)
+        ts, ys = [], []
+        for r in getattr(trace, "records", trace):
+            if lo <= r.t <= hi and r.t > 0:
+                ts.append(float(r.t))
+                ys.append(float(getattr(r, column)))
+    except (TypeError, ValueError, AttributeError):
+        raise MetricError("rate fit needs IterationRecords and a (lo, hi) "
+                          "window of numbers") from None
     if len(ts) < 10:
         raise MetricError(f"need >= 10 records in window, got {len(ts)}")
     y = np.array(ys)

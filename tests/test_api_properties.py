@@ -155,6 +155,84 @@ def test_check_tau_inequality(tau, t):
     _returns_or_raises_pdnet_error(me.check_tau_inequality, tau, t)
 
 
+# -- the theory constants, the product-sum check and the rate fit -------------
+
+#: hostile sigma2 values next to valid ones in [0, 1)
+SIGMAS = FLOATS + [0.9, 1.0 - 1e-16, True, np.float64(0.3)]
+
+
+@EXAMPLES
+@given(st.sampled_from(SIGMAS), floats() | st.sampled_from([2, np.int64(3)]),
+       counts())
+def test_theory_constants(sigma2, eta, horizon):
+    for bound in (me.thm2_constant, me.rate_bound):
+        try:
+            value = bound(PROBLEM, sigma2, eta, horizon)
+        except PDNET_ERRORS:
+            continue
+        assert 0.0 < value < math.inf
+
+
+@EXAMPLES
+@given(st.lists(floats(), max_size=4) | st.lists(floats(), max_size=4).map(
+    np.array), floats() | st.sampled_from([2, np.int64(3)]))
+def test_check_product_sum_inequality(alphas, eta):
+    try:
+        result = me.check_product_sum_inequality(alphas, eta)
+    except PDNET_ERRORS:
+        return
+    # an answer only where eta and every a(t) eta are in range
+    assert result in (True, False)
+    assert lg.ETA_RANGE[0] <= eta <= lg.ETA_RANGE[1]
+    assert all(0.0 <= a * eta <= 1.0 + 1e-15 for a in alphas)
+
+
+def _records(values, start: int = 1):
+    """One IterationRecord per value, at t = start, start + 1, ..."""
+    return [me.IterationRecord(t, *[v] * 10) for t, v in
+            enumerate(values, start)]
+
+
+WINDOWS = [(1, 100), (0, 5), (5, 1), (math.nan, 50), (-math.inf, math.inf),
+           ("a", 5), (1,), (1, 2, 3), None, "ab", 7]
+
+
+@EXAMPLES
+@given(st.sampled_from([None, 3, "records", [1, 2]])
+       | st.lists(floats(), max_size=14).map(_records)
+       | st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=10,
+                  max_size=14).map(_records),
+       st.sampled_from(["eps", "violation_sq", "eps_G", "t"]),
+       st.sampled_from(WINDOWS))
+def test_rate_fit(records, column, window):
+    with np.errstate(all="ignore"):  # a fit of hostile values may warn
+        _returns_or_raises_pdnet_error(me.rate_fit, records, column, window)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: me.check_product_sum_inequality([0.5, 0.5], math.nan),
+    lambda: me.check_product_sum_inequality([math.nan], 1.0),
+    lambda: me.check_product_sum_inequality([0.0], math.inf),
+    lambda: me.thm2_constant(PROBLEM, 0.5, 0.0, 10),
+    lambda: me.thm2_constant(PROBLEM, math.nan, 1.0, 10),
+    lambda: me.thm2_constant(PROBLEM, 0.5, math.nan, 10),
+    lambda: me.rate_bound(PROBLEM, math.nan, 1.0, 10),
+    lambda: me.rate_bound(PROBLEM, 0.5, math.nan, 10),
+    lambda: me.thm2_constant(PROBLEM, -1.0, 1.0, 10),
+    lambda: me.thm2_constant(PROBLEM, 0.5, 1.0, 2.5),
+    lambda: me.rate_bound(PROBLEM, 0.5, 1.0, 2.5),
+    lambda: me.rate_fit(_records([0.5] * 12), "eps", ("a", 5)),
+    lambda: me.rate_fit(None, "eps", (1, 12)),
+    lambda: me.lambda_norm_bound(PROBLEM, 0.0),
+], ids=["ps-eta-nan", "ps-alpha-nan", "ps-eta-inf", "thm2-eta-0",
+        "thm2-sigma2-nan", "thm2-eta-nan", "rate-sigma2-nan", "rate-eta-nan",
+        "thm2-sigma2-negative", "thm2-horizon-2.5", "rate-horizon-2.5",
+        "fit-window-text", "fit-none", "lambda-eta-0"])
+def test_theory_helpers_reject_what_they_cannot_evaluate(call):
+    with pytest.raises(me.MetricError):
+        call()
+
+
 # -- the single-agent functions ------------------------------------------------
 
 def vectors(length: int):

@@ -62,7 +62,7 @@ def expected_weights(workloads, name):
     if name == "cli_sweep":
         from pdnet import config as cfgmod
         config = cfgmod.apply_overrides(cfgmod.parse_config(), [
-            "graph.family=barbell", f"graph.n={p['n']}",
+            "graph.family=barbell", f"problem.n={p['n']}",
             f"graph.seed={graph_seed}"])
         return cfgmod.build_weights(config, cfgmod.build_graph(config))
     return pdnet.lazy_metropolis(pdnet.generate_watts_strogatz(

@@ -79,6 +79,11 @@ def test_builders_pass_counts_uncast(key, value):
     if key.startswith("problem."):
         with pytest.raises(pdnet.problems.ProblemError, match=message):
             cfgmod.build_dataset(config)
+    elif key == "graph.n":
+        # graph.n is never cast or used: it can only equal problem.n
+        with pytest.raises(ConfigError, match=re.escape(
+                f"graph.n = {value!r} must equal problem.n = 100")):
+            cfgmod.build_graph(config)
     elif key.startswith("graph."):
         with pytest.raises(graphs.GraphError, match=message):
             cfgmod.build_graph(config)
@@ -103,7 +108,7 @@ def test_config_roundtrip_identity():
 
 
 def test_generate_graph_artifacts(out_root):
-    code = cli.main(["generate-graph", "--out", "latt",
+    code = cli.main(["generate-graph", "--out", "latt", "--set", "problem.n=12",
                      "--set", "graph.family=lattice8",
                      "--set", "graph.rows=3", "--set", "graph.cols=4"])
     assert code == 0
@@ -113,7 +118,7 @@ def test_generate_graph_artifacts(out_root):
     assert 0 < report["spectral_gap"] < 1
     assert report["bound_margin"] > 0
     first_bytes = (out / "graph_edges.txt").read_bytes()
-    assert cli.main(["generate-graph", "--out", "latt2",
+    assert cli.main(["generate-graph", "--out", "latt2", "--set", "problem.n=12",
                      "--set", "graph.family=lattice8",
                      "--set", "graph.rows=3", "--set", "graph.cols=4"]) == 0
     assert (out_root / "latt2" / "graph_edges.txt").read_bytes() == first_bytes
@@ -121,9 +126,9 @@ def test_generate_graph_artifacts(out_root):
 
 @pytest.mark.parametrize("sets", [
     [],
-    ["graph.family=lattice8", "graph.rows=3", "graph.cols=4",
+    ["problem.n=12", "graph.family=lattice8", "graph.rows=3", "graph.cols=4",
      "weights.scheme=laplacian"],
-    ["graph.family=barbell", "graph.n=40", "graph.bridges=3"],
+    ["graph.family=barbell", "problem.n=40", "graph.bridges=3"],
 ])
 def test_weight_matrix_csv_lists_the_stored_entries(out_root, sets):
     argv = ["generate-graph", "--out", "wm"]
@@ -146,7 +151,7 @@ def test_weight_matrix_csv_holds_o_nnz_bytes(out_root):
     # WS(5000, 20, 0.02): a header plus one line per stored entry, n of
     # them on the diagonal and two per edge
     assert cli.main(["generate-graph", "--out", "ws5000",
-                     "--set", "graph.n=5000", "--set", "graph.k=20",
+                     "--set", "problem.n=5000", "--set", "graph.k=20",
                      "--set", "graph.theta=0.02"]) == 0
     out = out_root / "ws5000"
     edges = json.loads((out / "spectral_report.json").read_text())["edge_count"]
@@ -239,7 +244,92 @@ def test_run_mismatched_sizes_exits_2(out_root, capsys):
     assert code == cli.EXIT_CONFIG
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    assert "12x12" in lines[0] and "10 agents" in lines[0]
+    assert lines[0] == ("error: graph.n = 12 must equal problem.n = 10 "
+                        "(one agent per node)")
+
+
+#: a graph.n, and a lattice8 grid, that disagree with problem.n = 12, and
+#: the error line each gives
+MISMATCHES = [
+    (["graph.n=13"], "graph.n = 13 must equal problem.n = 12"),
+    (["graph.family=lattice8", "graph.rows=3", "graph.cols=5"],
+     "graph.rows x graph.cols = 3 x 5 must equal problem.n = 12")]
+
+#: SMALL_RUN without its graph.n
+SMALL_RUN_BARE = SMALL_RUN[:2] + SMALL_RUN[4:]
+
+
+@pytest.fixture()
+def no_work(monkeypatch):
+    """Every dataset, reference, graph and sigma2 call, recorded."""
+    calls = []
+    for owner, name in [(pdnet.problems, "generate_dataset"),
+                        (pdnet.problems, "reference_optimum"),
+                        (graphs, "generate_watts_strogatz"),
+                        (graphs, "generate_erdos_renyi"),
+                        (graphs, "generate_lattice8"),
+                        (graphs, "generate_barbell"),
+                        (graphs, "_second_singular_value")]:
+        def spy(*args, _name=name, _call=getattr(owner, name), **kwargs):
+            calls.append(_name)
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("sets,message", MISMATCHES, ids=["graph.n", "lattice8"])
+@pytest.mark.parametrize("command", [
+    ["run"], ["run", "--set", "run.variant=centralized_unregularized"],
+    ["generate-graph"], ["sweep", "--param", "eta", "--values", "0.5,1.0"],
+    ["sweep", "--param", "T", "--values", "10,20"]])
+def test_agent_count_mismatch_exits_2_before_any_work(out_root, capsys,
+                                                      no_work, command, sets,
+                                                      message):
+    argv = [*command, "--out", "mm", *SMALL_RUN]
+    for item in sets:
+        argv += ["--set", item]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: {message} (one agent per node)"]
+    assert no_work == []
+    assert not (out_root / "mm").exists()
+
+
+@pytest.mark.parametrize("param,values", [
+    ("n", "12,13"), ("graph.family", "watts_strogatz,lattice8")])
+def test_sweep_checks_every_leg_before_any_leg_runs(out_root, capsys, no_work,
+                                                   param, values):
+    # the first leg is sound; the second's agent counts disagree
+    assert cli.main(["sweep", "--out", "sw", *SMALL_RUN, "--param", param,
+                     "--values", values]) == cli.EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "must equal problem.n" in lines[0], lines
+    assert no_work == []
+    assert not (out_root / "sw").exists()
+
+
+def test_graph_n_unset_or_equal_gives_the_same_artifacts(out_root):
+    assert cli.main(["run", "--out", "unset", *SMALL_RUN_BARE]) == 0
+    assert cli.main(["run", "--out", "equal", *SMALL_RUN]) == 0
+    for name in ("trace.csv", "xhat.csv", "reference.json"):
+        assert ((out_root / "unset" / name).read_bytes()
+                == (out_root / "equal" / name).read_bytes())
+    for run, graph_n in (("unset", None), ("equal", 12)):
+        config = json.loads((out_root / run / "manifest.json").read_text()
+                            )["config"]
+        assert config["graph.n"] == graph_n
+        assert cfgmod.parse_config(config) == config
+
+
+def test_sweep_n_sets_problem_n_only(out_root):
+    assert cli.main(["sweep", "--out", "swn", *SMALL_RUN_BARE, "--param", "n",
+                     "--values", "10,14"]) == 0
+    for n in (10, 14):
+        manifest = json.loads(
+            (out_root / "swn" / f"leg_n_{n}" / "manifest.json").read_text())
+        assert manifest["config"]["problem.n"] == n
+        assert manifest["config"]["graph.n"] is None
+        assert manifest["derived"]["graph"]["nodes"] == n
 
 
 @pytest.mark.parametrize("override",
@@ -426,6 +516,22 @@ def test_allocation_failure_exits_2(monkeypatch, out_root, capsys):
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: Unable to allocate 40000000000000 bytes"]
+
+
+def test_sigma2_failure_above_the_dense_cap_exits_2(monkeypatch, out_root,
+                                                    capsys):
+    from scipy.sparse import linalg
+
+    def no_convergence(*args, **kwargs):
+        raise linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(linalg, "eigsh", no_convergence)
+    assert cli.main(["generate-graph", "--out", "big",
+                     "--set", "problem.n=600"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: sigma_2 of the "
+                                               "600x600 weight matrix"), err
+    assert not (out_root / "big").exists()
 
 
 def test_sweep_continues_past_failing_leg(out_root):

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from pdnet import cli, config as cfgmod
 
 #: a run small enough for hundreds of examples in a few seconds
-TINY = {"problem.n": "6", "graph.n": "6", "graph.k": "2", "graph.rows": "2",
+TINY = {"problem.n": "6", "graph.k": "2", "graph.rows": "2",
         "graph.cols": "3", "graph.p": "0.5", "run.T": "20",
         "run.record_every": "5", "reference.iterations": "50"}
 

@@ -764,17 +764,44 @@ def test_sigma2_is_solved_once_on_first_read(sigma2_solves, ws_graph):
         w.sigma2 = 0.5
 
 
-def test_sparse_sigma2_falls_back_to_dense(monkeypatch, ws_past_threshold):
+def test_sparse_sigma2_retries_lanczos_once(monkeypatch, ws_past_threshold):
     from scipy.sparse import linalg
+    eigsh, calls = linalg.eigsh, []
+
+    def first_fails(*args, **kwargs):
+        calls.append(kwargs)
+        if len(calls) == 1:
+            raise linalg.ArpackNoConvergence("no convergence", [], [])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigsh", first_fails)
+    w = lazy_metropolis(ws_past_threshold)
+    assert w.sigma2_method == "eigsh"
+    assert calls[1]["ncv"] > 20 and calls[1]["maxiter"] > 10 * w.n
+    dense = np.sort(np.abs(np.linalg.eigvalsh(as_dense(w))))[-2]
+    assert abs(w.sigma2 - dense) <= 1e-12
+
+
+def test_sparse_sigma2_never_expands_a_large_matrix(monkeypatch):
+    # at n = 600 > DENSE_SIGMA2_MAX_N a Lanczos that fails twice is an
+    # error naming n, not an eigvalsh of the dense n x n array
+    from scipy import sparse
+    from scipy.sparse import linalg
+    calls = []
 
     def no_convergence(*args, **kwargs):
+        calls.append(kwargs)
         raise linalg.ArpackNoConvergence("no convergence", [], [])
 
+    def no_dense(self, *args, **kwargs):
+        raise AssertionError("W was expanded to a dense n x n array")
+
+    w = lazy_metropolis(generate_watts_strogatz(600, 20, 0.02, seed=3))
     monkeypatch.setattr(linalg, "eigsh", no_convergence)
-    w = lazy_metropolis(ws_past_threshold)
-    assert w.sigma2_method == "eigvalsh"
-    dense = np.sort(np.abs(np.linalg.eigvalsh(as_dense(w))))[-2]
-    assert w.sigma2 == dense
+    monkeypatch.setattr(sparse.csr_array, "toarray", no_dense)
+    with pytest.raises(WeightMatrixError, match="600x600"):
+        w.sigma2
+    assert len(calls) == 2
 
 
 def test_canonical_run_does_not_import_sparse_linalg():

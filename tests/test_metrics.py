@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from pdnet import metrics as me
 from pdnet.engine import AgentStates, RunConfig, run
+from pdnet.graphs import generate_erdos_renyi, lazy_metropolis
 from pdnet.problems import (ProblemSpec, ReferenceSolution, box_constraints,
                             build_hinge_problem, build_logistic_problem,
                             generate_dataset)
@@ -178,6 +179,62 @@ def test_bound_envelopes_positive(paper_logistic, ws_matrix):
     b_small = me.strict_violation_bound(paper_logistic, ws_matrix.sigma2, 1.0,
                                         1_000_000, 1.0)
     assert 0 < b_small < b
+
+
+@pytest.mark.parametrize("l,u,d", [(0.1, 0.1, 5), (1.5, 0.5, 3), (0.2, 3.0, 1)])
+def test_box_envelope_is_the_constraint_norm_maximum(l, u, d):
+    # ||g(x)||^2 peaks on the sphere at x = -R (lower + upper) / ||lower +
+    # upper|| (anywhere when the box is symmetric); 2 G^2 takes the larger
+    # of that and the assumed m L^2 R^2
+    p = build_logistic_problem(generate_dataset(4, d, seed=1), l, u)
+    lower, upper = p.box
+    shift = lower + upper
+    peak = (-shift / np.linalg.norm(shift) if shift.any()
+            else np.eye(d)[0]) * p.radius
+    g_sq = float(np.sum(p.constraint_values(peak) ** 2))
+    sphere = np.random.default_rng(0).normal(size=(200, d))
+    sphere *= p.radius / np.linalg.norm(sphere, axis=1, keepdims=True)
+    assert np.max(np.sum(p.constraint_values_many(sphere) ** 2, axis=1)) \
+        <= g_sq * (1 + 1e-12)
+    assumed = p.n_constraints * p.lipschitz ** 2 * p.radius ** 2
+    assert me.grad_lambda_excess_bound(p) == pytest.approx(
+        2.0 * max(g_sq, assumed), rel=1e-12)
+    assert me.lambda_norm_bound(p, 0.5) == pytest.approx(
+        p.n_agents * max(g_sq, assumed) / 0.25, rel=1e-12)
+
+
+def _random_box_instances(count, seed=0):
+    """(problem, weights, eta) like the monitor probe: n in [4, 19], d in
+    [1, 5], l = u log-uniform in [0.5, 2], ER(n, 0.6) with lazy Metropolis
+    weights, eta log-uniform in [0.03, 10], both losses."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, d = int(rng.integers(4, 20)), int(rng.integers(1, 6))
+        box = float(np.exp(rng.uniform(math.log(0.5), math.log(2.0))))
+        eta = float(np.exp(rng.uniform(math.log(0.03), math.log(10.0))))
+        build = (build_logistic_problem, build_hinge_problem)[int(rng.integers(2))]
+        data_seed, graph_seed = (int(v) for v in rng.integers(0, 100, 2))
+        yield (build(generate_dataset(n, d, seed=data_seed), box, box),
+               lazy_metropolis(generate_erdos_renyi(n, 0.6, seed=graph_seed)),
+               eta)
+
+
+def test_dual_subgradient_monitor_holds_on_random_boxes():
+    # the monitored excess reaches past 2 m L^2 R^2 on boxes with l = u
+    # above about 1.27, but never past 2 G^2; the hinge instance n = 5,
+    # d = 1, l = u = 1.675 reaches G^2 = 2 + 2 * 1.675^2 itself
+    instances = [(build_hinge_problem(generate_dataset(5, 1, seed=34), 1.675,
+                                      1.675),
+                  lazy_metropolis(generate_erdos_renyi(5, 0.6, seed=0)), 1.0),
+                 *_random_box_instances(40)]
+    past_assumed = 0
+    for p, w, eta in instances:
+        trace = run(p, w, RunConfig(iterations=200, eta=eta, record_every=1,
+                                    monitor_bounds=True))
+        assert trace.warnings == [], trace.warnings
+        excess = max(r.max_grad_lambda_excess for r in trace.records)
+        past_assumed += excess > 2.0 * p.n_constraints
+    assert past_assumed >= 10
 
 
 # -- appendix inequalities -------------------------------------------------------
