@@ -10,15 +10,18 @@ are counter-based, so traces replay bit-identically for a given config.
 from __future__ import annotations
 
 import dataclasses
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics
-from .graphs import ConsensusMatrix, sparse
+from .graphs import ConsensusMatrix
 from .lagrangian import (checked_eta, iteration_uniforms, primal_directions,
                          rekeyed, sample_constraint_indices, uniform_stream)
 from .metrics import IterationRecord
@@ -184,14 +187,37 @@ class AgentStates:
                            self.avg_numerator.copy(), self.weight_sum)
 
 
-def _mix(csr, rows: np.ndarray) -> np.ndarray:
-    # the kernel that ``csr @ rows`` ends in, without the operator's
-    # dispatch: it sums each row's nonzeros in a fixed order without BLAS,
-    # so results do not depend on the thread count
+def _sparsetools():
+    """scipy's ``_sparsetools`` extension, which holds ``csr_matvecs``, the
+    kernel that ``csr @ z`` ends in: loaded from its file under the name its
+    init function requires, so ``import pdnet`` skips the ``scipy.sparse``
+    package (about 21 MB of RSS). Never filed as ``scipy.sparse._sparsetools``,
+    which would break that package; without the file, the package's own
+    copy gives the same kernel."""
+    scipy = importlib.util.find_spec("scipy")
+    for folder in (scipy and scipy.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location("_sparsetools", path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                return module
+    from scipy.sparse import _sparsetools
+    return _sparsetools
+
+
+_csr_matvecs = _sparsetools().csr_matvecs
+
+
+def _mix(w, rows: np.ndarray) -> np.ndarray:
+    # W @ rows for a ConsensusMatrix or csr_array ``w``, without the
+    # operator's dispatch: the kernel sums each row's nonzeros in a fixed
+    # order without BLAS, so results do not depend on the thread count
     n, k = rows.shape
     out = np.zeros((n, k))
-    sparse._sparsetools.csr_matvecs(n, n, k, csr.indptr, csr.indices,
-                                    csr.data, rows.ravel(), out.ravel())
+    _csr_matvecs(n, n, k, w.indptr, w.indices, w.data, rows.ravel(),
+                 out.ravel())
     return out
 
 
@@ -272,7 +298,7 @@ def _advance(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix, t: int,
     if not math.isfinite(np.add.reduce(z, axis=None)):
         _check_finite(y, gamma, t)
     # the baseline's 1x1 identity computes 0.0 + 1.0 z, which is z + 0.0
-    mixed = z + 0.0 if w is _IDENTITY_1X1 else _mix(w.csr, z)
+    mixed = z + 0.0 if w is _IDENTITY_1X1 else _mix(w, z)
     d = y.shape[1]
     new_x = project_ball(mixed[:, :d], p.radius)
     new_lam = project_orthant(mixed[:, d:])

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .draws import RewireStream
 from .problems import check_size, checked_int
@@ -147,24 +146,28 @@ def _is_connected(n: int, edges: np.ndarray) -> bool:
 class ConsensusMatrix:
     """Doubly stochastic mixing matrix in CSR form, with its sigma_2.
 
-    ``csr`` holds the nonzero entries, column indices sorted within each
-    row, in read-only arrays; it is the only copy of the matrix, and ``n``
-    is read off its shape. ``sigma2`` is the second-largest singular
-    value; 1 - sigma2 is the spectral gap. ``sigma2_method`` names how it
-    was computed (``eigvalsh``, ``eigsh`` or ``svd``). Both are computed
-    together the first time either is read, and kept: only the theory
-    bounds need them, so a run that checks none never pays for the
-    eigensolve. The constructors validate the entries: finite,
-    nonnegative, row and column sums within STOCHASTIC_TOL of 1, and
-    (when a topology is supplied) zero off the graph edges. The weight
-    file (``to_csv_text``) lists the stored entries: O(nnz) bytes.
+    ``indptr``, ``indices`` and ``data`` are the read-only CSR arrays of
+    the nonzero entries, column indices sorted within each row; they are
+    the only copy of the matrix, and ``n`` and ``nnz`` are read off them.
+    ``csr``, the ``scipy.sparse.csr_array`` over the same arrays, is built
+    on its first read. ``sigma2`` is the second-largest singular value; 1 -
+    sigma2 is the spectral gap. ``sigma2_method`` names how it was computed
+    (``eigvalsh``, ``eigsh`` or ``svd``). Both are computed together the
+    first time either is read, and kept: only the theory bounds need them,
+    so a run that checks none never pays for the eigensolve. The
+    constructors validate the entries: finite, nonnegative, row and column
+    sums within STOCHASTIC_TOL of 1, and (when a topology is supplied)
+    zero off the graph edges. The weight file (``to_csv_text``) lists the
+    stored entries: O(nnz) bytes.
     """
 
-    csr: sparse.csr_array = field(repr=False)
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    data: np.ndarray = field(repr=False)
 
     @cached_property
     def _spectrum(self) -> tuple[float, str]:
-        return _second_singular_value(self.csr)
+        return _second_singular_value(self)
 
     @property
     def sigma2(self) -> float:
@@ -176,12 +179,21 @@ class ConsensusMatrix:
 
     @property
     def n(self) -> int:
-        return self.csr.shape[0]
+        return self.indptr.size - 1
 
     @property
-    def entries(self) -> sparse.csr_array:
-        """``csr`` under the name the benchmark's tracer reads."""
-        return self.csr
+    def nnz(self) -> int:
+        return self.data.size
+
+    @cached_property
+    def csr(self):
+        from scipy.sparse import csr_array  # about 21 MB, so imported here
+        return csr_array((self.data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    @property
+    def entries(self) -> "ConsensusMatrix":
+        """The matrix under the name whose ``nnz`` the benchmark's tracer reads."""
+        return self
 
     @classmethod
     def from_entries(cls, entries: np.ndarray,
@@ -190,7 +202,7 @@ class ConsensusMatrix:
         if w.ndim != 2 or w.shape[0] != w.shape[1] or not w.size:
             raise WeightMatrixError(f"expected a nonempty square matrix, got {w.shape}")
         rows, cols = np.nonzero(w)
-        return _validated(_assemble_csr(len(w), rows, cols, w[rows, cols])[0],
+        return _validated(*_assemble_csr(len(w), rows, cols, w[rows, cols])[:3],
                           graph)
 
     def to_csv_text(self) -> str:
@@ -198,16 +210,16 @@ class ConsensusMatrix:
         ``i,j,w`` line per entry in CSR order, with ``repr`` precision."""
         lines = ["i,j,w"]
         lines += [f"{i},{j},{v!r}" for i, j, v in zip(
-            _row_ids(self.csr).tolist(), self.csr.indices.tolist(),
-            self.csr.data.tolist())]
+            _row_ids(self).tolist(), self.indices.tolist(), self.data.tolist())]
         return "\n".join(lines) + "\n"
 
 
 def _assemble_csr(n: int, rows: np.ndarray, cols: np.ndarray,
-                  values: np.ndarray) -> tuple[sparse.csr_array, np.ndarray]:
-    """The n x n CSR holding ``values`` at the distinct positions (rows,
-    cols), zeros included, with sorted column indices in each row, and
-    ``slots``: entry k is ``csr.data[slots[k]]``.
+                  values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The CSR arrays (indptr, indices, data) of the n x n matrix holding
+    ``values`` at the distinct positions (rows, cols), zeros included, with
+    sorted column indices in each row, and ``slots``: entry k is
+    ``data[slots[k]]``.
 
     Indices are int32 whenever they fit: eigsh runs about 35% slower on
     int64 indices at n = 2000. The stable sort is the faster one here
@@ -219,61 +231,59 @@ def _assemble_csr(n: int, rows: np.ndarray, cols: np.ndarray,
     index = np.int32 if n * n < 2 ** 31 else np.int64
     indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    csr = sparse.csr_array((values[order], cols[order].astype(index), indptr),
-                           shape=(n, n))
-    return csr, slots
+    return indptr, cols[order].astype(index), values[order], slots
 
 
-def _row_ids(csr: sparse.csr_array) -> np.ndarray:
+def _row_ids(w: ConsensusMatrix) -> np.ndarray:
     """The row index of each stored entry."""
-    return np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    return np.repeat(np.arange(w.n), np.diff(w.indptr))
 
 
-def _line_sums(csr: sparse.csr_array) -> tuple[np.ndarray, np.ndarray]:
+def _line_sums(w: ConsensusMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Row and column sums of the stored entries."""
-    n = csr.shape[0]
-    return (np.bincount(_row_ids(csr), weights=csr.data, minlength=n),
-            np.bincount(csr.indices, weights=csr.data, minlength=n))
+    return (np.bincount(_row_ids(w), weights=w.data, minlength=w.n),
+            np.bincount(w.indices, weights=w.data, minlength=w.n))
 
 
-def _validated(csr: sparse.csr_array,
+def _validated(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
                graph: GraphTopology | None) -> ConsensusMatrix:
-    """A ConsensusMatrix over ``csr`` once its entries pass the doubly
-    stochastic contract; WeightMatrixError names the first failure.
+    """A ConsensusMatrix over the CSR arrays once its entries pass the
+    doubly stochastic contract; WeightMatrixError names the first failure.
     Stored zeros are dropped first, as ``np.nonzero`` drops them."""
-    n = csr.shape[0]
-    if not csr.data.all():
-        csr.eliminate_zeros()
-    if not np.all(np.isfinite(csr.data)):
+    if not data.all():
+        kept = data != 0  # indptr[r] becomes the count kept before it
+        indptr = np.concatenate([[0], np.cumsum(kept)])[indptr].astype(indptr.dtype)
+        indices, data = indices[kept], data[kept]
+    w = ConsensusMatrix(indptr, indices, data)
+    if not np.all(np.isfinite(data)):
         raise WeightMatrixError("non-finite entries")
-    if np.any(csr.data < -STOCHASTIC_TOL):
+    if np.any(data < -STOCHASTIC_TOL):
         raise WeightMatrixError("negative entries")
-    for name, sums in zip(("row", "column"), _line_sums(csr)):
+    for name, sums in zip(("row", "column"), _line_sums(w)):
         deviation = np.max(np.abs(sums - 1.0))
         if deviation > STOCHASTIC_TOL:
             raise WeightMatrixError(
                 f"{name} sums deviate from 1 by {deviation:.3e}")
-    if graph is not None and graph.n != n:
+    if graph is not None and graph.n != w.n:
         raise WeightMatrixError("graph size does not match matrix size")
-    if graph is not None and not _pattern_on_edges(csr, graph):
+    if graph is not None and not _pattern_on_edges(w, graph):
         raise WeightMatrixError("nonzero entry off the graph structure")
-    for array in (csr.data, csr.indices, csr.indptr):
+    for array in (data, indices, indptr):
         array.setflags(write=False)
-    return ConsensusMatrix(csr=csr)
+    return w
 
 
-def _entry_codes(csr: sparse.csr_array) -> tuple[np.ndarray, np.ndarray]:
+def _entry_codes(w: ConsensusMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Codes i * n + j of the stored entries (i, j), ascending because the
     CSR column indices are sorted, and the codes j * n + i of their mirrors."""
-    n = csr.shape[0]
-    rows = _row_ids(csr)
-    cols = csr.indices.astype(np.int64)
-    return rows * n + cols, cols * n + rows
+    rows = _row_ids(w)
+    cols = w.indices.astype(np.int64)
+    return rows * w.n + cols, cols * w.n + rows
 
 
-def _pattern_on_edges(csr: sparse.csr_array, graph: GraphTopology) -> bool:
+def _pattern_on_edges(w: ConsensusMatrix, graph: GraphTopology) -> bool:
     """Whether every off-diagonal stored entry lies on a graph edge."""
-    codes, mirrors = _entry_codes(csr)
+    codes, mirrors = _entry_codes(w)
     upper = np.minimum(codes, mirrors)[codes != mirrors]
     # ascending, as edge_array's rows are
     edges = graph.edge_array[:, 0] * graph.n + graph.edge_array[:, 1]
@@ -281,33 +291,36 @@ def _pattern_on_edges(csr: sparse.csr_array, graph: GraphTopology) -> bool:
     return bool(np.all(edges[pos] == upper))
 
 
-def _is_symmetric(csr: sparse.csr_array) -> bool:
+def _is_symmetric(w: ConsensusMatrix) -> bool:
     """Whether |W_ij - W_ji| <= 1e-12 for all i, j, read off the stored
     entries: an entry whose mirror is not stored is compared with 0."""
-    codes, mirrors = _entry_codes(csr)
+    codes, mirrors = _entry_codes(w)
     pos = np.minimum(np.searchsorted(codes, mirrors), codes.size - 1)
-    mirrored = np.where(codes[pos] == mirrors, csr.data[pos], 0.0)
-    return bool(np.all(np.abs(csr.data - mirrored) <= 1e-12))
+    mirrored = np.where(codes[pos] == mirrors, w.data[pos], 0.0)
+    return bool(np.all(np.abs(w.data - mirrored) <= 1e-12))
 
 
-def _second_singular_value(csr: sparse.csr_array) -> tuple[float, str]:
-    """sigma_2 of ``csr`` and the name of the method that computed it.
+def _second_singular_value(w: ConsensusMatrix) -> tuple[float, str]:
+    """sigma_2 of ``w`` and the name of the method that computed it.
 
     Symmetric matrices use a dense eigendecomposition up to
-    DENSE_SIGMA2_MAX_N and Lanczos on the CSR form above it; asymmetric
+    DENSE_SIGMA2_MAX_N and Lanczos on ``w.csr`` above it; asymmetric
     ones (only ever built from dense entries) use a dense SVD. The dense
-    methods expand the matrix once, for that call. If Lanczos does not
-    converge it is retried once with a wider basis and more restarts, and
-    then a WeightMatrixError names n: the matrix is never expanded to
-    dense above DENSE_SIGMA2_MAX_N.
+    methods scatter the entries into an n x n array, for that call only.
+    If Lanczos does not converge it is retried once with a wider basis and
+    more restarts, and then a WeightMatrixError names n: the matrix is
+    never expanded to dense above DENSE_SIGMA2_MAX_N.
     """
-    n = csr.shape[0]
+    n = w.n
     if n == 1:
         return 0.0, "eigvalsh"
-    if not _is_symmetric(csr):
-        return float(np.linalg.svd(csr.toarray(), compute_uv=False)[1]), "svd"
-    if n <= DENSE_SIGMA2_MAX_N:
-        sigmas = np.sort(np.abs(np.linalg.eigvalsh(csr.toarray())))[::-1]
+    symmetric = _is_symmetric(w)
+    if not symmetric or n <= DENSE_SIGMA2_MAX_N:
+        dense = np.zeros((n, n))
+        dense[_row_ids(w), w.indices] = w.data
+        if not symmetric:
+            return float(np.linalg.svd(dense, compute_uv=False)[1]), "svd"
+        sigmas = np.sort(np.abs(np.linalg.eigvalsh(dense)))[::-1]
         return float(sigmas[1]), "eigvalsh"
     # imported here: scipy.sparse.linalg adds about 8 MB to a process
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
@@ -315,7 +328,7 @@ def _second_singular_value(csr: sparse.csr_array) -> tuple[float, str]:
     # eigsh's defaults first (ncv = 20, maxiter = 10 n), then a retry
     for options in ({}, {"ncv": min(n, 80), "maxiter": 50 * n}):
         try:
-            vals = eigsh(csr, k=2, which="LM", tol=0, v0=v0,
+            vals = eigsh(w.csr, k=2, which="LM", tol=0, v0=v0,
                          return_eigenvectors=False, **options)
             return float(np.sort(np.abs(vals))[0]), "eigsh"
         except ArpackNoConvergence:
@@ -501,12 +514,11 @@ def _edge_weighted(g: GraphTopology, v: np.ndarray) -> ConsensusMatrix:
     i, j = g.edge_array.T
     nodes = np.arange(n)
     # the diagonal is stored as 0 while the off-diagonal row sums are taken
-    csr, slots = _assemble_csr(n, np.concatenate([i, j, nodes]),
-                               np.concatenate([j, i, nodes]),
-                               np.concatenate([v, v, np.zeros(n)]))
-    csr.data[slots[2 * len(v):]] = 1.0 - np.add.reduceat(csr.data,
-                                                         csr.indptr[:-1])
-    return _validated(csr, g)
+    indptr, indices, data, slots = _assemble_csr(
+        n, np.concatenate([i, j, nodes]), np.concatenate([j, i, nodes]),
+        np.concatenate([v, v, np.zeros(n)]))
+    data[slots[2 * len(v):]] = 1.0 - np.add.reduceat(data, indptr[:-1])
+    return _validated(indptr, indices, data, g)
 
 
 def lazy_metropolis(g: GraphTopology) -> ConsensusMatrix:

@@ -234,11 +234,6 @@ def _amplification(p: ProblemSpec, eta: float) -> float:
     return 1.0 + p.n_agents * p.n_constraints ** 1.5 * p.lipschitz * p.radius / eta
 
 
-def _rate(scale: float, horizon: int) -> float:
-    """scale * log(T) / (sqrt(T) - 1), the decay shared by the gap bounds."""
-    return scale * math.log(horizon) / (math.sqrt(horizon) - 1.0)
-
-
 def thm2_constant(p: ProblemSpec, sigma2: float, eta: float,
                   horizon: int) -> float:
     """The convergence-rate constant C of the deterministic rate bound."""
@@ -250,16 +245,8 @@ def thm2_constant(p: ProblemSpec, sigma2: float, eta: float,
 
 def rate_bound(p: ProblemSpec, sigma2: float, eta: float, horizon: int) -> float:
     """R C log(T) / (sqrt(T) - 1), the deterministic gap bound at T >= 2."""
-    return _rate(p.radius * thm2_constant(p, sigma2, eta, horizon), horizon)
-
-
-def stochastic_rate_bound(p: ProblemSpec, sigma2: float, eta: float,
-                          horizon: int) -> float:
-    """Single-seed stochastic gap bound holding with probability 1 - 1/T."""
-    c = thm2_constant(p, sigma2, eta, horizon)
-    extra = 4.0 * math.sqrt(10.0) * p.n_agents * p.n_constraints ** 2 \
-        * p.lipschitz ** 2 * p.radius ** 3 / eta
-    return _rate(p.radius * c + extra, horizon)
+    return (p.radius * thm2_constant(p, sigma2, eta, horizon)
+            * math.log(horizon) / (math.sqrt(horizon) - 1.0))
 
 
 def _constraint_norm_sq_bound(p: ProblemSpec) -> float:

@@ -16,14 +16,10 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 log = logging.getLogger(__name__)
-
-#: Oracle maps a point to (value, subgradient).
-Oracle = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 #: Entries per temporary in ``mean_objective_many``: each block holds as
 #: many points as fit this many point x data-point values.
@@ -470,33 +466,6 @@ class ProblemSpec:
     def constraint_values(self, x: np.ndarray) -> np.ndarray:
         self._check_point(x)
         return self.constraint_values_many(x[None, :])[0]
-
-    def constraint_grads(self, x: np.ndarray) -> np.ndarray:
-        """grad g_k(x) as row k, for every constraint k."""
-        m = self.n_constraints
-        return self.agent_constraint_rows(np.tile(x, (m, 1)), np.arange(m))
-
-
-def box_constraints(lower: np.ndarray, upper: np.ndarray) -> tuple[Oracle, ...]:
-    """Oracles for lower_k - x_k <= 0 (k < d) followed by x_k - upper_k <= 0.
-
-    ``lower`` and ``upper`` are the actual bound vectors, so a symmetric
-    margin l puts lower = -l * ones.
-    """
-    d = len(lower)
-
-    def make_lower(k: int) -> Oracle:
-        e = np.zeros(d)
-        e[k] = -1.0
-        return lambda x: (float(lower[k] - x[k]), e)
-
-    def make_upper(k: int) -> Oracle:
-        e = np.zeros(d)
-        e[k] = 1.0
-        return lambda x: (float(x[k] - upper[k]), e)
-
-    return tuple([make_lower(k) for k in range(d)] +
-                 [make_upper(k) for k in range(d)])
 
 
 def _build_loss_problem(data: SyntheticDataset, l: float, u: float,

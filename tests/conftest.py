@@ -27,6 +27,27 @@ def toy_problem():
     return make_custom_problem([f], [g], lipschitz=1.0, radius=1.0, dim=1)
 
 
+def box_constraints(lower, upper):
+    """Oracles for lower_k - x_k <= 0 (k < d) followed by x_k - upper_k <= 0."""
+    d = len(lower)
+
+    def unit(k, sign):
+        e = np.zeros(d)
+        e[k] = sign
+        return e
+
+    return tuple([lambda x, k=k, e=unit(k, -1.0): (float(lower[k] - x[k]), e)
+                  for k in range(d)]
+                 + [lambda x, k=k, e=unit(k, 1.0): (float(x[k] - upper[k]), e)
+                    for k in range(d)])
+
+
+def constraint_grads(p, x):
+    """grad g_k(x) of problem ``p`` as row k, for every constraint k."""
+    m = p.n_constraints
+    return p.agent_constraint_rows(np.tile(x, (m, 1)), np.arange(m))
+
+
 @pytest.fixture(scope="session")
 def paper_dataset():
     return problems.generate_dataset(100, 5, seed=1)
@@ -77,9 +98,9 @@ def sigma2_solves(monkeypatch):
     sizes = []
     solve = graphs._second_singular_value
 
-    def counted(csr):
-        sizes.append(csr.shape[0])
-        return solve(csr)
+    def counted(w):
+        sizes.append(w.n)
+        return solve(w)
 
     monkeypatch.setattr(graphs, "_second_singular_value", counted)
     return sizes

@@ -14,13 +14,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy import sparse
 
 from pdnet import engine as en
 from pdnet import graphs as gr
 from pdnet import lagrangian as lg
 from pdnet import metrics as me
 from pdnet import problems as pr
+
+from conftest import constraint_grads
 
 PDNET_ERRORS = (pr.ProblemError, pr.ReferenceError, gr.GraphError,
                 gr.WeightMatrixError, en.EngineError, en.DivergenceError,
@@ -114,6 +117,130 @@ def matrices(draw):
 @given(matrices())
 def test_consensus_matrix_from_entries(entries):
     _returns_or_raises_pdnet_error(gr.ConsensusMatrix.from_entries, entries)
+
+
+# -- the weight builders --------------------------------------------------------
+
+def accepted(call):
+    """``call()``, or None when it raises WeightMatrixError or GraphError."""
+    try:
+        return call()
+    except (gr.WeightMatrixError, gr.GraphError):
+        return None
+
+
+def assert_scipy_csr(w, data, indices, indptr):
+    """``w``'s CSR arrays are bit-equal, dtypes included, to those of the
+    scipy CSR over (data, indices, indptr) after ``eliminate_zeros``."""
+    ref = sparse.csr_array((data, indices, indptr), shape=(w.n, w.n), copy=True)
+    ref.eliminate_zeros()
+    assert w.nnz == ref.nnz
+    for ours, theirs in ((w.indptr, ref.indptr), (w.indices, ref.indices),
+                         (w.data, ref.data)):
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+        assert not ours.flags.writeable
+
+
+def assert_sigma2_of(w, dense):
+    """sigma2 has the bits of the dense solve of the same entries."""
+    if w.n == 1:
+        assert (w.sigma2, w.sigma2_method) == (0.0, "eigvalsh")
+    elif w.sigma2_method == "eigvalsh":
+        assert w.sigma2 == np.sort(np.abs(np.linalg.eigvalsh(dense)))[-2]
+    else:
+        assert w.sigma2_method == "svd"
+        assert w.sigma2 == np.linalg.svd(dense, compute_uv=False)[1]
+
+
+def graph_edges(n):
+    """Edges on n nodes: a path, a star, a complete graph or none, plus a
+    few more pairs, any of which may be a self-loop or out of range."""
+    base = st.sampled_from([[(i, i + 1) for i in range(n - 1)],
+                            [(0, i) for i in range(1, n)],
+                            [(i, j) for i in range(n) for j in range(i + 1, n)],
+                            []])
+    extra = st.lists(st.tuples(st.integers(0, n), st.integers(0, n)),
+                     max_size=3)
+    return st.builds(lambda b, e: b + e, base, extra | st.just([]))
+
+
+@st.composite
+def weight_inputs(draw):
+    """A small matrix and maybe the (n, edges) of a graph. The matrix is
+    doubly stochastic (uniform, a permutation, the mean of two
+    permutations, lazy Metropolis on a path), then maybe broken by hostile
+    entries, an all-zero row or a wrong shape; the graph may miss entries
+    or have the wrong size."""
+    n = draw(st.integers(1, 4))
+    perm = lambda: np.eye(n)[list(draw(st.permutations(range(n))))]
+    kind = draw(st.sampled_from(["uniform", "permutation", "mix", "path"]))
+    if kind == "uniform":
+        m = np.full((n, n), 1.0 / n)
+    elif kind == "permutation":
+        m = perm()
+    elif kind == "mix":
+        m = 0.5 * (perm() + perm())  # asymmetric for most draws
+    else:
+        path = gr.GraphTopology.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        m = gr.lazy_metropolis(path).csr.toarray()
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m[i, j] = draw(st.sampled_from(FLOATS + [-0.0, m[i, j] - 1e-13]))
+    if draw(st.integers(0, 5)) == 0:
+        m[draw(st.integers(0, n - 1))] = 0.0
+    entries = draw(st.sampled_from([m] * 3 + [m[:, :-1], m[:0, :0], m.ravel()]))
+    size = draw(st.sampled_from([n, n, n + 1]))
+    graph = draw(st.none() | graph_edges(size).map(lambda e: (size, e)))
+    return entries, graph
+
+
+@EXAMPLES
+@given(weight_inputs())
+@example((np.eye(3)[[1, 2, 0]], None))  # asymmetric: sigma2 by svd
+@example((0.5 * (np.eye(4) + np.eye(4)[[1, 2, 3, 0]]),
+          (4, [(0, 1), (1, 2), (2, 3), (0, 3)])))  # on a 4-cycle
+def test_weight_matrix_constructor(inputs):
+    # from the dense entries, and from a CSR that stores every position,
+    # zeros included: both give scipy's arrays, or both raise
+    entries, graph = inputs
+    g = accepted(lambda: graph and gr.GraphTopology.from_edges(*graph))
+    if graph and g is None:
+        return
+    w = accepted(lambda: gr.ConsensusMatrix.from_entries(entries, graph=g))
+    if entries.ndim == 2 and len(entries) == entries.shape[1] > 0:
+        n = len(entries)
+        rows, cols = np.divmod(np.arange(n * n), n)
+        stored = accepted(lambda: gr._validated(*gr._assemble_csr(
+            n, rows, cols, entries.ravel().copy())[:3], g))
+        assert (stored is None) == (w is None)
+    if w is None:
+        return
+    for made in (w, stored):
+        assert_scipy_csr(made, entries.ravel(),
+                         np.tile(np.arange(n, dtype=np.int32), n),
+                         np.arange(0, n * n + 1, n, dtype=np.int32))
+    assert_sigma2_of(w, entries)
+
+
+@EXAMPLES
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n),
+                                                     graph_edges(n))),
+       st.sampled_from([gr.lazy_metropolis, gr.laplacian_weights]))
+def test_weight_builders(graph, build):
+    n, edges = graph
+    g = accepted(lambda: gr.GraphTopology.from_edges(n, edges))
+    w = g and accepted(lambda: build(g))
+    if w is None:
+        return
+    dense = np.zeros((n, n))
+    dense[np.repeat(np.arange(n), np.diff(w.indptr)), w.indices] = w.data
+    ref = sparse.csr_array(dense)
+    assert_scipy_csr(w, ref.data, ref.indices, ref.indptr)
+    # stored: the diagonal and both entries of each edge, nothing else
+    pattern = np.eye(n, dtype=bool)
+    pattern[tuple(g.edge_array.T)] = pattern[tuple(g.edge_array.T[::-1])] = True
+    assert np.array_equal(dense != 0, pattern)
+    assert_sigma2_of(w, dense)
 
 
 # -- configs, the reference solve and the theory checks -------------------------
@@ -356,7 +483,7 @@ REFERENCE = pr.ReferenceSolution(f_star=0.6, x_star=np.zeros(PROBLEM.dim),
 ORACLE_PROBLEM = pr.ProblemSpec.from_oracles(
     [lambda x, i=i: PROBLEM.objective(i, x) for i in range(PROBLEM.n_agents)],
     [lambda x, k=k: (float(PROBLEM.constraint_values(x)[k]),
-                     PROBLEM.constraint_grads(x)[k])
+                     constraint_grads(PROBLEM, x)[k])
      for k in range(PROBLEM.n_constraints)],
     dim=PROBLEM.dim, lipschitz=PROBLEM.lipschitz, radius=PROBLEM.radius)
 

@@ -113,9 +113,11 @@ def test_sparse_graph_makes_no_dense_matrix(monkeypatch):
     monkeypatch.setattr(sparse.csr_array, "toarray", no_dense)
     w = pdnet.lazy_metropolis(pdnet.generate_watts_strogatz(2000, 20, 0.02,
                                                             seed=7))
-    assert w.entries is w.csr
-    note = load_perfbench("tracer")._NOTES["graphs.weights"]
-    assert note(w) == w.csr.nnz
+    note = load_perfbench("tracer")._NOTES["graphs.weights"](w)
+    assert "csr" not in vars(w)  # the note builds no scipy matrix
+    assert note == w.entries.nnz == w.csr.nnz
+    for array in (w.indptr, w.indices, w.data):
+        assert not array.flags.writeable
     problem = pdnet.build_logistic_problem(
         pdnet.generate_dataset(2000, 5, seed=1), 0.1, 0.1)
     trace = pdnet.run(problem, w, pdnet.RunConfig(iterations=20))

@@ -142,7 +142,7 @@ def test_weight_matrix_csv_lists_the_stored_entries(out_root, sets):
     header, *lines = text.splitlines()
     assert header == "i,j,w"
     i, j, v = zip(*(line.split(",") for line in lines))
-    assert np.array_equal(np.array(i, dtype=np.int64), graphs._row_ids(w.csr))
+    assert np.array_equal(np.array(i, dtype=np.int64), graphs._row_ids(w))
     assert np.array_equal(np.array(j, dtype=np.int64), w.csr.indices)
     assert np.array(v, dtype=float).tobytes() == w.csr.data.tobytes()
 

@@ -814,10 +814,11 @@ def test_run_rejects_mismatched_matrix(paper_logistic):
 
 
 def test_matrix_size_is_read_off_the_csr():
-    csr = identity_matrix(3).csr
+    arrays = {k: getattr(identity_matrix(3), k)
+              for k in ("indptr", "indices", "data")}
     with pytest.raises(TypeError):
-        ConsensusMatrix(n=5, csr=csr)
-    w = ConsensusMatrix(csr=csr)
+        ConsensusMatrix(n=5, **arrays)
+    w = ConsensusMatrix(**arrays)
     assert w.n == 3
     p = build_logistic_problem(generate_dataset(5, 2, seed=1), 0.1, 0.1)
     with pytest.raises(en.EngineError, match="3x3"):

@@ -645,11 +645,18 @@ def test_laplacian_weights_allocate_no_dense_matrix():
 
 
 def test_entries_is_the_read_only_csr():
+    # W is its three read-only CSR arrays; ``entries`` (what the
+    # benchmark's tracer reads) gives their nnz without building ``csr``,
+    # and ``csr`` is the scipy matrix over the same arrays
     w = lazy_metropolis(generate_watts_strogatz(30, 4, 0.2, seed=3))
-    assert w.entries is w.csr
-    for array in (w.csr.data, w.csr.indices, w.csr.indptr):
-        with pytest.raises(ValueError):
-            array[0] = 0
+    assert w.entries.nnz == w.nnz == 150 and "csr" not in vars(w)
+    assert w.entries.nnz == w.csr.nnz
+    for array, shared in ((w.data, w.csr.data), (w.indices, w.csr.indices),
+                          (w.indptr, w.csr.indptr)):
+        assert np.shares_memory(array, shared)
+        for view in (array, shared):
+            with pytest.raises(ValueError):
+                view[0] = 0
 
 
 def test_laplacian_weights_three_cycle():
@@ -717,7 +724,9 @@ def test_consensus_matrix_needs_a_nonempty_square(shape):
 def test_consensus_matrix_immutable():
     w = lazy_metropolis(GraphTopology.from_edges(2, [(0, 1)]))
     with pytest.raises(ValueError):
-        w.entries[0, 0] = 0.0
+        w.data[0] = 0.0
+    with pytest.raises(ValueError):
+        w.csr[0, 0] = 0.0
 
 
 # -- serialization -----------------------------------------------------------
@@ -750,7 +759,7 @@ def test_sparse_sigma2_above_threshold(ws_past_threshold):
     assert w.sigma2_method == "eigsh"
     dense = np.sort(np.abs(np.linalg.eigvalsh(as_dense(w))))[-2]
     assert abs(w.sigma2 - dense) <= 1e-12
-    again = graphs._second_singular_value(w.csr)
+    again = graphs._second_singular_value(w)
     assert again == (w.sigma2, "eigsh")
 
 
@@ -804,6 +813,17 @@ def test_sparse_sigma2_never_expands_a_large_matrix(monkeypatch):
     assert len(calls) == 2
 
 
+def python_output(code, **env):
+    """The stripped stdout of ``code`` run by a fresh interpreter on this
+    checkout's pdnet, with ``env`` added to the environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(graphs.__file__).parents[1]),
+               **env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_canonical_run_does_not_import_sparse_linalg():
     # scipy.sparse.linalg (eigsh) adds about 8 MB of RSS, so it is imported
     # only for matrices above DENSE_SIGMA2_MAX_N
@@ -815,11 +835,7 @@ def test_canonical_run_does_not_import_sparse_linalg():
             "    pdnet.generate_watts_strogatz(100, 20, 0.02, seed=1))\n"
             "pdnet.run(p, w, pdnet.RunConfig(iterations=50))\n"
             "print('scipy.sparse.linalg' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(graphs.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert python_output(code) == "False"
 
 
 def test_reference_free_large_run_does_not_import_sparse_linalg():
@@ -834,8 +850,82 @@ def test_reference_free_large_run_does_not_import_sparse_linalg():
             "trace = pdnet.run(p, w, pdnet.RunConfig(iterations=5))\n"
             "assert trace.records[-1].t == 5 and trace.aborted is None\n"
             "print('scipy.sparse.linalg' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(graphs.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert python_output(code) == "False"
+
+
+#: prints the scipy.sparse modules loaded, one line
+SPARSE_MODULES = ("print(sorted(m for m in sys.modules\n"
+                  "             if m.startswith('scipy.sparse')))\n")
+
+
+def test_import_and_canonical_runs_do_not_import_scipy_sparse(tmp_path):
+    # pdnet mixes with scipy's kernel loaded from its file, so the ~21 MB
+    # scipy.sparse package stays out: through the import, the README
+    # quickstart's three runs with a reference, and a CLI sweep over eta
+    code = ("import sys\n"
+            "import pdnet, pdnet.cli\n"
+            + SPARSE_MODULES +
+            "data = pdnet.generate_dataset(100, 5, seed=1)\n"
+            "p = pdnet.build_logistic_problem(data, 0.1, 0.1)\n"
+            "ref = pdnet.reference_optimum(p, iterations=2000)\n"
+            "w = pdnet.lazy_metropolis(\n"
+            "    pdnet.generate_watts_strogatz(100, 20, 0.02, seed=7))\n"
+            "for variant in ('deterministic', 'stochastic'):\n"
+            "    cfg = pdnet.RunConfig(variant=variant, iterations=50)\n"
+            "    pdnet.run(p, w, cfg, reference=ref)\n"
+            "cfg = pdnet.RunConfig(variant='centralized_unregularized',\n"
+            "                      iterations=50)\n"
+            "pdnet.run_centralized_unregularized(p, cfg, reference=ref)\n"
+            "assert w.sigma2_method == 'eigvalsh'\n"
+            "assert pdnet.cli.main(['sweep', '--param', 'eta', '--values',\n"
+            "    '0.5,1', '--threads', '1', '--set', 'problem.n=12',\n"
+            "    '--set', 'graph.k=4', '--set', 'run.T=20',\n"
+            "    '--set', 'reference.iterations=200']) == 0\n"
+            + SPARSE_MODULES)
+    lines = python_output(code, PDNET_OUTPUT_ROOT=str(tmp_path)).splitlines()
+    assert lines[0] == lines[-1] == "[]"  # the sweep prints in between
+    assert (tmp_path / "run" / "summary.csv").is_file()
+
+
+def test_eigsh_sigma2_imports_scipy_sparse_when_read():
+    code = ("import sys\n"
+            "import pdnet\n"
+            "w = pdnet.lazy_metropolis(\n"
+            "    pdnet.generate_watts_strogatz(600, 20, 0.02, seed=7))\n"
+            "print('scipy.sparse' in sys.modules)\n"
+            "print(w.sigma2_method, 'scipy.sparse.linalg' in sys.modules)\n")
+    assert python_output(code) == "False\neigsh True"
+
+
+MIX_MATCHES_CSR = (
+    "import numpy as np\n"
+    "w = pdnet.lazy_metropolis(\n"
+    "    pdnet.generate_watts_strogatz(2000, 20, 0.02, seed=7))\n"
+    "z = np.random.default_rng(3).normal(size=(2000, 15))\n"
+    "z[0, 0] = -0.0\n"
+    "print(pdnet.engine._mix(w, z).tobytes() == (w.csr @ z).tobytes())\n")
+
+
+@pytest.mark.parametrize("order", ["before", "after"])
+def test_mix_matches_csr_with_scipy_sparse_imported(order):
+    # the kernel loaded from its file coexists with the package's own copy
+    imports = ["import scipy.sparse", "import pdnet"]
+    if order == "after":
+        imports.reverse()
+    code = "\n".join(imports) + "\n" + MIX_MATCHES_CSR
+    assert python_output(code) == "True"
+
+
+def test_mix_kernel_falls_back_to_scipy_sparse():
+    # with the extension's file not found, the package's copy of the kernel
+    # is used, with the same bits
+    code = ("import importlib.util, sys\n"
+            "find_spec = importlib.util.find_spec\n"
+            "importlib.util.find_spec = lambda name, *args: (\n"
+            "    None if name == 'scipy' else find_spec(name, *args))\n"
+            "import pdnet\n"
+            "importlib.util.find_spec = find_spec\n"
+            "kernel = sys.modules['scipy.sparse._sparsetools'].csr_matvecs\n"
+            "print(pdnet.engine._csr_matvecs is kernel)\n"
+            + MIX_MATCHES_CSR)
+    assert python_output(code) == "True\nTrue"

@@ -9,11 +9,11 @@ from numpy.testing import assert_allclose
 from pdnet import metrics as me
 from pdnet.engine import AgentStates, RunConfig, run
 from pdnet.graphs import generate_erdos_renyi, lazy_metropolis
-from pdnet.problems import (ProblemSpec, ReferenceSolution, box_constraints,
+from pdnet.problems import (ProblemSpec, ReferenceSolution,
                             build_hinge_problem, build_logistic_problem,
                             generate_dataset)
 
-from conftest import make_custom_problem
+from conftest import box_constraints, make_custom_problem
 
 
 def states_at(points, lam=None):

@@ -14,7 +14,10 @@ binds as in the benchmark's ``cli_sweep`` (``reference``), and at
 l = u = 0.1, where only the box binds as in ``canonical``
 (``reference_box``). Each figure is the median of
 ``REPEATS`` calls (``REPEATS_LARGE`` at n = 10^5). BLAS and OpenMP are
-pinned to one thread before numpy is imported.
+pinned to one thread before numpy is imported. A last row gives
+``import pdnet`` in a fresh process: the median over ``IMPORT_REPEATS``
+processes of the wall seconds of ``python -c "import pdnet"``, interpreter
+start included, and of its peak RSS.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
 import time  # noqa: E402
 
 import pdnet  # noqa: E402
@@ -38,6 +43,7 @@ DENSE_FAMILY_MAX_N = 2000
 SIGMA2_MAX_N = 10_000
 REPEATS = 9
 REPEATS_LARGE = 3
+IMPORT_REPEATS = 7
 
 
 def median_seconds(call, repeats: int) -> float:
@@ -70,13 +76,29 @@ def phase_costs(n: int) -> dict[str, float | None]:
         "lazy_metropolis": lambda: graphs.lazy_metropolis(ws),
         "laplacian": lambda: graphs.laplacian_weights(ws),
         # the solve itself: ``sigma2`` is cached on the matrix after one read
-        "sigma2": (lambda: graphs._second_singular_value(lazy.csr))
+        "sigma2": (lambda: graphs._second_singular_value(lazy))
         if n <= SIGMA2_MAX_N else None,
         "reference": lambda: pdnet.reference_optimum(in_ball, 10_000),
         "reference_box": lambda: pdnet.reference_optimum(in_box, 10_000),
     }
     return {name: None if call is None else median_seconds(call, repeats)
             for name, call in calls.items()}
+
+
+def import_cost() -> tuple[float, float]:
+    """Median wall seconds and peak RSS (MB) of ``python -c "import pdnet"``
+    over IMPORT_REPEATS fresh processes."""
+    code = ("import resource\n"
+            "import pdnet\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    seconds, rss = [], []
+    for _ in range(IMPORT_REPEATS):
+        start = time.perf_counter()
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        seconds.append(time.perf_counter() - start)
+        rss.append(int(out) / 1024.0)  # ru_maxrss is in KB on Linux
+    return statistics.median(seconds), statistics.median(rss)
 
 
 def main() -> None:
@@ -87,6 +109,9 @@ def main() -> None:
         cells = ("-" if rows[n][name] is None else f"{rows[n][name]:.5f}"
                  for n in SIZES)
         print(f"{name:<16}" + "".join(f"{c:>12}" for c in cells))
+    seconds, rss = import_cost()
+    print(f"{'import':<16}{seconds:>12.5f}  s, peak RSS {rss:.1f} MB "
+          "(fresh process, any n)")
 
 
 if __name__ == "__main__":
