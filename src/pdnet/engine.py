@@ -122,18 +122,24 @@ def _alpha(t: int, cfg: RunConfig) -> float:
 def project_ball(x: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the origin-centered ball: R x / max(R, ||x||).
 
-    ``x`` is one vector or a stack of rows, each projected on its own.
+    ``x`` is one vector or a stack of rows, each projected on its own. The
+    result is a new C-contiguous array.
     """
     if not radius > 0.0:
         raise EngineError("ball radius must be positive")
     if not x.ndim:
         raise EngineError("project_ball needs a vector or rows, got a 0-d array")
+    # one C-contiguous copy: numpy runs a strided view's inner loop once
+    # per row, so a column slice costs about twice as much per pass
+    x = np.array(x, order="C")
     top = np.maximum.reduce(np.abs(x), axis=None, initial=0.0)
     root_d = math.sqrt(x.shape[-1])
-    if top * root_d <= 0.5 * radius:
+    if top * root_d <= 0.5 * radius or math.isinf(radius):
         # every norm is at most sqrt(d) max |x_ij|, so even with rounding
-        # each computed norm is inside the ball and each scale is exactly 1
-        return x.copy()
+        # each computed norm is inside the ball and each scale is exactly 1;
+        # the infinite ball holds every row, even beside a NaN, where
+        # R / max(R, ||x||) would be inf / inf
+        return x
     # the d squares of entries up to ``limit`` sum to below max float / 4
     limit = 6.7e153 / root_d
     if top <= limit:
@@ -210,12 +216,17 @@ def _sparsetools():
 _csr_matvecs = _sparsetools().csr_matvecs
 
 
-def _mix(w, rows: np.ndarray) -> np.ndarray:
+def _mix(w, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # W @ rows for a ConsensusMatrix or csr_array ``w``, without the
     # operator's dispatch: the kernel sums each row's nonzeros in a fixed
-    # order without BLAS, so results do not depend on the thread count
+    # order without BLAS, so results do not depend on the thread count.
+    # The kernel accumulates into ``out``, a C-contiguous (n, k) array if
+    # given, which is zeroed first
     n, k = rows.shape
-    out = np.zeros((n, k))
+    if out is None:
+        out = np.zeros((n, k))
+    else:
+        out.fill(0.0)
     _csr_matvecs(n, n, k, w.indptr, w.indices, w.data, rows.ravel(),
                  out.ravel())
     return out
@@ -287,18 +298,23 @@ def _directions(p: ProblemSpec, states: AgentStates, cfg: RunConfig,
 
 
 def _advance(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix, t: int,
-             cfg: RunConfig, grad_x: np.ndarray,
-             grad_lam: np.ndarray) -> AgentStates:
+             cfg: RunConfig, grad_x: np.ndarray, grad_lam: np.ndarray,
+             work: tuple[np.ndarray, np.ndarray] | None = None) -> AgentStates:
+    """The states at t + 1. ``work``, two C-contiguous (rows, d + m)
+    arrays that the step overwrites, holds the mixed operand and its mix,
+    so a run allocates them once; the new states never share their memory."""
     alpha = _alpha(t, cfg)
     alpha_next = _alpha(t + 1, cfg)
     y = states.x - alpha * grad_x
     gamma = states.lam + alpha * grad_lam
-    z = np.concatenate((y, gamma), axis=1)
+    joined, mixed = (None, None) if work is None else work
+    z = np.concatenate((y, gamma), axis=1, out=joined)
     # a non-finite entry, or an overflow, makes the sum non-finite
     if not math.isfinite(np.add.reduce(z, axis=None)):
         _check_finite(y, gamma, t)
     # the baseline's 1x1 identity computes 0.0 + 1.0 z, which is z + 0.0
-    mixed = z + 0.0 if w is _IDENTITY_1X1 else _mix(w, z)
+    mixed = (np.add(z, 0.0, out=mixed) if w is _IDENTITY_1X1
+             else _mix(w, z, mixed))
     d = y.shape[1]
     new_x = project_ball(mixed[:, :d], p.radius)
     new_lam = project_orthant(mixed[:, d:])
@@ -480,12 +496,15 @@ def _run_loop(p: ProblemSpec, w: ConsensusMatrix, cfg: RunConfig,
             flush()
 
     stream = uniform_stream() if cfg.variant == STOCHASTIC else None
+    # the step's operand and its mix, reused by every step: two views of
+    # one block (at n = 100, two blocks raised peak RSS by 0.06 MB)
+    work = tuple(np.empty((2, states.n_agents, p.dim + p.n_constraints)))
     try:
         for t in range(cfg.iterations):
             grad_x, grad_lam = _directions(p, states, cfg, t, stream)
             if t % cfg.record_every == 0:
                 keep(t, states, grad_x, grad_lam)
-            states = _advance(states, p, w, t, cfg, grad_x, grad_lam)
+            states = _advance(states, p, w, t, cfg, grad_x, grad_lam, work)
     except DivergenceError as exc:
         trace.aborted = str(exc)
         log.error("run aborted: %s", exc)

@@ -446,14 +446,60 @@ def compute_record(p: ProblemSpec, snapshots: list[Snapshot], eta: float,
             for s, row in zip(snapshots, rows)]
 
 
+def _max_sq(left: np.ndarray, right: np.ndarray):
+    """The largest per-pair squared distance ``np.sum((x_i - x_j) ** 2)``
+    over the last axis, among the pairs of rows that ``left - right``
+    broadcasts."""
+    return np.maximum.reduce(np.add.reduce((left - right) ** 2, axis=-1),
+                             axis=None)
+
+
 def _block_max_sq(points: np.ndarray) -> list:
     """Per-block maxima of the per-pair squared distances among the rows
     of ``points``, over the upper triangle in blocks of DIAMETER_BLOCK rows:
     each temporary holds DIAMETER_BLOCK x n x d values, not n x n x d."""
-    return [np.maximum.reduce(
-                np.add.reduce((points[s:s + DIAMETER_BLOCK, None, :]
-                               - points[None, s:, :]) ** 2, axis=2), axis=None)
+    return [_max_sq(points[s:s + DIAMETER_BLOCK, None, :], points[None, s:, :])
             for s in range(0, points.shape[0], DIAMETER_BLOCK)]
+
+
+def _pair_max_sq(points: np.ndarray, r: np.ndarray, lower: float,
+                 slack: float) -> list:
+    """Per-chunk maxima of the per-pair squared distances over the pairs
+    of rows of ``points`` that can be longer than ``lower``, in chunks of
+    at most DIAMETER_BLOCK x len(points) pairs, so that no temporary holds
+    more values than a block of the block scan. ``r`` is each row's
+    distance from the center and ``slack`` the rounding slack of the prune.
+
+    With the rows sorted by r, descending, row p pairs only with the later
+    rows q that have r_q >= lower - r_p - slack, by the triangle
+    inequality. Those rows are a prefix of the tail, found by
+    ``searchsorted``, and each row's prefix is shorter than the one before,
+    so the pairs end at the first empty one. When more than half of all
+    pairs remain, as on a sphere, the block scan is cheaper.
+    """
+    order = np.argsort(-r, kind="stable")
+    points, r = points[order], r[order]
+    # -r ascends, and r_q >= threshold_p is -r_q <= -threshold_p
+    ends = np.searchsorted(-r, -(lower - r - slack), side="right")
+    counts = ends - np.arange(1, len(r) + 1)
+    counts = counts[:np.count_nonzero(counts > 0)]
+    totals = np.cumsum(counts)
+    if len(counts) and 4 * int(totals[-1]) > len(r) * (len(r) - 1):
+        return _block_max_sq(points)
+    maxima, lo, limit = [], 0, DIAMETER_BLOCK * len(points)
+    while lo < len(counts):
+        # the rows from lo whose pairs fit in the chunk: row lo's always do
+        hi = int(np.searchsorted(totals, totals[lo] - counts[lo] + limit,
+                                 side="right"))
+        pairs = counts[lo:hi]
+        # pair g of the list is row p's pair (p, g + shift_p)
+        shifts = np.repeat(np.arange(lo + 1, hi + 1) - (totals[lo:hi] - pairs),
+                           pairs)
+        partners = np.arange(totals[lo] - pairs[0], totals[hi - 1]) + shifts
+        maxima.append(_max_sq(np.repeat(points[lo:hi], pairs, axis=0),
+                              np.take(points, partners, axis=0)))
+        lo = hi
+    return maxima
 
 
 def outputs_diameter(points: np.ndarray) -> np.ndarray:
@@ -466,8 +512,11 @@ def outputs_diameter(points: np.ndarray) -> np.ndarray:
     With c the mean row and r_i = ||x_i - c||, the pairs from the row a
     farthest from c and from the row b farthest from a give a lower bound
     L. A pair longer than L has r_i + r_j > L, so both its rows have
-    r > L - max(r), and only those rows are scanned. Identical rows return
-    0 after O(nd) work; non-finite values fall back to the full scan.
+    r > L - max(r), and only the pairs of those rows with r_i + r_j > L
+    are scanned (``_pair_max_sq``); up to DIAMETER_BLOCK such rows are
+    scanned as one block. No temporary holds more than DIAMETER_BLOCK x n
+    x d values. Identical rows return 0 after O(nd) work; non-finite
+    values fall back to the full block scan.
     """
     blocks, n, d = points.shape
     each = np.arange(blocks)
@@ -482,17 +531,25 @@ def outputs_diameter(points: np.ndarray) -> np.ndarray:
     # r and each per-pair value carry at most d + 2 roundings (difference,
     # square, d - 1 additions, sqrt), a relative error below (d + 2) eps
     # of L + max(r), the size of the point cloud about c; the factor 4
-    # also covers the rounding of the threshold itself. A float
+    # also covers the rounding of the thresholds themselves. A float
     # difference is rounded relative to itself, so a common offset of the
     # points (up to 1e8 in the tests) adds nothing. Squares that underflow
     # add an absolute error below sqrt((d + 2) tiny).
     finfo = np.finfo(r.dtype)
     slack = (4.0 * (d + 2) * float(finfo.eps) * (lower + r_max)
              + math.sqrt((d + 2) * float(finfo.tiny)))
+    threshold = lower - r_max - slack
     # a non-finite threshold keeps every row, which is the full scan
-    survive = ~(r < (lower - r_max - slack)[:, None])
-    out = [0.0 if not from_a[k].any() and not np.any(points[k] != points[k, a[k]])
-           else np.sqrt(np.maximum.reduce(
-               [lower_sq[k], *_block_max_sq(points[k][survive[k]])]))
-           for k in range(blocks)]
+    survive = ~(r < threshold[:, None])
+    out = []
+    for k in range(blocks):
+        if not from_a[k].any() and not np.any(points[k] != points[k, a[k]]):
+            out.append(0.0)
+            continue
+        kept = points[k][survive[k]]
+        maxima = (_block_max_sq(kept) if len(kept) <= DIAMETER_BLOCK
+                  or not math.isfinite(threshold[k])
+                  else _pair_max_sq(kept, r[k][survive[k]], lower[k],
+                                    slack[k]))
+        out.append(np.sqrt(np.maximum.reduce([lower_sq[k], *maxima])))
     return np.array(out)

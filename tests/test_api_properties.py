@@ -408,13 +408,20 @@ def _norm(row) -> float:
 @given(float_rows(), st.sampled_from(RADII))
 def test_project_ball(x, radius):
     # finite input may not overflow, divide by zero or make a NaN; finite
-    # rows come back inside the ball, and on its sphere if they were outside
+    # rows come back inside the ball, and on its sphere if they were outside.
+    # A column slice or a Fortran-ordered copy of x gives the same bits, and
+    # every result is a new C-contiguous array
     errors = "raise" if np.all(np.isfinite(x)) else "ignore"
     try:
         with np.errstate(over=errors, invalid=errors, divide=errors):
             out = en.project_ball(x, radius)
     except PDNET_ERRORS:
         return
+    for view in (x, np.repeat(x, 2, axis=-1)[..., ::2], np.asfortranarray(x)):
+        with np.errstate(over=errors, invalid=errors, divide=errors):
+            got = en.project_ball(view, radius)
+        assert got.tobytes() == out.tobytes()
+        assert got.flags.c_contiguous and not np.shares_memory(got, view)
     rows, out = np.atleast_2d(x), np.atleast_2d(out)
     # a result in the subnormal range rounds in steps of the least subnormal
     slack = math.sqrt(x.shape[-1]) * 5e-324

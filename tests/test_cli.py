@@ -580,7 +580,7 @@ def test_manifest_reproduces_run_exactly(out_root):
 def test_run_divergence_exits_3(monkeypatch, out_root):
     from pdnet import engine
 
-    def explode(states, p, w, t, cfg, gx, glam):
+    def explode(states, p, w, t, cfg, gx, glam, work):
         raise engine.DivergenceError("forced blow-up for the exit-code test")
 
     monkeypatch.setattr(engine, "_advance", explode)
@@ -595,7 +595,7 @@ def test_run_divergence_exits_3(monkeypatch, out_root):
 def test_sweep_divergent_leg_exits_3(monkeypatch, out_root, capsys):
     from pdnet import engine
 
-    def explode(states, p, w, t, cfg, gx, glam):
+    def explode(states, p, w, t, cfg, gx, glam, work):
         raise engine.DivergenceError("forced blow-up for the exit-code test")
 
     monkeypatch.setattr(engine, "_advance", explode)

@@ -468,9 +468,9 @@ def counted_mix(monkeypatch):
     calls = []
     mix = en._mix
 
-    def counted(csr, rows):
+    def counted(csr, rows, out=None):
         calls.append(rows.shape)
-        return mix(csr, rows)
+        return mix(csr, rows, out)
 
     monkeypatch.setattr(en, "_mix", counted)
     return calls
@@ -500,10 +500,10 @@ def test_one_agent_networked_run_still_mixes(monkeypatch):
     assert_same_states(lean.final_states, en.run(p, w, cfg).final_states)
 
 
-def reference_advance(states, p, w, t, cfg, grad_x, grad_lam):
+def reference_advance(states, p, w, t, cfg, grad_x, grad_lam, work=None):
     """The step as it was before the direct kernel call: column-slice
-    writes into one buffer, ``csr @ z`` for every variant, and the
-    projection's ``.max`` bound."""
+    writes into one fresh buffer, ``csr @ z`` for every variant, and the
+    projection's ``.max`` bound. The run's ``work`` buffers go unused."""
     alpha = en._alpha(t, cfg)
     alpha_next = en._alpha(t + 1, cfg)
     n, d = grad_x.shape
@@ -552,6 +552,48 @@ def test_steps_equal_the_reference_step(variant, init, monkeypatch,
     expected = en.run(paper_logistic, ws_matrix, cfg)
     assert lean.aborted is None and expected.aborted is None
     assert np.any(lean.final_states.lam != 0.0)
+    assert_same_states(lean.final_states, expected.final_states)
+    assert lean.to_csv_text() == expected.to_csv_text()
+
+
+def test_snapshots_never_share_the_step_work_buffers(monkeypatch):
+    # a run keeps every snapshot's arrays by reference while its steps
+    # overwrite the same two work buffers: at n = 600 with a record at
+    # every step, no kept array shares their memory or changes after it
+    # is recorded, the t = 0 states stay as they started, and the run is
+    # bit for bit the one with the reference step's fresh arrays
+    p = build_logistic_problem(generate_dataset(600, 5, seed=1), 0.1, 0.1)
+    w = lazy_metropolis(generate_watts_strogatz(600, 20, 0.02, seed=7))
+    cfg = en.RunConfig(eta=1.0, iterations=30, record_every=1, seed=3,
+                       init=en.INIT_RANDOM_FEASIBLE)
+    advance, compute_record = en._advance, metrics.compute_record
+    buffers, kept = {}, []
+
+    def watched_advance(*args):
+        buffers.update((id(b), b) for b in args[-1])
+        return advance(*args)
+
+    def kept_record(p, snapshots, *args, **kwargs):
+        for s in snapshots:
+            arrays = (s.states.x, s.states.lam, s.states.avg_numerator,
+                      s.grad_x, s.grad_lam)
+            kept.append((arrays, [a.copy() for a in arrays]))
+        return compute_record(p, snapshots, *args, **kwargs)
+
+    monkeypatch.setattr(en, "_advance", watched_advance)
+    monkeypatch.setattr(metrics, "compute_record", kept_record)
+    lean = en.run(p, w, cfg)
+    assert len(buffers) == 2 and len(kept) == 31
+    for arrays, values in kept:
+        for array, value in zip(arrays, values):
+            assert array.tobytes() == value.tobytes()
+            assert not any(np.shares_memory(array, b)
+                           for b in buffers.values())
+    assert_same_states(lean.initial_states,
+                       en.initial_states(p, en.resolve_config(cfg, p)))
+    monkeypatch.setattr(en, "_advance", reference_advance)
+    expected = en.run(p, w, cfg)
+    assert lean.aborted is None
     assert_same_states(lean.final_states, expected.final_states)
     assert lean.to_csv_text() == expected.to_csv_text()
 

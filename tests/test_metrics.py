@@ -1,6 +1,12 @@
 """Run metrics, theory constants, inequalities, and rate fitting."""
 
+import ast
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -505,17 +511,24 @@ def diameter(points):
     return me.outputs_diameter(points[None])[0]
 
 
-def scanned_rows(monkeypatch):
-    """Record the row count of every blocked scan ``outputs_diameter`` runs."""
+def scanned_pairs(monkeypatch):
+    """Record how many pairs of rows each scan of ``outputs_diameter``
+    compares: every per-pair value goes through ``metrics._max_sq``."""
     sizes = []
-    scan = me._block_max_sq
+    kernel = me._max_sq
 
-    def counting(points):
-        sizes.append(points.shape[0])
-        return scan(points)
+    def counting(left, right):
+        sizes.append(math.prod(np.broadcast_shapes(left.shape,
+                                                   right.shape)[:-1]))
+        return kernel(left, right)
 
-    monkeypatch.setattr(me, "_block_max_sq", counting)
+    monkeypatch.setattr(me, "_max_sq", counting)
     return sizes
+
+
+def block_scan_diameter(points):
+    """The diameter of one block by the full block scan, unpruned."""
+    return float(np.sqrt(np.maximum.reduce(me._block_max_sq(points))))
 
 
 def on_sphere(rng, pairs, d):
@@ -524,6 +537,73 @@ def on_sphere(rng, pairs, d):
     v = rng.normal(size=(pairs, d))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     return np.concatenate([v, -v])
+
+
+def on_rays(rng, n, d):
+    """Rows whose longest pairs tie up to rounding, as on a sphere, but
+    where the pair filter decides: pairs (a u_i, -b u_i), a > b, run
+    through the mean for directions u_i in a narrow cone. More rows at
+    -b u_j and filler rows that put the mean at the origin keep most pairs
+    out of the filter, and only the slack keeps the tied pairs in it."""
+    ties, lone = 1 + n // 8, n // 3
+    fill = max(1, n - 2 * ties - lone)
+    cone = np.eye(d)[0] + 0.05 * rng.normal(size=(ties + lone, d))
+    cone /= np.linalg.norm(cone, axis=1, keepdims=True)
+    rows = np.concatenate([rng.uniform(1.5, 5.0) * cone[:ties], -cone])
+    fillers = np.repeat(-rows.sum(axis=0)[None] / fill, fill, axis=0)
+    return (rng.permutation(np.concatenate([rows, fillers]))
+            * rng.uniform(0.1, 10.0))
+
+
+CLOUDS = ("spread", "uniform", "sphere", "rays", "grid", "duplicates")
+
+
+def point_cloud(kind, rng, n, d):
+    """n rows in d dimensions of one of the CLOUDS the prune must survive;
+    a sphere or rays may differ in n."""
+    if kind == "rays":
+        return on_rays(rng, n, d)
+    if kind == "spread":
+        return rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0)
+    if kind == "uniform":
+        return rng.uniform(-1.0, 1.0, size=(n, d))
+    if kind == "sphere":  # and its center, at odd n
+        return np.concatenate([on_sphere(rng, n // 2, d), np.zeros((n % 2, d))]
+                              ) * rng.uniform(0.1, 10.0)
+    if kind == "grid":  # +-1 corners: r ties everywhere
+        return rng.choice([-1.0, 1.0], size=(n, d))
+    # duplicated rows
+    return np.repeat(rng.normal(size=(n // 2 + 1, d)), 2, axis=0)[:n]
+
+
+@pytest.mark.parametrize("kind", CLOUDS)
+def test_outputs_diameter_is_bit_equal_to_the_full_scans(kind, monkeypatch):
+    # the pair filter, its chunks and its fallbacks give the bits of the
+    # one-shot n x n x d formula and of the unpruned block scan, on stacks
+    # of 1 to 3 blocks, common offsets up to 1e8 and non-finite entries; a
+    # DIAMETER_BLOCK of 3 sends small blocks through the pair filter, in
+    # chunks of at most 3 x rows pairs
+    rng = np.random.default_rng(CLOUDS.index(kind))
+    blocks = (me.DIAMETER_BLOCK, 3)
+    sizes = scanned_pairs(monkeypatch)
+    for _ in range(80):
+        n, d, stack = (rng.integers(1, 300), rng.integers(1, 8),
+                       rng.integers(1, 4))
+        points = np.stack([point_cloud(kind, rng, n, d) for _ in range(stack)])
+        n = points.shape[1]
+        points = points + rng.normal(size=d) * rng.choice([0.0, 1.0, 1e4, 1e8])
+        if rng.random() < 0.2:
+            points[-1, rng.integers(n), rng.integers(d)] = rng.choice(
+                [np.nan, np.inf, -np.inf, 1e200])
+        block = int(rng.choice(blocks))
+        monkeypatch.setattr(me, "DIAMETER_BLOCK", block)
+        sizes.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = me.outputs_diameter(points)
+            assert max(sizes, default=0) <= block * n
+            for k, one in enumerate(points):
+                np.testing.assert_equal(got[k], one_shot_diameter(one))
+                np.testing.assert_equal(got[k], block_scan_diameter(one))
 
 
 @pytest.mark.parametrize("n", [1, 2, me.DIAMETER_BLOCK - 1, me.DIAMETER_BLOCK,
@@ -557,16 +637,33 @@ def test_outputs_diameter_on_spheres(d):
 
 def test_outputs_diameter_sphere_keeps_every_row(monkeypatch):
     # the worst case of the prune: every row is as far from the mean as
-    # the farthest one, so every row is scanned
-    sizes = scanned_rows(monkeypatch)
+    # the farthest one, and every pair can be the longest, so the block
+    # scan compares all 80 rows, in a block of 64 and one of 16
+    sizes = scanned_pairs(monkeypatch)
     points = on_sphere(np.random.default_rng(5), 40, 5)
     assert diameter(points) == one_shot_diameter(points)
-    assert sizes == [80]
+    assert sizes == [64 * 80, 16 * 16]
+
+
+def test_outputs_diameter_sphere_temporaries_stay_blocked():
+    # at n = 2000 every row of a sphere survives and the full triangle is
+    # 2M pairs: no temporary may hold more than DIAMETER_BLOCK x n x d
+    # values, 5.1 MB, where the one-shot formula would take 160 MB
+    n, d = 2000, 5
+    points = on_sphere(np.random.default_rng(6), n // 2, d)[None]
+    diameter(points[0])
+    tracemalloc.start()
+    try:
+        me.outputs_diameter(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * me.DIAMETER_BLOCK * n * d * points.itemsize
 
 
 def test_outputs_diameter_identical_rows_skip_the_scan(monkeypatch):
     # the t = 0 record of a zero-initialised run: O(nd), no pairwise scan
-    sizes = scanned_rows(monkeypatch)
+    sizes = scanned_pairs(monkeypatch)
     for points in (np.zeros((2000, 5)), np.full((7, 3), 0.1),
                    np.full((1, 17), -2.5)):
         assert diameter(points) == 0.0
@@ -574,10 +671,12 @@ def test_outputs_diameter_identical_rows_skip_the_scan(monkeypatch):
 
 
 def test_outputs_diameter_prunes_a_spread_cloud(monkeypatch):
-    sizes = scanned_rows(monkeypatch)
+    # of the 2M pairs of 2000 rows the pair filter compares 462, where the
+    # scan of every pair of the 139 rows that survive the prune takes 9591
+    sizes = scanned_pairs(monkeypatch)
     points = np.random.default_rng(3).normal(size=(2000, 5))
     assert diameter(points) == one_shot_diameter(points)
-    assert sum(sizes) < 200
+    assert 0 < sum(sizes) < 1000
 
 
 def test_outputs_diameter_non_finite_matches_full_scan():
@@ -588,6 +687,22 @@ def test_outputs_diameter_non_finite_matches_full_scan():
         with np.errstate(over="ignore", invalid="ignore"):
             np.testing.assert_equal(diameter(points),
                                     one_shot_diameter(points))
+
+
+def test_time_records_tool_runs_at_n_100():
+    # tools/time_records.py, once per timing: one chunk of 9 records and
+    # positive costs per record, one at a time, chunked and of the diameter
+    root = Path(__file__).resolve().parents[1]
+    code = ("import time_records\n"
+            "time_records.REPEATS = 1\n"
+            "print(time_records.record_costs(100))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "tools")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    per_chunk, *costs = ast.literal_eval(proc.stdout)
+    assert per_chunk == 9 and all(c > 0.0 for c in costs)
 
 
 @pytest.mark.parametrize("n,m,per_chunk", [(1, 10, 936), (100, 10, 9),
