@@ -446,36 +446,36 @@ def compute_record(p: ProblemSpec, snapshots: list[Snapshot], eta: float,
             for s, row in zip(snapshots, rows)]
 
 
-def _max_sq(left: np.ndarray, right: np.ndarray):
+def _max_sq(diffs: np.ndarray):
     """The largest per-pair squared distance ``np.sum((x_i - x_j) ** 2)``
-    over the last axis, among the pairs of rows that ``left - right``
-    broadcasts."""
-    return np.maximum.reduce(np.add.reduce((left - right) ** 2, axis=-1),
-                             axis=None)
+    over the last axis of the per-pair differences ``diffs``, which it
+    squares in place."""
+    return np.maximum.reduce(
+        np.add.reduce(np.square(diffs, out=diffs), axis=-1), axis=None)
 
 
 def _block_max_sq(points: np.ndarray) -> list:
     """Per-block maxima of the per-pair squared distances among the rows
     of ``points``, over the upper triangle in blocks of DIAMETER_BLOCK rows:
     each temporary holds DIAMETER_BLOCK x n x d values, not n x n x d."""
-    return [_max_sq(points[s:s + DIAMETER_BLOCK, None, :], points[None, s:, :])
+    return [_max_sq(points[s:s + DIAMETER_BLOCK, None, :] - points[None, s:, :])
             for s in range(0, points.shape[0], DIAMETER_BLOCK)]
 
 
 def _pair_max_sq(points: np.ndarray, r: np.ndarray, lower: float,
                  slack: float) -> list:
     """Per-chunk maxima of the per-pair squared distances over the pairs
-    of rows of ``points`` that can be longer than ``lower``, in chunks of
-    at most DIAMETER_BLOCK x len(points) pairs, so that no temporary holds
-    more values than a block of the block scan. ``r`` is each row's
-    distance from the center and ``slack`` the rounding slack of the prune.
+    of rows of ``points`` that can be longer than ``lower``. ``r`` is each
+    row's distance from the center and ``slack`` the rounding slack of the
+    prune.
 
     With the rows sorted by r, descending, row p pairs only with the later
     rows q that have r_q >= lower - r_p - slack, by the triangle
     inequality. Those rows are a prefix of the tail, found by
     ``searchsorted``, and each row's prefix is shorter than the one before,
-    so the pairs end at the first empty one. When more than half of all
-    pairs remain, as on a sphere, the block scan is cheaper.
+    so the pairs end at the first empty one. A chunk holds at most
+    DIAMETER_BLOCK x n / 2 pairs of the n rows: its two (pairs, d) arrays
+    and its partner index hold no more than a block of the block scan.
     """
     order = np.argsort(-r, kind="stable")
     points, r = points[order], r[order]
@@ -484,20 +484,20 @@ def _pair_max_sq(points: np.ndarray, r: np.ndarray, lower: float,
     counts = ends - np.arange(1, len(r) + 1)
     counts = counts[:np.count_nonzero(counts > 0)]
     totals = np.cumsum(counts)
-    if len(counts) and 4 * int(totals[-1]) > len(r) * (len(r) - 1):
-        return _block_max_sq(points)
-    maxima, lo, limit = [], 0, DIAMETER_BLOCK * len(points)
+    maxima, lo, limit = [], 0, DIAMETER_BLOCK * len(points) // 2
     while lo < len(counts):
-        # the rows from lo whose pairs fit in the chunk: row lo's always do
+        # the rows from lo whose pairs fit in the chunk: row lo's fewer
+        # than n always do, as DIAMETER_BLOCK is at least 2
         hi = int(np.searchsorted(totals, totals[lo] - counts[lo] + limit,
                                  side="right"))
         pairs = counts[lo:hi]
         # pair g of the list is row p's pair (p, g + shift_p)
-        shifts = np.repeat(np.arange(lo + 1, hi + 1) - (totals[lo:hi] - pairs),
-                           pairs)
-        partners = np.arange(totals[lo] - pairs[0], totals[hi - 1]) + shifts
-        maxima.append(_max_sq(np.repeat(points[lo:hi], pairs, axis=0),
-                              np.take(points, partners, axis=0)))
+        partners = np.repeat(
+            np.arange(lo + 1, hi + 1) - (totals[lo:hi] - pairs), pairs)
+        partners += np.arange(totals[lo] - pairs[0], totals[hi - 1])
+        diffs = np.repeat(points[lo:hi], pairs, axis=0)
+        diffs -= np.take(points, partners, axis=0)
+        maxima.append(_max_sq(diffs))
         lo = hi
     return maxima
 

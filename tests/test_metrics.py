@@ -517,10 +517,9 @@ def scanned_pairs(monkeypatch):
     sizes = []
     kernel = me._max_sq
 
-    def counting(left, right):
-        sizes.append(math.prod(np.broadcast_shapes(left.shape,
-                                                   right.shape)[:-1]))
-        return kernel(left, right)
+    def counting(diffs):
+        sizes.append(math.prod(diffs.shape[:-1]))
+        return kernel(diffs)
 
     monkeypatch.setattr(me, "_max_sq", counting)
     return sizes
@@ -582,7 +581,7 @@ def test_outputs_diameter_is_bit_equal_to_the_full_scans(kind, monkeypatch):
     # one-shot n x n x d formula and of the unpruned block scan, on stacks
     # of 1 to 3 blocks, common offsets up to 1e8 and non-finite entries; a
     # DIAMETER_BLOCK of 3 sends small blocks through the pair filter, in
-    # chunks of at most 3 x rows pairs
+    # chunks of at most 3 x rows / 2 pairs
     rng = np.random.default_rng(CLOUDS.index(kind))
     blocks = (me.DIAMETER_BLOCK, 3)
     sizes = scanned_pairs(monkeypatch)
@@ -637,20 +636,24 @@ def test_outputs_diameter_on_spheres(d):
 
 def test_outputs_diameter_sphere_keeps_every_row(monkeypatch):
     # the worst case of the prune: every row is as far from the mean as
-    # the farthest one, and every pair can be the longest, so the block
-    # scan compares all 80 rows, in a block of 64 and one of 16
+    # the farthest one, and every pair can be the longest, so the pair
+    # filter compares all 80 x 79 / 2 pairs, in chunks of at most 64 x 40
     sizes = scanned_pairs(monkeypatch)
     points = on_sphere(np.random.default_rng(5), 40, 5)
     assert diameter(points) == one_shot_diameter(points)
-    assert sizes == [64 * 80, 16 * 16]
+    assert sizes == [2530, 630]
 
 
-def test_outputs_diameter_sphere_temporaries_stay_blocked():
+@pytest.mark.parametrize("kind", ["sphere", "rays"])
+def test_outputs_diameter_temporaries_stay_blocked(kind):
     # at n = 2000 every row of a sphere survives and the full triangle is
-    # 2M pairs: no temporary may hold more than DIAMETER_BLOCK x n x d
-    # values, 5.1 MB, where the one-shot formula would take 160 MB
+    # 2M pairs; rays send 262k pairs through the filter. No scan may hold
+    # more than the block scan's DIAMETER_BLOCK x n x d values, 5.1 MB,
+    # where the one-shot formula would take 160 MB
     n, d = 2000, 5
-    points = on_sphere(np.random.default_rng(6), n // 2, d)[None]
+    rng = np.random.default_rng(6)
+    points = (on_sphere(rng, n // 2, d) if kind == "sphere"
+              else on_rays(rng, n, d))[None]
     diameter(points[0])
     tracemalloc.start()
     try:
