@@ -19,8 +19,8 @@ import pytest
 from pdnet import engine as en
 from pdnet.graphs import (GraphTopology, generate_barbell,
                           generate_watts_strogatz, lazy_metropolis)
-from pdnet.problems import (ReferenceSolution, build_logistic_problem,
-                            generate_dataset)
+from pdnet.problems import (ReferenceSolution, build_hinge_problem,
+                            build_logistic_problem, generate_dataset)
 
 from conftest import make_custom_problem
 
@@ -31,6 +31,10 @@ HINGE_F_STAR = 0.9370804379939088
 LOGISTIC_600_F_STAR = 0.680753392507929
 #: f* of ``oracle_problem``, attained at (0.3, -0.1) where g_0 and g_1 bind
 ORACLE_F_STAR = 0.4925
+#: f* of the logistic and hinge instances at l = u = 1, which the unit
+#: ball implies: every multiplier stays slack
+SLACK_LOGISTIC_F_STAR = 0.5715418122722372
+SLACK_HINGE_F_STAR = 0.7022974650981894
 
 GOLDEN = {
     "hinge-barbell-deterministic":
@@ -51,6 +55,10 @@ GOLDEN = {
         "3db319e5351e86ddb71c5c28de5c1ed15669a3a1086320aa416e6bf3cd3001c4",
     "oracle-ring-stochastic":
         "fec4f29262cd4b604eaa9172722b505c52f4da20022eee6be03639a870dc450f",
+    "slack-hinge-barbell-stochastic":
+        "a19d111803a9b99366e12524ae09ac3bc004c974ff9c460456312f048a8eef8c",
+    "slack-logistic-barbell-deterministic":
+        "70bfa3f6c45a06e9d5fd8cb637c790dde57d80cc95134961c5c6168776b5c926",
 }
 
 
@@ -108,6 +116,18 @@ def run_case(name, logistic, hinge, ws_matrix):
         return en.run(big, w, cfg(iterations=20, record_every=10),
                       reference=literal_reference(LOGISTIC_600_F_STAR,
                                                   big.dim))
+    if name.startswith("slack-"):
+        # the box at l = u = 1 never binds inside the unit ball
+        data = generate_dataset(100, 5, seed=1)
+        barbell = lazy_metropolis(generate_barbell(100, 1))
+        if name == "slack-logistic-barbell-deterministic":
+            p = build_logistic_problem(data, 1.0, 1.0)
+            return en.run(p, barbell, cfg(eta=0.5),
+                          reference=literal_reference(SLACK_LOGISTIC_F_STAR,
+                                                      p.dim))
+        p = build_hinge_problem(data, 1.0, 1.0)
+        return en.run(p, barbell, cfg(variant="stochastic", eta=0.5),
+                      reference=literal_reference(SLACK_HINGE_F_STAR, p.dim))
     if name.startswith("hinge-barbell"):
         barbell = lazy_metropolis(generate_barbell(100, 1))
         if name == "hinge-barbell-deterministic":
