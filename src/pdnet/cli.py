@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import importlib.metadata
 import json
 import math
 import os
@@ -224,8 +223,12 @@ def execute_run(config: dict, out_dir: Path):
 
 def _environment() -> dict[str, str | None]:
     """Interpreter and library versions plus the BLAS thread settings."""
+    # the top-level package only, not ``scipy.sparse``: its import costs
+    # less than ``importlib.metadata``'s import and first lookup, and each
+    # later call here is a dict lookup where that is a file scan
+    import scipy
     env = {"python": platform.python_version(), "numpy": np.__version__,
-           "scipy": importlib.metadata.version("scipy")}
+           "scipy": scipy.__version__}
     for var in BLAS_THREAD_VARS:
         env[var] = os.environ.get(var)
     return env

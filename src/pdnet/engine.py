@@ -302,7 +302,13 @@ def _advance(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix, t: int,
              work: tuple[np.ndarray, np.ndarray] | None = None) -> AgentStates:
     """The states at t + 1. ``work``, two C-contiguous (rows, d + m)
     arrays that the step overwrites, holds the mixed operand and its mix,
-    so a run allocates them once; the new states never share their memory."""
+    so a run allocates them once; the new states never share their memory.
+
+    When every multiplier is slack, no entry of gamma above zero, and W
+    is entrywise nonnegative, only y is mixed and lam(t + 1) is zero: the
+    kernel sums each column in the same order whatever the column count,
+    and starts from +0.0, so a column of non-positive values mixes to +0.0
+    or below and the orthant returns exactly +0.0."""
     alpha = _alpha(t, cfg)
     alpha_next = _alpha(t + 1, cfg)
     y = states.x - alpha * grad_x
@@ -312,13 +318,27 @@ def _advance(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix, t: int,
     # a non-finite entry, or an overflow, makes the sum non-finite
     if not math.isfinite(np.add.reduce(z, axis=None)):
         _check_finite(y, gamma, t)
+    top = np.maximum.reduce(gamma, axis=None, initial=0.0)
+    n, d = y.shape
+    slack = top == 0.0 and w.nonnegative
+    if slack:
+        z = y
+        if mixed is not None:  # the first n d entries of the mix's block
+            mixed = mixed.reshape(-1)[:y.size].reshape(n, d)
     # the baseline's 1x1 identity computes 0.0 + 1.0 z, which is z + 0.0
     mixed = (np.add(z, 0.0, out=mixed) if w is _IDENTITY_1X1
              else _mix(w, z, mixed))
-    d = y.shape[1]
     new_x = project_ball(mixed[:, :d], p.radius)
-    new_lam = project_orthant(mixed[:, d:])
-    _check_dual_guard(new_lam, t)
+    if slack:
+        new_lam = np.zeros(gamma.shape)
+    else:
+        new_lam = project_orthant(mixed[:, d:])
+        # under W >= 0 with rows summing to 1, no mixed entry is much
+        # above ``top``, so the guard's own bound of half the guard holds
+        # whenever this one does
+        if (not w.nonnegative
+                or top * math.sqrt(gamma.shape[1]) > 0.25 * LAMBDA_GUARD):
+            _check_dual_guard(new_lam, t)
 
     num = states.avg_numerator
     wsum = states.weight_sum

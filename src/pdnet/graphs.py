@@ -158,12 +158,16 @@ class ConsensusMatrix:
     constructors validate the entries: finite, nonnegative, row and column
     sums within STOCHASTIC_TOL of 1, and (when a topology is supplied)
     zero off the graph edges. The weight file (``to_csv_text``) lists the
-    stored entries: O(nnz) bytes.
+    stored entries: O(nnz) bytes. ``nonnegative`` says that no stored
+    entry is below zero, which the contract allows down to
+    -STOCHASTIC_TOL; the constructors set it, and a matrix built directly
+    keeps False, which only costs a step its skip of the slack duals.
     """
 
     indptr: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
     data: np.ndarray = field(repr=False)
+    nonnegative: bool = field(default=False, repr=False)
 
     @cached_property
     def _spectrum(self) -> tuple[float, str]:
@@ -254,11 +258,12 @@ def _validated(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
         kept = data != 0  # indptr[r] becomes the count kept before it
         indptr = np.concatenate([[0], np.cumsum(kept)])[indptr].astype(indptr.dtype)
         indices, data = indices[kept], data[kept]
-    w = ConsensusMatrix(indptr, indices, data)
     if not np.all(np.isfinite(data)):
         raise WeightMatrixError("non-finite entries")
-    if np.any(data < -STOCHASTIC_TOL):
+    low = np.minimum.reduce(data, initial=0.0)
+    if low < -STOCHASTIC_TOL:
         raise WeightMatrixError("negative entries")
+    w = ConsensusMatrix(indptr, indices, data, nonnegative=bool(low == 0.0))
     for name, sums in zip(("row", "column"), _line_sums(w)):
         deviation = np.max(np.abs(sums - 1.0))
         if deviation > STOCHASTIC_TOL:

@@ -29,6 +29,12 @@ MEAN_OBJECTIVE_BLOCK = 1 << 16
 #: needing more cannot be allocated at all.
 MAX_ARRAY_ENTRIES = np.iinfo(np.intp).max // 8
 
+try:  # the compiled kernel that ``np.einsum`` forwards to when it does not
+    # optimize, its default: the same bits without the wrapper's dispatch
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
+
 
 @np.errstate(over="ignore")  # as a decorator it costs half the with-block
 def _over_one_plus_exp(numerator, t: np.ndarray) -> np.ndarray:
@@ -190,7 +196,7 @@ class _LossBoxOps:
     def _neg_margins(self, x_rows: np.ndarray) -> np.ndarray:
         """t_i = -b_i <a_i, x_i>, one per agent. Negating every product
         negates the sum exactly, so -t is the margin z."""
-        return np.einsum("id,id->i", self._neg_signed, x_rows)
+        return _einsum("id,id->i", self._neg_signed, x_rows)
 
     def agent_objective_grads(self, x_rows: np.ndarray) -> np.ndarray:
         slopes = self._signed_slopes(self._neg_margins(x_rows))

@@ -193,6 +193,19 @@ def test_run_writes_artifacts_and_manifest_roundtrip(out_root):
     assert timings["records_s"] < timings["run_s"]
 
 
+def test_cli_import_skips_importlib_metadata():
+    # the manifest reads scipy.__version__; importlib.metadata would cost
+    # more to import than the scipy package itself
+    code = ("import sys\n"
+            "import pdnet.cli\n"
+            "print('importlib.metadata' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(pdnet.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_centralized_manifest_times_no_graph(out_root):
     assert cli.main(["run", "--out", "c", *SMALL_RUN,
                      "--set", "run.variant=centralized_unregularized"]) == 0

@@ -19,7 +19,9 @@ from pdnet.graphs import (
     laplacian_weights,
     lazy_metropolis,
 )
-from pdnet.problems import build_logistic_problem, generate_dataset
+from pdnet.lagrangian import uniform_stream
+from pdnet.problems import (build_hinge_problem, build_logistic_problem,
+                            generate_dataset)
 
 from conftest import make_custom_problem, toy_problem
 
@@ -483,19 +485,22 @@ def test_only_networked_steps_mix(variant, monkeypatch, paper_logistic,
     en.run(paper_logistic, ws_matrix,
            en.RunConfig(variant=variant, iterations=7, record_every=7))
     baseline = variant == en.CENTRALIZED_UNREGULARIZED
-    assert calls == ([] if baseline else [(100, 15)] * 7)
+    # from the origin every multiplier is slack at t = 0, so the first
+    # step mixes the 5 primal columns alone; the box binds from t = 1 on
+    assert calls == ([] if baseline else [(100, 5)] + [(100, 15)] * 6)
 
 
 def test_one_agent_networked_run_still_mixes(monkeypatch):
     # a valid 1x1 matrix need not be the identity: only the baseline's
-    # own identity skips the mix
+    # own identity skips the mix. The multipliers are slack for two steps,
+    # which mix the 3 primal columns alone, and the box binds after them
     p = build_logistic_problem(generate_dataset(1, 3, seed=2), 0.2, 0.2)
     w = ConsensusMatrix.from_entries(np.array([[1.0 - 5e-13]]))
     assert w.csr.data[0] == 1.0 - 5e-13
     cfg = en.RunConfig(eta=1.0, iterations=5, record_every=5)
     calls = counted_mix(monkeypatch)
     lean = en.run(p, w, cfg)
-    assert calls == [(1, 3 + p.n_constraints)] * 5
+    assert calls == [(1, 3)] * 2 + [(1, 3 + p.n_constraints)] * 3
     monkeypatch.setattr(en, "_advance", reference_advance)
     assert_same_states(lean.final_states, en.run(p, w, cfg).final_states)
 
@@ -554,6 +559,96 @@ def test_steps_equal_the_reference_step(variant, init, monkeypatch,
     assert np.any(lean.final_states.lam != 0.0)
     assert_same_states(lean.final_states, expected.final_states)
     assert lean.to_csv_text() == expected.to_csv_text()
+
+
+def full_mix(w):
+    """``w`` with its nonnegative flag off, which forces the full mix."""
+    return dataclasses.replace(w, nonnegative=False)
+
+
+@pytest.mark.parametrize("case", range(16))
+def test_slack_dual_skip_equals_the_full_mix(case, monkeypatch):
+    # every combination of loss, box, variant and init, on a small instance
+    # drawn from a fixed seed: each step from the same states, once with
+    # the skip and the run's work buffers and once with the full mix
+    loss, box, variant, init = [
+        (loss, box, variant, init)
+        for loss in ("logistic", "hinge") for box in (0.1, 1.0)
+        for variant in (en.DETERMINISTIC, en.STOCHASTIC)
+        for init in (en.INIT_ORIGIN, en.INIT_RANDOM_FEASIBLE)][case]
+    rng = np.random.default_rng(case)
+    n, d = int(rng.integers(4, 13)), int(rng.integers(1, 5))
+    build = build_logistic_problem if loss == "logistic" else build_hinge_problem
+    p = build(generate_dataset(n, d, seed=case), box, box)
+    weights = lazy_metropolis if case % 2 else laplacian_weights
+    w = weights(generate_watts_strogatz(n, 2, 0.3, seed=case))
+    assert w.nonnegative
+    cfg = en.resolve_config(en.RunConfig(
+        variant=variant, eta=float(rng.uniform(0.2, 2.0)), seed=case,
+        init=init), p)
+    calls = counted_mix(monkeypatch)
+    stream = uniform_stream() if variant == en.STOCHASTIC else None
+    work = tuple(np.empty((2, n, d + p.n_constraints)))
+    states = en.initial_states(p, cfg)
+    for t in range(60):
+        directions = en._directions(p, states, cfg, t, stream)
+        lean = en._advance(states, p, w, t, cfg, *directions, work)
+        full = en._advance(states, p, full_mix(w), t, cfg, *directions)
+        assert_same_states(lean, full)
+        assert not np.signbit(lean.lam).any()
+        states = lean
+    skipped = calls[::2].count((n, d))
+    assert calls[1::2] == [(n, d + p.n_constraints)] * 60
+    # the unit ball implies the box at l = u = 1, so no multiplier binds
+    assert skipped == 60 if box == 1.0 else 0 < skipped < 60
+
+
+def test_negative_entry_always_takes_the_full_mix(monkeypatch):
+    # the contract admits entries down to -STOCHASTIC_TOL, and under one a
+    # slack column need not mix to zero
+    w = ConsensusMatrix.from_entries(np.array([
+        [0.5, 0.5 + 1e-12, -1e-12],
+        [0.5, 0.5 - 1e-12, 1e-12],
+        [0.0, 0.0, 1.0]]))
+    assert not w.nonnegative
+    p = build_logistic_problem(generate_dataset(3, 2, seed=4), 1.0, 1.0)
+    cfg = en.resolve_config(en.RunConfig(eta=1.0), p)
+    states = en.initial_states(p, cfg)
+    grad_lam = np.zeros((3, p.n_constraints))
+    grad_lam[2] = -1.0
+    calls = counted_mix(monkeypatch)
+    new = en._advance(states, p, w, 0, cfg, np.zeros((3, 2)), grad_lam)
+    assert calls == [(3, 2 + p.n_constraints)]
+    assert np.all(new.lam[0] > 0.0)
+    assert_same_states(new, reference_advance(states, p, w, 0, cfg,
+                                              np.zeros((3, 2)), grad_lam))
+
+
+@pytest.mark.parametrize("scale", [0.2, 0.26, 0.7, 1.01, 3.0])
+def test_dual_guard_outcome_is_unchanged_by_its_gate(scale, paper_logistic,
+                                                     ws_matrix):
+    # multipliers with largest entry ``scale`` LAMBDA_GUARD / sqrt(m),
+    # below and above the step's gate of a quarter of the guard: the step
+    # raises, naming t and the agent, exactly when the ungated one does
+    p = paper_logistic
+    cfg = en.resolve_config(en.RunConfig(eta=1.0), p)
+    m = p.n_constraints
+    lam = np.zeros((100, m))
+    lam[37:] = scale * en.LAMBDA_GUARD / math.sqrt(m)
+    states = en.AgentStates(x=np.zeros((100, 5)), lam=lam,
+                            avg_numerator=np.zeros((100, 5)), weight_sum=0.0)
+    args = (np.zeros((100, 5)), np.zeros((100, m)))
+    outcomes = []
+    for w in (ws_matrix, full_mix(ws_matrix)):
+        try:
+            outcomes.append(en._advance(states, p, w, 7, cfg, *args))
+        except en.DivergenceError as exc:
+            outcomes.append(str(exc))
+    if scale > 1.0:
+        assert isinstance(outcomes[0], str) and outcomes[0] == outcomes[1]
+        assert "t=7" in outcomes[0] and "lam of agent" in outcomes[0]
+    else:
+        assert_same_states(*outcomes)
 
 
 def test_snapshots_never_share_the_step_work_buffers(monkeypatch):

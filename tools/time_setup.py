@@ -14,10 +14,11 @@ binds as in the benchmark's ``cli_sweep`` (``reference``), and at
 l = u = 0.1, where only the box binds as in ``canonical``
 (``reference_box``). Each figure is the median of
 ``REPEATS`` calls (``REPEATS_LARGE`` at n = 10^5). BLAS and OpenMP are
-pinned to one thread before numpy is imported. A last row gives
-``import pdnet`` in a fresh process: the median over ``IMPORT_REPEATS``
-processes of the wall seconds of ``python -c "import pdnet"``, interpreter
-start included, and of its peak RSS.
+pinned to one thread before numpy is imported. Two last rows give
+``import pdnet`` and ``import pdnet.cli`` in a fresh process: the median
+over ``IMPORT_REPEATS`` processes of the wall seconds of ``python -c
+"import pdnet"`` (or ``pdnet.cli``), interpreter start included, and of
+its peak RSS.
 """
 
 from __future__ import annotations
@@ -85,11 +86,11 @@ def phase_costs(n: int) -> dict[str, float | None]:
             for name, call in calls.items()}
 
 
-def import_cost() -> tuple[float, float]:
-    """Median wall seconds and peak RSS (MB) of ``python -c "import pdnet"``
-    over IMPORT_REPEATS fresh processes."""
+def import_cost(module: str) -> tuple[float, float]:
+    """Median wall seconds and peak RSS (MB) of ``python -c "import
+    <module>"`` over IMPORT_REPEATS fresh processes."""
     code = ("import resource\n"
-            "import pdnet\n"
+            f"import {module}\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     seconds, rss = [], []
     for _ in range(IMPORT_REPEATS):
@@ -109,9 +110,10 @@ def main() -> None:
         cells = ("-" if rows[n][name] is None else f"{rows[n][name]:.5f}"
                  for n in SIZES)
         print(f"{name:<16}" + "".join(f"{c:>12}" for c in cells))
-    seconds, rss = import_cost()
-    print(f"{'import':<16}{seconds:>12.5f}  s, peak RSS {rss:.1f} MB "
-          "(fresh process, any n)")
+    for module in ("pdnet", "pdnet.cli"):
+        seconds, rss = import_cost(module)
+        print(f"{'import ' + module:<16}{seconds:>12.5f}  s, peak RSS "
+              f"{rss:.1f} MB (fresh process, any n)")
 
 
 if __name__ == "__main__":
