@@ -333,12 +333,9 @@ def _advance(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix, t: int,
         new_lam = np.zeros(gamma.shape)
     else:
         new_lam = project_orthant(mixed[:, d:])
-        # under W >= 0 with rows summing to 1, no mixed entry is much
-        # above ``top``, so the guard's own bound of half the guard holds
-        # whenever this one does
-        if (not w.nonnegative
-                or top * math.sqrt(gamma.shape[1]) > 0.25 * LAMBDA_GUARD):
-            _check_dual_guard(new_lam, t)
+        # under W >= 0 with rows summing to 1, no mixed entry is more than
+        # rounding above ``top``
+        _check_dual_guard(new_lam, t, top if w.nonnegative else None)
 
     num = states.avg_numerator
     wsum = states.weight_sum
@@ -351,14 +348,17 @@ def _advance(states: AgentStates, p: ProblemSpec, w: ConsensusMatrix, t: int,
     return AgentStates(x=new_x, lam=new_lam, avg_numerator=num, weight_sum=wsum)
 
 
-def _check_dual_guard(lam: np.ndarray, t: int) -> None:
+def _check_dual_guard(lam: np.ndarray, t: int,
+                      top: float | None = None) -> None:
     """Raise DivergenceError if a row norm of ``lam`` (>= 0) exceeds
-    LAMBDA_GUARD, naming the first such agent."""
+    LAMBDA_GUARD, naming the first such agent. ``top``, when given, bounds
+    every entry of ``lam`` up to rounding and stands in for its maximum."""
     # a row norm is at most sqrt(m) times the largest entry, so the norms
     # are needed only when that bound comes near the guard; with the guard
     # at 1e6 every step of a converging run returns here
-    if (np.maximum.reduce(lam, axis=None, initial=0.0)
-            * math.sqrt(lam.shape[1]) <= 0.5 * LAMBDA_GUARD):
+    if top is None:
+        top = np.maximum.reduce(lam, axis=None, initial=0.0)
+    if top * math.sqrt(lam.shape[1]) <= 0.5 * LAMBDA_GUARD:
         return
     norms = metrics.row_norms(lam)
     over = norms > LAMBDA_GUARD

@@ -158,16 +158,17 @@ class ConsensusMatrix:
     constructors validate the entries: finite, nonnegative, row and column
     sums within STOCHASTIC_TOL of 1, and (when a topology is supplied)
     zero off the graph edges. The weight file (``to_csv_text``) lists the
-    stored entries: O(nnz) bytes. ``nonnegative`` says that no stored
-    entry is below zero, which the contract allows down to
-    -STOCHASTIC_TOL; the constructors set it, and a matrix built directly
-    keeps False, which only costs a step its skip of the slack duals.
+    stored entries: O(nnz) bytes. ``nonnegative`` says that the entries
+    passed that contract and none is below zero, which it allows down to
+    -STOCHASTIC_TOL. Only the constructors set it; a matrix built
+    directly, or through ``dataclasses.replace``, keeps False, which only
+    costs a step its skip of the slack duals.
     """
 
     indptr: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
     data: np.ndarray = field(repr=False)
-    nonnegative: bool = field(default=False, repr=False)
+    nonnegative: bool = field(init=False, default=False, repr=False)
 
     @cached_property
     def _spectrum(self) -> tuple[float, str]:
@@ -263,7 +264,7 @@ def _validated(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
     low = np.minimum.reduce(data, initial=0.0)
     if low < -STOCHASTIC_TOL:
         raise WeightMatrixError("negative entries")
-    w = ConsensusMatrix(indptr, indices, data, nonnegative=bool(low == 0.0))
+    w = ConsensusMatrix(indptr, indices, data)
     for name, sums in zip(("row", "column"), _line_sums(w)):
         deviation = np.max(np.abs(sums - 1.0))
         if deviation > STOCHASTIC_TOL:
@@ -275,6 +276,7 @@ def _validated(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
         raise WeightMatrixError("nonzero entry off the graph structure")
     for array in (data, indices, indptr):
         array.setflags(write=False)
+    object.__setattr__(w, "nonnegative", bool(low == 0.0))
     return w
 
 

@@ -562,8 +562,23 @@ def test_steps_equal_the_reference_step(variant, init, monkeypatch,
 
 
 def full_mix(w):
-    """``w`` with its nonnegative flag off, which forces the full mix."""
-    return dataclasses.replace(w, nonnegative=False)
+    """A copy of ``w`` without the constructors' nonnegative flag, which
+    forces the full mix."""
+    return dataclasses.replace(w)
+
+
+def test_only_the_constructors_set_the_nonnegative_flag(ws_matrix):
+    # the step reads the flag as a promise that W passed the contract with
+    # no entry below zero, so no caller can claim it
+    assert ws_matrix.nonnegative
+    arrays = {k: getattr(ws_matrix, k) for k in ("indptr", "indices", "data")}
+    with pytest.raises(TypeError):
+        ConsensusMatrix(**arrays, nonnegative=True)
+    with pytest.raises(ValueError):
+        dataclasses.replace(ws_matrix, nonnegative=True)
+    assert not ConsensusMatrix(**arrays).nonnegative
+    assert not full_mix(ws_matrix).nonnegative
+    assert not dataclasses.replace(ws_matrix, data=-ws_matrix.data).nonnegative
 
 
 @pytest.mark.parametrize("case", range(16))
@@ -624,12 +639,14 @@ def test_negative_entry_always_takes_the_full_mix(monkeypatch):
                                               np.zeros((3, 2)), grad_lam))
 
 
-@pytest.mark.parametrize("scale", [0.2, 0.26, 0.7, 1.01, 3.0])
+@pytest.mark.parametrize("scale", [0.2, 0.49, 0.51, 0.7, 1.01, 3.0])
 def test_dual_guard_outcome_is_unchanged_by_its_gate(scale, paper_logistic,
                                                      ws_matrix):
     # multipliers with largest entry ``scale`` LAMBDA_GUARD / sqrt(m),
-    # below and above the step's gate of a quarter of the guard: the step
-    # raises, naming t and the agent, exactly when the ungated one does
+    # below and above the guard's early return at half the guard, which
+    # the step takes on the largest entry of gamma in place of the mixed
+    # one: the step raises, naming t and the agent, exactly when the step
+    # that reads the mixed entries does
     p = paper_logistic
     cfg = en.resolve_config(en.RunConfig(eta=1.0), p)
     m = p.n_constraints
