@@ -296,11 +296,6 @@ def _leg_summary(param: str, value: str, config: dict,
     return row
 
 
-def _run_leg(packed):
-    param, value, config, out_dir = packed
-    return _leg_summary(param, value, config, Path(out_dir))
-
-
 def cmd_sweep(args) -> int:
     config = _load_config(args)
     values = [v for v in args.values.split(",") if v]
@@ -313,15 +308,15 @@ def cmd_sweep(args) -> int:
         leg_config = _apply_sweep_value(config, args.param, value)
         leg_dir = base_dir / f"leg_{args.param.replace('.', '_')}_{value}"
         leg_config["output_dir"] = str(leg_dir)
-        legs.append((args.param, value, leg_config, str(leg_dir)))
+        legs.append((args.param, value, leg_config, leg_dir))
     base_dir.mkdir(parents=True, exist_ok=True)
 
     workers = min(args.threads, len(legs))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            rows = list(pool.map(_run_leg, legs))
+            rows = list(pool.map(_leg_summary, *zip(*legs)))
     else:
-        rows = [_run_leg(leg) for leg in legs]
+        rows = [_leg_summary(*leg) for leg in legs]
 
     columns = ("param", "value", "dir", "status", "eps_final", "delta_final",
                "violation_final", "eps_rate", "viol_rate")

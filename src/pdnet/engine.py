@@ -96,8 +96,8 @@ def resolve_config(cfg: RunConfig, p: ProblemSpec) -> RunConfig:
             raise EngineError(
                 f"eta * alpha(0) = {eta * scale:.6g} exceeds 1/2; lower "
                 "step_scale or eta")
-    if not scale > 0.0:
-        raise EngineError("step scale must be positive")
+    if not 0.0 < scale < math.inf:
+        raise EngineError(f"step scale must be positive and finite, got {scale}")
     return dataclasses.replace(cfg, eta=eta, step_scale=scale)
 
 

@@ -254,11 +254,8 @@ def _validated(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
                graph: GraphTopology | None) -> ConsensusMatrix:
     """A ConsensusMatrix over the CSR arrays once its entries pass the
     doubly stochastic contract; WeightMatrixError names the first failure.
-    Stored zeros are dropped first, as ``np.nonzero`` drops them."""
-    if not data.all():
-        kept = data != 0  # indptr[r] becomes the count kept before it
-        indptr = np.concatenate([[0], np.cumsum(kept)])[indptr].astype(indptr.dtype)
-        indices, data = indices[kept], data[kept]
+    Its callers store no zeros: ``from_entries`` passes the ``np.nonzero``
+    entries, the weight schemes positive weights."""
     if not np.all(np.isfinite(data)):
         raise WeightMatrixError("non-finite entries")
     low = np.minimum.reduce(data, initial=0.0)

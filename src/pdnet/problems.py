@@ -15,6 +15,7 @@ import functools
 import itertools
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -476,14 +477,34 @@ class ProblemSpec:
 
 def _build_loss_problem(data: SyntheticDataset, l: float, u: float,
                         loss: str) -> ProblemSpec:
-    if not (0 < l < math.inf and 0 < u < math.inf):
-        raise ProblemError(
-            f"box margins must be positive and finite, got l={l}, u={u}")
-    d, radius = data.dim, 1.0
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               and 0 < v < math.inf for v in (l, u)):
+        raise ProblemError("box margins must be positive finite real numbers, "
+                           f"got l={l!r}, u={u!r}")
+    features, labels = data.features, data.labels
+    if not (isinstance(features, np.ndarray) and isinstance(labels, np.ndarray)
+            and features.dtype.kind in "iuf" and labels.dtype.kind in "iuf"
+            and features.ndim == 2 and 0 not in features.shape
+            and labels.shape == features.shape[:1]):
+        raise ProblemError("features must be a real (n, d) array with n, d "
+                           ">= 1, and labels a real (n,) array")
+    features = features.astype(float, copy=False)
+    labels = labels.astype(float, copy=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # inf * 0 is NaN: finite only if the labels, the squared row norms
+        # of the features and those of the rows b_j a_j all are
+        signed_sq = labels * labels * np.add.reduce(features * features, axis=1)
+    if not np.all(np.isfinite(signed_sq)):
+        raise ProblemError("features and labels must be finite, and so must "
+                           "the squared norms of the rows b_j a_j")
+    d, radius = features.shape[1], 1.0
     # on the ball each of the 2d constraint values is at most max(l, u) + R
     # in size, so the norms that the solve and the records take stay finite
     # while this bound's square does
-    reach = math.sqrt(2 * d) * (max(l, u) + radius)
+    try:
+        reach = math.sqrt(2 * d) * (max(l, u) + radius)
+    except OverflowError:  # an int beyond the largest float
+        reach = math.inf
     if not math.isfinite(reach * reach):
         raise ProblemError(
             f"box margins l={l}, u={u} overflow the constraint norms in d={d}")
@@ -492,8 +513,8 @@ def _build_loss_problem(data: SyntheticDataset, l: float, u: float,
     return ProblemSpec(
         dim=d,
         n_constraints=2 * d,
-        n_agents=data.n,
-        ops=_LossBoxOps(data.features, data.labels, lower, upper, loss),
+        n_agents=len(features),
+        ops=_LossBoxOps(features, labels, lower, upper, loss),
         lipschitz=1.0,
         radius=radius,
         box=(lower, upper),

@@ -200,25 +200,18 @@ def weight_inputs(draw):
 @example((0.5 * (np.eye(4) + np.eye(4)[[1, 2, 3, 0]]),
           (4, [(0, 1), (1, 2), (2, 3), (0, 3)])))  # on a 4-cycle
 def test_weight_matrix_constructor(inputs):
-    # from the dense entries, and from a CSR that stores every position,
-    # zeros included: both give scipy's arrays, or both raise
+    # from the dense entries: scipy's arrays, or a raise
     entries, graph = inputs
     g = accepted(lambda: graph and gr.GraphTopology.from_edges(*graph))
     if graph and g is None:
         return
     w = accepted(lambda: gr.ConsensusMatrix.from_entries(entries, graph=g))
-    if entries.ndim == 2 and len(entries) == entries.shape[1] > 0:
-        n = len(entries)
-        rows, cols = np.divmod(np.arange(n * n), n)
-        stored = accepted(lambda: gr._validated(*gr._assemble_csr(
-            n, rows, cols, entries.ravel().copy())[:3], g))
-        assert (stored is None) == (w is None)
     if w is None:
         return
-    for made in (w, stored):
-        assert_scipy_csr(made, entries.ravel(),
-                         np.tile(np.arange(n, dtype=np.int32), n),
-                         np.arange(0, n * n + 1, n, dtype=np.int32))
+    n = w.n
+    assert_scipy_csr(w, entries.ravel(),
+                     np.tile(np.arange(n, dtype=np.int32), n),
+                     np.arange(0, n * n + 1, n, dtype=np.int32))
     assert_sigma2_of(w, entries)
 
 
@@ -260,12 +253,20 @@ def run_configs(draw):
 
 @EXAMPLES
 @given(run_configs())
+@example(en.RunConfig(variant=en.CENTRALIZED_UNREGULARIZED, iterations=3,
+                      step_scale=math.inf))  # diverged at t = 0 instead
 def test_run_and_step_configs(cfg):
     _returns_or_raises_pdnet_error(en.run, PROBLEM, WEIGHTS, cfg)
     baseline = cfg.variant == en.CENTRALIZED_UNREGULARIZED
     states = en.initial_states(PROBLEM, en.RunConfig(
         variant=en.CENTRALIZED_UNREGULARIZED if baseline else en.DETERMINISTIC))
     _returns_or_raises_pdnet_error(en.step, states, PROBLEM, WEIGHTS, 0, cfg)
+    if cfg.step_scale is not None and not 0.0 < cfg.step_scale < math.inf:
+        # every variant, the baseline too, rejects the config up front
+        for call in (lambda: en.run(PROBLEM, WEIGHTS, cfg),
+                     lambda: en.step(states, PROBLEM, WEIGHTS, 0, cfg)):
+            with pytest.raises(en.EngineError):
+                call()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -273,6 +274,59 @@ def test_run_and_step_configs(cfg):
 def test_reference_optimum(iterations):
     # a huge count is fine here: the solve stops once it stops improving
     _returns_or_raises_pdnet_error(pr.reference_optimum, PROBLEM, iterations)
+
+
+DATA = pr.generate_dataset(4, 2, seed=1)
+#: box margins, more than half of them valid: 0.1, the hostile floats,
+#: text, None, a list, arrays, other numeric types and an int too large
+#: for a float
+MARGINS = [0.1] * 24 + FLOATS + [
+    "0.1", None, [0.1], np.array(0.1), np.array([0.1, 0.1]), True, np.int64(2),
+    np.float32(0.5), 10 ** 400]
+
+
+@st.composite
+def loss_inputs(draw):
+    """Features and labels of 4 agents and box margins: ``DATA`` rescaled,
+    maybe with one entry set to a hostile float, maybe reshaped, cut short,
+    cast to integers, text or complex, or given as a list; margins from
+    ``MARGINS``."""
+    arrays = [draw(st.sampled_from(scales)) * base for base, scales in (
+        (DATA.features, [1.0, 1.0, 3.0, 1e-300, 1e150, 1e155]),
+        (DATA.labels, [1.0, 1.0, 0.5, 0.0, 1e150, 1e300]))]
+    if draw(st.integers(0, 3)) == 0:
+        a = arrays[draw(st.integers(0, 1))]
+        a.flat[draw(st.integers(0, a.size - 1))] = draw(floats())
+    f, b = arrays
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to integers
+        f = draw(st.sampled_from([f] * 12 + [
+            f[:, 0], f[:, :, None], f[:, :0], f[:0], f[:3], f.astype(np.int64),
+            f.astype(str), f + 0j, f.tolist()]))
+        b = draw(st.sampled_from([b] * 8 + [
+            b[:3], b[:, None], b.astype(str), b.astype(np.int64), b.tolist()]))
+    margin = st.sampled_from(MARGINS)
+    return pr.SyntheticDataset(features=f, labels=b), draw(margin), draw(margin)
+
+
+@EXAMPLES
+@given(loss_inputs(), st.sampled_from([pr.build_logistic_problem,
+                                       pr.build_hinge_problem]))
+@example((pr.SyntheticDataset(np.full((4, 2), math.nan), DATA.labels), 0.1, 0.1),
+         pr.build_logistic_problem)  # f* was NaN, and the run aborted
+def test_loss_problem_builders(inputs, build):
+    # an accepted problem has a finite reference and runs without aborting
+    data, l, u = inputs
+    try:
+        p = build(data, l, u)
+    except pr.ProblemError:
+        return
+    try:
+        ref = pr.reference_optimum(p, 50)
+    except pr.ReferenceError:
+        ref = None
+    assert ref is None or math.isfinite(ref.f_star)
+    cfg = en.RunConfig(iterations=3, record_every=1)
+    assert en.run(p, WEIGHTS, cfg, ref).aborted is None
 
 
 @EXAMPLES

@@ -365,6 +365,19 @@ def test_run_invalid_step_scale_exits_2(out_root):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+def test_baseline_step_scale_outside_the_positive_reals_exits_2(
+        scale, out_root, capsys):
+    # the baseline takes no eta, so no eta * alpha(0) check stops an
+    # infinite scale: the config check must, before any step runs
+    code = cli.main(["run", "--set", "run.variant=centralized_unregularized",
+                     "--set", f"run.step_scale={scale}", "--set", "problem.n=10",
+                     "--set", "graph.k=4", "--set", "run.T=5"])
+    assert code == cli.EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "step scale must be positive and finite" in lines[0]
+
+
 def test_centralized_run(out_root):
     code = cli.main(["run", "--out", "cent", *SMALL_RUN,
                      "--set", "run.variant=centralized_unregularized"])
@@ -425,8 +438,8 @@ def test_sweep_starts_no_more_processes_than_legs(monkeypatch, out_root):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
                         SerialPool)

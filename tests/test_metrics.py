@@ -692,20 +692,23 @@ def test_outputs_diameter_non_finite_matches_full_scan():
                                     one_shot_diameter(points))
 
 
-def test_time_records_tool_runs_at_n_100():
-    # tools/time_records.py, once per timing: one chunk of 9 records and
-    # positive costs per record, one at a time, chunked and of the diameter
+def test_timings_tool_runs_at_n_100():
+    # tools/timings.py, once per timing: a run of 21 records with positive
+    # costs per record and of the diameter, and every set-up phase timed
     root = Path(__file__).resolve().parents[1]
-    code = ("import time_records\n"
-            "time_records.REPEATS = 1\n"
-            "print(time_records.record_costs(100))\n")
+    code = ("import timings\n"
+            "timings.REPEATS = 1\n"
+            "print(timings.record_costs(100))\n"
+            "print(timings.phase_costs(100))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), str(root / "tools")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    per_chunk, *costs = ast.literal_eval(proc.stdout)
-    assert per_chunk == 9 and all(c > 0.0 for c in costs)
+    records, phases = map(ast.literal_eval, proc.stdout.splitlines())
+    count, *costs = records
+    assert count == 21 and all(c > 0.0 for c in costs)
+    assert "reference" in phases and all(s > 0.0 for s in phases.values())
 
 
 @pytest.mark.parametrize("n,m,per_chunk", [(1, 10, 936), (100, 10, 9),
